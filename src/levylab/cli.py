@@ -1,14 +1,15 @@
-"""Command-line entry points; every subcommand writes CSV/JSON artifacts.
+"""Command-line entry points; every subcommand writes through ``emit``.
 
+Each run leaves ``<kind>-<hash>.meta.json`` (plus ``<kind>-<hash>.csv``
+for tabular results) and prints every path on its own line.
 Exit codes: 0 success, 2 partial (some samples skipped), 1 failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from . import __version__
 from .experiments import (
     ExperimentConfig,
+    RunRecord,
     derived_seed,
     emit,
     run_local_law,
@@ -31,25 +33,29 @@ from .fixed_point import (
 from .kernel_spectrum import alpha_scan, flag_minima
 from .matrix_model import build_levy_matrix, eigendecompose
 
+#: options that locate inputs and outputs or override the config; they
+#: never enter a record's own arguments (and so never its hash)
+_NOT_ARGS = ("command", "config", "out", "seed", "alpha")
+
 
 def _load_config(args) -> ExperimentConfig:
+    alpha = getattr(args, "alpha", None)
     if args.config:
         cfg = ExperimentConfig.from_json(Path(args.config).read_text())
     else:
-        cfg = ExperimentConfig(alpha=args.alpha if args.alpha else 1.0)
-    return cfg.with_overrides(
-        alpha=args.alpha, master_seed=args.seed, output_dir=args.out)
+        cfg = ExperimentConfig(alpha=alpha if alpha else 1.0)
+    return cfg.with_overrides(alpha=alpha, master_seed=args.seed)
 
 
 def _common(parser, with_alpha=True):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--out", default="out", help="output directory")
     if with_alpha:
         parser.add_argument("--alpha", type=float, default=None)
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="levylab",
                                 description="heavy-tailed random matrix laboratory")
     p.add_argument("--version", action="version", version=__version__)
@@ -93,116 +99,92 @@ def main(argv=None) -> int:
     ks.add_argument("--nodes", type=int, default=64)
     ks.add_argument("--kappa", type=float, default=0.5)
     ks.add_argument("--no-refine", action="store_true")
+    return p
 
-    args = p.parse_args(argv)
-    out = Path(args.out or "out")
 
-    if args.command == "sample-spectrum":
-        cfg = _load_config(args)
-        out.mkdir(parents=True, exist_ok=True)
-        seed = derived_seed(cfg.master_seed, args.n, 0)
-        sd = eigendecompose(build_levy_matrix(args.n, cfg.alpha, seed))
-        path = out / f"spectrum-n{args.n}-a{cfg.alpha}-s{cfg.master_seed}.csv"
-        with open(path, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["index", "eigenvalue"])
-            for i, lam in enumerate(sd.eigenvalues):
-                w.writerow([i, "%.17g" % lam])
+def sample_spectrum(cfg, args) -> RunRecord:
+    seed = derived_seed(cfg.master_seed, args.n, 0)
+    sd = eigendecompose(build_levy_matrix(args.n, cfg.alpha, seed))
+    return RunRecord("sample-spectrum", cfg, columns=("index", "eigenvalue"),
+                     rows=tuple(enumerate(sd.eigenvalues)))
+
+
+def solve_fixed_point(cfg, args) -> RunRecord:
+    quad = QuadratureConfig().scaled(cfg.quad_scale)
+    sol = solve_gamma_star(complex(args.z_re, args.z_im), cfg.alpha,
+                           tol=args.tol, m=args.grid, quad=quad)
+    return RunRecord("solve-fixed-point", cfg, fields=sol.checkpoint(quad))
+
+
+def density(cfg, args) -> RunRecord:
+    quad = QuadratureConfig().scaled(cfg.quad_scale)
+    cache: dict = {}
+    rows = []
+    for e in np.linspace(0.0, args.e_max, args.points):
+        val, err = spectral_density(float(e), cfg.alpha, cfg.eta_ladder,
+                                    quad=quad, cache=cache, with_error=True)
+        rows.append((e, val, cfg.eta_ladder[-1], err))
+    return RunRecord("density", cfg,
+                     columns=("E", "f_star", "eta_used", "extrapolation_error"),
+                     rows=tuple(rows))
+
+
+def pool_run(cfg, args) -> RunRecord:
+    z = complex(args.z_re, args.z_im)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(cfg.master_seed, spawn_key=(0xB0D,)))
+    pool = population_dynamics(z, cfg.alpha, args.pool, args.sweeps, args.K, rng)
+    m1, se1 = pool_moment(pool, 1.0, "abs")
+    m2, se2 = pool_moment(pool, 2.0, "abs")
+    return RunRecord("population-dynamics", cfg, fields={
+        "z_re": z.real, "z_im": z.imag, "alpha": cfg.alpha,
+        "pool_size": args.pool, "sweeps": args.sweeps, "K": args.K,
+        "converged": pool.converged, "m_history": list(pool.m_history),
+        "E_abs_R": m1, "se_abs_R": se1,
+        "E_abs_R2": m2, "se_abs_R2": se2,
+    })
+
+
+def kernel_scan(cfg, args) -> RunRecord:
+    grid = np.arange(args.alpha_min, args.alpha_max + 0.5 * args.step, args.step)
+    results, failures = alpha_scan(grid, n_nodes=args.nodes, kappa=args.kappa,
+                                   refine=not args.no_refine)
+    minima = set(flag_minima(results))
+    rows = tuple((r.alpha.real, r.alpha.imag, r.m, r.grid_size,
+                  r.det_value.real, r.det_value.imag, abs(r.det_value),
+                  abs(r.det_deflated), r.refinement_delta, int(i in minima))
+                 for i, r in enumerate(results))
+    return RunRecord("kernel-scan", cfg,
+                     columns=("re_alpha", "im_alpha", "m", "n_nodes", "det_re",
+                              "det_im", "abs_det", "abs_det_deflated",
+                              "refinement_delta", "candidate_minimum"),
+                     rows=rows, skipped=tuple(note for _, note in failures))
+
+
+#: subcommand -> compute step returning its RunRecord (without ``args``)
+COMMANDS = {
+    "sample-spectrum": sample_spectrum,
+    "localization-sweep": lambda cfg, args: run_transition_sweep(cfg),
+    "local-law": lambda cfg, args: run_local_law(cfg),
+    "solve-fixed-point": solve_fixed_point,
+    "density": density,
+    "population-dynamics": pool_run,
+    "kernel-scan": kernel_scan,
+}
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    cfg = _load_config(args)
+    own = {k: v for k, v in vars(args).items() if k not in _NOT_ARGS}
+    try:
+        record = replace(COMMANDS[args.command](cfg, args), args=own)
+    except RuntimeError as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 1
+    for path in emit(record, args.out):
         print(path)
-        return 0
-
-    if args.command in ("localization-sweep", "local-law"):
-        cfg = _load_config(args)
-        runner = run_transition_sweep if args.command == "localization-sweep" \
-            else run_local_law
-        try:
-            record = runner(cfg)
-        except RuntimeError as exc:
-            print(f"run failed: {exc}", file=sys.stderr)
-            return 1
-        for path in emit(record, "csv", out):
-            print(path)
-        return 2 if record.skipped else 0
-
-    if args.command == "solve-fixed-point":
-        cfg = _load_config(args)
-        z = complex(args.z_re, args.z_im)
-        quad = QuadratureConfig().scaled(cfg.quad_scale)
-        sol = solve_gamma_star(z, cfg.alpha, tol=args.tol, m=args.grid, quad=quad)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"gamma-star-a{cfg.alpha}-z{z}.json"
-        path.write_text(sol.checkpoint_json(quad))
-        print(path)
-        print(f"residual {sol.residual:.3e} after {sol.iterations} iterations")
-        return 0
-
-    if args.command == "density":
-        cfg = _load_config(args)
-        out.mkdir(parents=True, exist_ok=True)
-        cache: dict = {}
-        path = out / f"density-a{cfg.alpha}.csv"
-        with open(path, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["E", "f_star", "eta_used", "extrapolation_error"])
-            for e in np.linspace(0.0, args.e_max, args.points):
-                val, err = spectral_density(float(e), cfg.alpha,
-                                            cfg.eta_ladder, cache=cache,
-                                            with_error=True)
-                w.writerow(["%.17g" % e, "%.17g" % val,
-                            "%.17g" % cfg.eta_ladder[-1], "%.17g" % err])
-        print(path)
-        return 0
-
-    if args.command == "population-dynamics":
-        cfg = _load_config(args)
-        z = complex(args.z_re, args.z_im)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(cfg.master_seed, spawn_key=(0xB0D,)))
-        pool = population_dynamics(z, cfg.alpha, args.pool, args.sweeps,
-                                   args.K, rng)
-        m1, se1 = pool_moment(pool, 1.0, "abs")
-        m2, se2 = pool_moment(pool, 2.0, "abs")
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / f"pool-a{cfg.alpha}-z{z}.json"
-        path.write_text(json.dumps({
-            "z_re": z.real, "z_im": z.imag, "alpha": cfg.alpha,
-            "pool_size": args.pool, "sweeps": args.sweeps, "K": args.K,
-            "converged": pool.converged, "m_history": list(pool.m_history),
-            "E_abs_R": m1, "se_abs_R": se1,
-            "E_abs_R2": m2, "se_abs_R2": se2,
-        }, indent=1))
-        print(path)
-        return 0
-
-    if args.command == "kernel-scan":
-        grid = np.arange(args.alpha_min, args.alpha_max + 0.5 * args.step,
-                         args.step)
-        results, failures = alpha_scan(grid, n_nodes=args.nodes,
-                                       kappa=args.kappa,
-                                       refine=not args.no_refine)
-        minima = set(flag_minima(results))
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "kernel-scan.csv"
-        with open(path, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["re_alpha", "im_alpha", "m", "n_nodes", "det_re",
-                        "det_im", "abs_det", "abs_det_deflated",
-                        "refinement_delta", "candidate_minimum"])
-            for i, r in enumerate(results):
-                w.writerow(["%.17g" % r.alpha.real, "%.17g" % r.alpha.imag,
-                            r.m, r.grid_size,
-                            "%.17g" % r.det_value.real,
-                            "%.17g" % r.det_value.imag,
-                            "%.17g" % abs(r.det_value),
-                            "%.17g" % abs(r.det_deflated),
-                            "%.17g" % r.refinement_delta,
-                            int(i in minima)])
-        print(path)
-        for a, msg in failures:
-            print(f"skipped alpha={a}: {msg}", file=sys.stderr)
-        return 2 if failures else 0
-
-    return 1
+    return 2 if record.skipped else 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
-"""Reproducible batch experiments and their file outputs.
+"""Reproducible batch experiments and the one writer of every artifact.
 
-Every run is a deterministic function of the serialized config: sample
-seeds are pre-derived from (master seed, sample index), rows carry full
-provenance, and aggregates are re-computable bit-for-bit from the rows.
+Every run is a deterministic function of the serialized config and the
+subcommand's own arguments: sample seeds are pre-derived from (master
+seed, sample index), rows carry full provenance, and aggregates are
+re-computable bit-for-bit from the rows.
 """
 
 from __future__ import annotations
@@ -10,18 +11,25 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .fixed_point import QuadratureConfig, stieltjes_mass
+from .fixed_point import SAMPLE_ERRORS, QuadratureConfig, stieltjes_mass
 from .localization import interval_stats
-from .matrix_model import build_levy_matrix, eigendecompose, resolvent_diagonal
+from .matrix_model import (
+    build_levy_matrix,
+    eigendecompose,
+    eigenvalue_counting,
+    resolvent_diagonal,
+)
 
 _FMT = "%.17g"
+
+SEED_SCHEME = ("seed = high 63 bits of SeedSequence(master_seed, "
+               "spawn_key=(n, sample_index))")
 
 
 def derived_seed(master_seed: int, *path: int) -> int:
@@ -42,7 +50,6 @@ class ExperimentConfig:
     eta: float | None = None  # resolvent scale; default = interval half-width
     eta_ladder: tuple[float, ...] = (0.1, 0.05, 0.025)
     quad_scale: float = 1.0
-    output_dir: str = "out"
 
     def interval_width(self, n: int) -> float:
         """Window width per rule; the theorem exponents are
@@ -68,27 +75,33 @@ class ExperimentConfig:
                 obj[key] = tuple(obj[key])
         return ExperimentConfig(**obj)
 
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
-
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One run of one subcommand: what was asked and what came out.
+
+    ``args`` are the subcommand's own arguments (never the output
+    directory or the config path); ``fields`` are result values written
+    at the top level of the metadata file; ``skipped`` holds one
+    ``"<ExceptionType>: <message>"`` note per skipped sample.
+    """
+
     kind: str
     config: ExperimentConfig
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    aggregates: dict
-    wall_clock: float
+    args: dict = field(default_factory=dict)
+    columns: tuple[str, ...] = ()
+    rows: tuple[tuple, ...] = ()
+    fields: dict = field(default_factory=dict)
+    skipped: tuple[str, ...] = ()
     version: str = __version__
-    skipped: int = 0
 
     @property
     def config_hash(self) -> str:
-        return self.config.config_hash()
+        text = self.config.to_json() + json.dumps(self.args, sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _mean_se(values: list[float]) -> tuple[float, float]:
@@ -97,6 +110,26 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
         return np.nan, np.nan
     se = arr.std(ddof=1) / np.sqrt(arr.size) if arr.size > 1 else np.nan
     return float(arr.mean()), float(se)
+
+
+def _samples(cfg: ExperimentConfig, skipped: list):
+    """Yield (n, seed, eigendecomposition) for every sample of the run.
+
+    A sample whose build or eigensolve raises one of ``SAMPLE_ERRORS`` is
+    noted in ``skipped``; more than 10% skipped fails the run.
+    """
+    for n in cfg.n_list:
+        for k in range(cfg.n_seeds):
+            seed = derived_seed(cfg.master_seed, n, k)
+            try:
+                sd = eigendecompose(build_levy_matrix(n, cfg.alpha, seed))
+            except SAMPLE_ERRORS as exc:
+                skipped.append(f"{type(exc).__name__}: n={n} seed={seed}: {exc}")
+                continue
+            yield n, seed, sd
+    total = len(cfg.n_list) * cfg.n_seeds
+    if len(skipped) > 0.1 * total:
+        raise RuntimeError(f"{len(skipped)}/{total} samples failed")
 
 
 # ---------------------------------------------------------------------------
@@ -129,34 +162,24 @@ def aggregate_sweep(rows, columns=SWEEP_COLUMNS) -> dict:
 def run_transition_sweep(cfg: ExperimentConfig) -> RunRecord:
     """Q_I across (n, seed, E) with the configured window rule.
 
-    Per-sample failures are recorded and skipped; the run fails only if
-    more than 10% of the samples fail.
+    Per-sample failures (``SAMPLE_ERRORS``) are recorded and skipped; the
+    run fails only if more than 10% of the samples fail.
     """
-    t0 = time.time()
     rows = []
-    skipped = 0
-    total = 0
-    for n in cfg.n_list:
-        for k in range(cfg.n_seeds):
-            total += 1
-            seed = derived_seed(cfg.master_seed, n, k)
-            try:
-                sd = eigendecompose(build_levy_matrix(n, cfg.alpha, seed))
-            except Exception:
-                skipped += 1
-                continue
-            w = cfg.interval_width(n)
-            for e in cfg.energies:
-                st = interval_stats(sd, (e - 0.5 * w, e + 0.5 * w), cfg.alpha)
-                if st.is_empty:
-                    rows.append((cfg.alpha, n, seed, e, 0.5 * w, 0, "", "", ""))
-                else:
-                    rows.append((cfg.alpha, n, seed, e, 0.5 * w, st.count,
-                                 st.Q, st.Pi, st.renyi_half))
-    if total and skipped > 0.1 * total:
-        raise RuntimeError(f"{skipped}/{total} samples failed")
-    return RunRecord("localization-sweep", cfg, SWEEP_COLUMNS, tuple(rows),
-                     aggregate_sweep(rows), time.time() - t0, skipped=skipped)
+    skipped = []
+    for n, seed, sd in _samples(cfg, skipped):
+        w = cfg.interval_width(n)
+        for e in cfg.energies:
+            st = interval_stats(sd, (e - 0.5 * w, e + 0.5 * w), cfg.alpha)
+            if st.is_empty:
+                rows.append((cfg.alpha, n, seed, e, 0.5 * w, 0, "", "", ""))
+            else:
+                rows.append((cfg.alpha, n, seed, e, 0.5 * w, st.count,
+                             st.Q, st.Pi, st.renyi_half))
+    return RunRecord("localization-sweep", cfg, columns=SWEEP_COLUMNS,
+                     rows=tuple(rows),
+                     fields={"aggregates": aggregate_sweep(rows)},
+                     skipped=tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +212,6 @@ def aggregate_local_law(rows, mu_star: dict,
 def run_local_law(cfg: ExperimentConfig) -> RunRecord:
     """Empirical window mass against the limiting measure, plus the
     second resolvent moment (1/n) sum |R_kk(E + i eta)|^2."""
-    t0 = time.time()
     quad = QuadratureConfig().scaled(cfg.quad_scale)
     cache: dict = {}
     mu_star = {}
@@ -200,31 +222,20 @@ def run_local_law(cfg: ExperimentConfig) -> RunRecord:
                                     eta_ladder=cfg.eta_ladder, quad=quad,
                                     cache=cache)
     rows = []
-    skipped = 0
-    total = 0
-    for n in cfg.n_list:
-        for k in range(cfg.n_seeds):
-            total += 1
-            seed = derived_seed(cfg.master_seed, n, k)
-            try:
-                sd = eigendecompose(build_levy_matrix(n, cfg.alpha, seed))
-            except Exception:
-                skipped += 1
-                continue
-            for e in cfg.energies:
-                w = widths[e]
-                a, b = e - 0.5 * w, e + 0.5 * w
-                frac = np.count_nonzero(
-                    (sd.eigenvalues >= a) & (sd.eigenvalues <= b)) / n
-                eta = cfg.eta if cfg.eta is not None else 0.5 * w
-                rd = resolvent_diagonal(sd, complex(e, eta))
-                rows.append((cfg.alpha, n, seed, e, a, b, frac,
-                             float(np.mean(np.abs(rd.values) ** 2))))
-    if total and skipped > 0.1 * total:
-        raise RuntimeError(f"{skipped}/{total} samples failed")
-    return RunRecord("local-law", cfg, LOCAL_LAW_COLUMNS, tuple(rows),
-                     aggregate_local_law(rows, mu_star), time.time() - t0,
-                     skipped=skipped)
+    skipped = []
+    for n, seed, sd in _samples(cfg, skipped):
+        for e in cfg.energies:
+            w = widths[e]
+            a, b = e - 0.5 * w, e + 0.5 * w
+            frac = eigenvalue_counting(sd, a, b) / n
+            eta = cfg.eta if cfg.eta is not None else 0.5 * w
+            rd = resolvent_diagonal(sd, complex(e, eta))
+            rows.append((cfg.alpha, n, seed, e, a, b, frac,
+                         float(np.mean(np.abs(rd.values) ** 2))))
+    return RunRecord("local-law", cfg, columns=LOCAL_LAW_COLUMNS,
+                     rows=tuple(rows),
+                     fields={"aggregates": aggregate_local_law(rows, mu_star)},
+                     skipped=tuple(skipped))
 
 
 # ---------------------------------------------------------------------------
@@ -239,50 +250,39 @@ def _format_cell(x) -> str:
     return _FMT % x
 
 
-def emit(record: RunRecord, fmt: str = "csv",
-         output_dir: str | Path | None = None) -> list[Path]:
-    """Write data plus metadata; returns the created paths.
+def emit(record: RunRecord, output_dir: str | Path) -> list[Path]:
+    """Write the record's artifacts; returns the created paths.
 
-    csv: a rows file (documented header, full float precision, LF) and a
-    metadata JSON with the config, hash, aggregates and provenance.
-    json: everything in a single JSON document.
+    ``<kind>-<hash>.csv`` holds the rows (documented header, full float
+    precision, LF) when the record is tabular; ``<kind>-<hash>.meta.json``
+    holds the config, its hash, the provenance and the result fields.
     """
-    out = Path(output_dir if output_dir is not None else record.config.output_dir)
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    prefix = f"{record.kind}-{record.config_hash}"
+    stem = f"{record.kind}-{record.config_hash}"
     meta = {
         "kind": record.kind,
-        "config": json.loads(record.config.to_json()),
+        "config": asdict(record.config),
+        "args": record.args,
         "config_hash": record.config_hash,
-        "columns": list(record.columns),
-        "aggregates": record.aggregates,
-        "wall_clock": record.wall_clock,
         "version": record.version,
-        "skipped": record.skipped,
-        "seed_scheme": "seed = high 63 bits of SeedSequence(master_seed, "
-                       "spawn_key=(n, sample_index))",
+        "seed_scheme": SEED_SCHEME,
+        "skipped": list(record.skipped),
+        **record.fields,
     }
     paths = []
-    if fmt == "csv":
-        rows_path = out / f"{prefix}.csv"
+    if record.columns:
+        meta["columns"] = list(record.columns)
+        rows_path = out / f"{stem}.csv"
         with open(rows_path, "w", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(record.columns)
             for row in record.rows:
                 writer.writerow([_format_cell(x) for x in row])
-        meta_path = out / f"{prefix}.meta.json"
-        meta_path.write_text(json.dumps(meta, indent=1, sort_keys=True))
-        paths = [rows_path, meta_path]
-    elif fmt == "json":
-        doc = dict(meta)
-        doc["rows"] = [[x if isinstance(x, (str, int)) else float(x) for x in row]
-                       for row in record.rows]
-        path = out / f"{prefix}.json"
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True))
-        paths = [path]
-    else:
-        raise ValueError("format must be 'csv' or 'json'")
-    return paths
+        paths.append(rows_path)
+    meta_path = out / f"{stem}.meta.json"
+    meta_path.write_text(json.dumps(meta, indent=1, sort_keys=True))
+    return paths + [meta_path]
 
 
 def read_rows(path: str | Path, columns) -> list[tuple]:

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from . import halfplane
-from .halfplane import HALF_PI, HomogeneousFn, check_involution, dot
+from .halfplane import HALF_PI, HomogeneousFn, dot
 from .quadrature import gauss_jacobi_left, tanh_sinh
 from .stable_random import poisson_weights_matrix
 
@@ -49,6 +49,10 @@ class QuadratureError(RuntimeError):
 
 class FixedPointError(RuntimeError):
     pass
+
+
+#: the failures a batch records and skips per sample; anything else is a bug
+SAMPLE_ERRORS = (ValueError, np.linalg.LinAlgError, QuadratureError, FixedPointError)
 
 
 def c_alpha(alpha) -> complex:
@@ -301,8 +305,9 @@ class FixedPointSolution:
     damping: float
     residual_history: tuple[float, ...] = field(default=())
 
-    def checkpoint_json(self, quad: QuadratureConfig | None = None) -> str:
-        meta = {
+    def checkpoint(self, quad: QuadratureConfig | None = None) -> dict:
+        """The fields ``from_checkpoint`` reads, plus alpha and quadrature."""
+        return {
             "z_re": self.z.real, "z_im": self.z.imag,
             "alpha": 2.0 * self.gamma.beta,
             "residual": self.residual,
@@ -311,7 +316,6 @@ class FixedPointSolution:
             "quadrature": vars(quad) if quad else None,
             "gamma": json.loads(self.gamma.to_json()),
         }
-        return json.dumps(meta)
 
     @staticmethod
     def from_checkpoint(text: str) -> "FixedPointSolution":
@@ -651,17 +655,6 @@ def population_dynamics(z: complex, alpha: float, pool_size: int = 100_000,
         rel = np.inf
     return PopulationPool(z=z, pool=pool, iterations=sweeps, K=K,
                           m_history=tuple(history), converged=bool(rel <= 0.01))
-
-
-def pool_gamma(pool: PopulationPool, alpha: float,
-               grid: np.ndarray | int = 65) -> HomogeneousFn:
-    """Order-parameter estimate Gamma(1-alpha/2) E(-i R . u)^(alpha/2)."""
-    thetas = halfplane.default_grid(grid) if isinstance(grid, int) else np.asarray(grid)
-    w = -1j * pool.pool
-    u = np.exp(1j * thetas)
-    vals = gamma_fn(1.0 - 0.5 * alpha) * np.mean(
-        dot(w[:, None], u[None, :]) ** (0.5 * alpha), axis=0)
-    return HomogeneousFn(0.5 * alpha, thetas, vals)
 
 
 def pool_moment(pool: PopulationPool, p: float, kind: str = "abs"):

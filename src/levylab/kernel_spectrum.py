@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .fixed_point import c_alpha
-from .halfplane import HALF_PI, HomogeneousFn
+from .fixed_point import SAMPLE_ERRORS, c_alpha
+from .halfplane import HALF_PI, HomogeneousFn, check_involution
 from .quadrature import (
     cached_roots_jacobi,
     gauss_jacobi_left,
@@ -411,6 +411,8 @@ def alpha_scan(alpha_grid, n_nodes: int = 64, kappa: float = 0.5,
                m_rule=band_power, refine: bool = True):
     """Determinant sweep over real alpha; returns (results, failures).
 
+    ``failures`` holds ``(alpha, "<ExceptionType>: alpha=...: <message>")``
+    for each alpha whose determinant raised one of ``SAMPLE_ERRORS``.
     Local minima of |det| are exploratory candidates for fixed-point
     stability exceptions, never a claim about the true exceptional set.
     """
@@ -421,8 +423,9 @@ def alpha_scan(alpha_grid, n_nodes: int = 64, kappa: float = 0.5,
             m = m_rule(float(np.real(a)))
             H = assemble_H(a, n_nodes, kappa)
             results.append(fredholm_det(H, m, refine=refine))
-        except Exception as exc:  # noqa: BLE001 - per-point failures recorded
-            failures.append((float(np.real(a)), str(exc)))
+        except SAMPLE_ERRORS as exc:
+            failures.append((float(np.real(a)),
+                             f"{type(exc).__name__}: alpha={a}: {exc}"))
     return results, failures
 
 
@@ -454,7 +457,7 @@ def apply_linearized(f: HomogeneousFn, out_thetas: np.ndarray | None = None,
     e_th = np.exp(1j * th)
 
     def phi(w):
-        return f(check_points(w)) * (w.real + w.imag) ** (-alpha)
+        return f(check_involution(w)) * (w.real + w.imag) ** (-alpha)
 
     phiE = phi(e_th)
     term_a = (2.0 / alpha) * 2.0 ** (0.5 * alpha) * complex(wsin @ phiE)
@@ -475,12 +478,6 @@ def apply_linearized(f: HomogeneousFn, out_thetas: np.ndarray | None = None,
         phi1 = wsin @ far @ ww
         out[k] = term_a - phi1 + phi2
     return HomogeneousFn(f.beta, out_thetas, -c_prime(alpha) * out)
-
-
-def check_points(w):
-    """Pointwise quarter-turn involution i*conj(w)."""
-    w = np.asarray(w, dtype=complex)
-    return w.imag + 1j * w.real
 
 
 def linearization_matrix(alpha: float, m: int = 65, n_theta: int = 96,

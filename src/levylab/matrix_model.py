@@ -107,19 +107,20 @@ def fractional_moment(rd: ResolventDiagonal, beta: float) -> float:
     return float(np.mean(rd.values.imag ** beta))
 
 
-def empirical_gamma(rd: ResolventDiagonal, alpha: float,
+def empirical_gamma(samples: np.ndarray, alpha: float,
                     grid: np.ndarray | int = 65) -> HomogeneousFn:
-    """Finite-n order parameter as a degree-alpha/2 homogeneous function.
+    """Order parameter estimated from resolvent samples R (an array).
 
-    At each grid angle u = e^{i theta} this is
-    ``Gamma(1 - alpha/2) * mean_k (-i R_kk . u)^(alpha/2)`` with the
-    principal branch; the arguments -i R_kk . u stay in the closed right
-    half-plane because Re(-i R_kk) = Im R_kk > 0.
+    The samples are the diagonal entries R_kk of one matrix or the
+    members of a population-dynamics pool.  At each grid angle
+    u = e^{i theta} this is ``Gamma(1 - alpha/2) * mean (-i R . u)^(alpha/2)``
+    with the principal branch; the arguments -i R . u stay in the closed
+    right half-plane because Re(-i R) = Im R > 0.
     """
     thetas = halfplane.default_grid(grid) if isinstance(grid, int) else np.asarray(grid)
     if thetas.size == 0:
         raise ValueError("empty angular grid")
-    w = -1j * rd.values
+    w = -1j * np.asarray(samples)
     u = np.exp(1j * thetas)
     args = dot(w[:, None], u[None, :])
     bad = args.real < -1e-12 * np.abs(args)

@@ -9,6 +9,7 @@ from levylab.experiments import derived_seed
 from levylab.matrix_model import (
     build_levy_matrix,
     eigendecompose,
+    eigenvalue_counting,
     empirical_gamma,
     resolvent_diagonal,
 )
@@ -30,9 +31,8 @@ def alpha1_ensemble():
         seed = derived_seed(MASTER_SEED, 2000, k)
         sd = eigendecompose(build_levy_matrix(2000, 1.0, seed))
         rd = resolvent_diagonal(sd, 0.2j)
-        gsum += empirical_gamma(rd, 1.0, grid).values
-        fracs.append(np.count_nonzero(
-            (sd.eigenvalues >= -0.1) & (sd.eigenvalues <= 0.1)) / 2000)
+        gsum += empirical_gamma(rd.values, 1.0, grid).values
+        fracs.append(eigenvalue_counting(sd, -0.1, 0.1) / 2000)
         r2.append(float(np.mean(np.abs(rd.values) ** 2)))
     return {
         "grid": grid,

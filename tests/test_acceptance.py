@@ -16,7 +16,12 @@ import levylab.kernel_spectrum as ks
 from levylab.experiments import ExperimentConfig, derived_seed, run_transition_sweep
 from levylab.halfplane import HALF_PI, HomogeneousFn, default_grid, sup_distance
 from levylab.localization import interval_stats, resolvent_upper_bound
-from levylab.matrix_model import build_levy_matrix, eigendecompose, resolvent_diagonal
+from levylab.matrix_model import (
+    build_levy_matrix,
+    eigendecompose,
+    empirical_gamma,
+    resolvent_diagonal,
+)
 from levylab.stable_random import (
     StableLaw,
     levy_khintchine_rhs,
@@ -96,7 +101,7 @@ def test_05_triple_oracle_and_moments(alpha1_ensemble, gamma_star_02i, pools_02i
     g_emp = alpha1_ensemble["gamma_bar"]
     g_quad = gamma_star_02i[-1].gamma
     grid = alpha1_ensemble["grid"]
-    pool_vals = np.mean([fp.pool_gamma(p, alpha, grid).values
+    pool_vals = np.mean([empirical_gamma(p.pool, alpha, grid).values
                          for p in pools_02i], axis=0)
     g_pool = HomogeneousFn(0.5 * alpha, grid, pool_vals)
     d = (sup_distance(g_emp, g_quad), sup_distance(g_emp, g_pool),
@@ -191,8 +196,8 @@ def test_10_localization_transition_trend():
                            n_seeds=20, energies=(0.0, 5.0),
                            interval_rule="fixed", fixed_width=0.25)
     rec = run_transition_sweep(cfg)
-    q0 = [rec.aggregates[f"n={n},E=0.0"]["mean_Q"] for n in cfg.n_list]
-    q5 = [rec.aggregates[f"n={n},E=5.0"]["mean_Q"] for n in cfg.n_list]
+    q0 = [rec.fields["aggregates"][f"n={n},E=0.0"]["mean_Q"] for n in cfg.n_list]
+    q5 = [rec.fields["aggregates"][f"n={n},E=5.0"]["mean_Q"] for n in cfg.n_list]
     flat = max(abs(b / a - 1.0) for a, b in zip(q0, q0[1:]))
     ok = flat <= 0.3 and q5[0] < q5[1] < q5[2]
     report(10, ok, f"delocalized mean Q {np.round(q0, 3)} "

@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from levylab import cli, experiments, kernel_spectrum
+from levylab import fixed_point as fp
 from levylab.cli import main
 from levylab.experiments import (
     ExperimentConfig,
@@ -20,8 +22,7 @@ from levylab.experiments import (
 
 def small_cfg(**kw):
     base = dict(alpha=1.0, n_list=(50, 70), master_seed=3, n_seeds=3,
-                energies=(0.0,), interval_rule="fixed", fixed_width=0.5,
-                output_dir="unused")
+                energies=(0.0,), interval_rule="fixed", fixed_width=0.5)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -43,7 +44,7 @@ def test_config_json_round_trip():
     cfg = small_cfg()
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
-    assert back.config_hash() == cfg.config_hash()
+    assert RunRecord("k", back).config_hash == RunRecord("k", cfg).config_hash
 
 
 def test_derived_seeds_are_stable_and_distinct():
@@ -54,115 +55,211 @@ def test_derived_seeds_are_stable_and_distinct():
 
 
 def test_sweep_determinism_and_roundtrip(tmp_path):
-    cfg = small_cfg(output_dir=str(tmp_path))
+    cfg = small_cfg()
     rec1 = run_transition_sweep(cfg)
     rec2 = run_transition_sweep(cfg)
     assert rec1.rows == rec2.rows
-    assert rec1.aggregates == rec2.aggregates
-    p1 = emit(rec1, "csv", tmp_path / "a")
-    p2 = emit(rec2, "csv", tmp_path / "b")
+    assert rec1.fields == rec2.fields
+    p1 = emit(rec1, tmp_path / "a")
+    p2 = emit(rec2, tmp_path / "b")
     assert p1[0].read_bytes() == p2[0].read_bytes()
     rows = read_rows(p1[0], rec1.columns)
     assert tuple(rows) == rec1.rows
-    assert aggregate_sweep(rows) == rec1.aggregates
+    assert aggregate_sweep(rows) == rec1.fields["aggregates"]
 
 
 def test_emitted_schema(tmp_path):
     cfg = small_cfg()
     rec = run_transition_sweep(cfg)
-    csv_path, meta_path = emit(rec, "csv", tmp_path)
+    csv_path, meta_path = emit(rec, tmp_path)
+    assert csv_path.name == f"localization-sweep-{rec.config_hash}.csv"
+    assert meta_path.name == f"localization-sweep-{rec.config_hash}.meta.json"
     header = csv_path.read_text().splitlines()[0]
     assert header == "alpha,n,seed,E,half_width,count,Q,Pi,renyi_half"
     meta = json.loads(meta_path.read_text())
     assert meta["config_hash"] == rec.config_hash
     assert meta["columns"] == list(rec.columns)
+    assert meta["skipped"] == []
     assert "seed_scheme" in meta
-    # json format carries the rows inline
-    (doc_path,) = emit(rec, "json", tmp_path)
-    doc = json.loads(doc_path.read_text())
-    assert len(doc["rows"]) == len(rec.rows)
-    with pytest.raises(ValueError):
-        emit(rec, "xml", tmp_path)
+
+
+def test_hash_covers_config_and_arguments():
+    cfg = small_cfg()
+    base = RunRecord("k", cfg, args={"n": 40})
+    assert RunRecord("k", cfg, args={"n": 41}).config_hash != base.config_hash
+    assert RunRecord("k", small_cfg(master_seed=4), args={"n": 40}).config_hash \
+        != base.config_hash
 
 
 def test_empty_windows_are_blank_not_zero(tmp_path):
     cfg = small_cfg(energies=(50.0,), fixed_width=0.01, n_seeds=2)
     rec = run_transition_sweep(cfg)
-    csv_path, _ = emit(rec, "csv", tmp_path)
+    csv_path, _ = emit(rec, tmp_path)
     line = csv_path.read_text().splitlines()[1]
     assert line.endswith(",0,,,")
-    agg = list(rec.aggregates.values())[0]
+    agg = list(rec.fields["aggregates"].values())[0]
     assert agg["empty"] >= 1
 
 
 def test_local_law_record(tmp_path):
     cfg = small_cfg(alpha=1.0, n_list=(80,), n_seeds=3, fixed_width=0.4)
     rec = run_local_law(cfg)
-    key = "n=80,E=0.0"
-    agg = rec.aggregates[key]
+    aggregates = rec.fields["aggregates"]
+    agg = aggregates["n=80,E=0.0"]
     assert 0 <= agg["mean_count_frac"] <= 1
     assert agg["mu_star"] > 0
     assert np.isfinite(agg["mean_abs_R2"])
-    rows = read_rows(emit(rec, "csv", tmp_path)[0], rec.columns)
-    assert aggregate_local_law(rows, {0.0: agg["mu_star"]}) == rec.aggregates
+    rows = read_rows(emit(rec, tmp_path)[0], rec.columns)
+    assert aggregate_local_law(rows, {0.0: agg["mu_star"]}) == aggregates
 
 
-def test_cli_sample_spectrum(tmp_path, capsys):
-    rc = main(["sample-spectrum", "--n", "40", "--alpha", "1.2",
-               "--seed", "5", "--out", str(tmp_path)])
-    assert rc == 0
-    path = Path(capsys.readouterr().out.strip())
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,eigenvalue"
-    assert len(lines) == 41
+def _failing_eigendecompose(monkeypatch, exc_type, first_only=True):
+    original = experiments.eigendecompose
+    calls = []
+
+    def fake(matrix):
+        calls.append(1)
+        if len(calls) == 1 or not first_only:
+            raise exc_type("injected failure")
+        return original(matrix)
+    monkeypatch.setattr(experiments, "eigendecompose", fake)
+
+
+def test_sample_failures_are_typed_skips(monkeypatch):
+    cfg = small_cfg(n_seeds=5)  # 10 samples, so one skip stays within 10%
+    _failing_eigendecompose(monkeypatch, np.linalg.LinAlgError)
+    rec = run_transition_sweep(cfg)
+    assert rec.skipped == (f"LinAlgError: n=50 seed={derived_seed(3, 50, 0)}: "
+                           "injected failure",)
+    assert len(rec.rows) == 9
+    _failing_eigendecompose(monkeypatch, ValueError, first_only=False)
+    with pytest.raises(RuntimeError, match="10/10 samples failed"):
+        run_transition_sweep(cfg)
+
+
+def test_unexpected_errors_propagate(monkeypatch):
+    _failing_eigendecompose(monkeypatch, TypeError)
+    with pytest.raises(TypeError):
+        run_transition_sweep(small_cfg())
+
+
+def _cli(argv, capsys):
+    rc = main(argv)
+    return rc, [Path(line) for line in capsys.readouterr().out.splitlines()]
+
+
+#: subcommand -> (arguments, expected CSV header or None, CSV line count)
+CLI_CASES = {
+    "sample-spectrum": (["--n", "40", "--alpha", "1.2", "--seed", "5"],
+                        "index,eigenvalue", 41),
+    "localization-sweep": (["--config", "{sweep}"],
+                           ",".join(experiments.SWEEP_COLUMNS), 7),
+    "local-law": (["--config", "{local_law}"],
+                  ",".join(experiments.LOCAL_LAW_COLUMNS), 4),
+    "solve-fixed-point": (["--alpha", "1.0", "--z-im", "0.05", "--tol", "1e-6",
+                           "--grid", "33"], None, 0),
+    "density": (["--alpha", "1.0", "--e-max", "0.4", "--points", "3"],
+                "E,f_star,eta_used,extrapolation_error", 4),
+    "population-dynamics": (["--alpha", "1.0", "--z-im", "0.4", "--pool", "4000",
+                             "--sweeps", "10", "--K", "50", "--seed", "3"], None, 0),
+    "kernel-scan": (["--alpha-min", "1.3", "--alpha-max", "1.4", "--step", "0.1",
+                     "--nodes", "32", "--no-refine"],
+                    "re_alpha,im_alpha,m,n_nodes,det_re,det_im,abs_det,"
+                    "abs_det_deflated,refinement_delta,candidate_minimum", 3),
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_CASES))
+def test_cli_rerun_is_byte_identical(command, tmp_path, capsys):
+    configs = {
+        "sweep": small_cfg(),
+        "local_law": small_cfg(n_list=(80,), n_seeds=3, fixed_width=0.4),
+    }
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(cfg.to_json())
+    extra, header, n_lines = CLI_CASES[command]
+    argv = [command] + [a.format(**{k: tmp_path / f"{k}.json" for k in configs})
+                        for a in extra]
+    runs = {}
+    for sub in ("a", "b"):
+        rc, printed = _cli(argv + ["--out", str(tmp_path / sub)], capsys)
+        assert rc == 0
+        assert sorted(printed) == sorted((tmp_path / sub).iterdir())
+        runs[sub] = {p.name: p.read_bytes() for p in printed}
+    assert runs["a"] == runs["b"]
+
+    names = sorted(runs["a"])
+    (meta_name,) = [n for n in names if n.endswith(".meta.json")]
+    meta = json.loads(runs["a"][meta_name])
+    assert meta_name == f"{command}-{meta['config_hash']}.meta.json"
+    assert meta["kind"] == command
+    assert meta["version"] and meta["seed_scheme"] and meta["skipped"] == []
+    if header is None:
+        assert names == [meta_name]
+    else:
+        assert names == [f"{command}-{meta['config_hash']}.csv", meta_name]
+        lines = runs["a"][names[0]].decode().splitlines()
+        assert lines[0] == header
+        assert len(lines) == n_lines
+    if command in ("localization-sweep", "local-law"):
+        assert meta["aggregates"]
+    if command == "solve-fixed-point":
+        sol = fp.FixedPointSolution.from_checkpoint(runs["a"][meta_name])
+        assert sol.residual <= 1e-6 and sol.gamma.values.size == 33
+    if command == "population-dynamics":
+        assert meta["E_abs_R"] > 0 and meta["K"] == 50
 
 
 def test_cli_localization_sweep_with_config(tmp_path, capsys):
-    cfg = small_cfg(output_dir=str(tmp_path))
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(cfg.to_json())
-    rc = main(["localization-sweep", "--config", str(cfg_path),
-               "--out", str(tmp_path)])
-    assert rc == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 2 and all(Path(p).exists() for p in out)
+    cfg_path.write_text(small_cfg().to_json())
+    rc, out = _cli(["localization-sweep", "--config", str(cfg_path),
+                    "--out", str(tmp_path)], capsys)
+    assert rc == 0 and all(p.exists() for p in out)
     # seed override changes the output hash
-    rc = main(["localization-sweep", "--config", str(cfg_path),
-               "--seed", "99", "--out", str(tmp_path)])
+    rc, out2 = _cli(["localization-sweep", "--config", str(cfg_path),
+                     "--seed", "99", "--out", str(tmp_path)], capsys)
     assert rc == 0
-    out2 = capsys.readouterr().out.strip().splitlines()
     assert out2 != out
 
 
-def test_cli_density_and_fixed_point(tmp_path, capsys):
-    rc = main(["density", "--alpha", "1.0", "--e-max", "0.4", "--points", "3",
-               "--out", str(tmp_path)])
-    assert rc == 0
-    path = Path(capsys.readouterr().out.strip())
-    lines = path.read_text().splitlines()
-    assert lines[0] == "E,f_star,eta_used,extrapolation_error"
-    assert len(lines) == 4
-    rc = main(["solve-fixed-point", "--alpha", "1.0", "--z-im", "0.05",
-               "--tol", "1e-6", "--grid", "33", "--out", str(tmp_path)])
-    assert rc == 0
+def test_density_honours_quad_scale(tmp_path, capsys):
+    values = []
+    for scale in (1.0, 0.5):
+        cfg_path = tmp_path / f"cfg{scale}.json"
+        cfg_path.write_text(ExperimentConfig(alpha=1.0, quad_scale=scale).to_json())
+        rc, (csv_path, _) = _cli(["density", "--config", str(cfg_path),
+                                  "--e-max", "0.0", "--points", "1",
+                                  "--out", str(tmp_path)], capsys)
+        assert rc == 0
+        values.append(csv_path.read_text().splitlines()[1])
+    assert values[0].split(",")[0] == values[1].split(",")[0] == "0"
+    assert values[0] != values[1]
 
 
-def test_cli_population_dynamics(tmp_path, capsys):
-    rc = main(["population-dynamics", "--alpha", "1.0", "--z-im", "0.4",
-               "--pool", "4000", "--sweeps", "10", "--K", "50",
-               "--seed", "3", "--out", str(tmp_path)])
-    assert rc == 0
-    path = Path(capsys.readouterr().out.strip())
-    doc = json.loads(path.read_text())
-    assert doc["E_abs_R"] > 0 and doc["K"] == 50
+def test_cli_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise fp.FixedPointError("no convergence")
+    monkeypatch.setattr(cli, "solve_gamma_star", fail)
+    rc = main(["solve-fixed-point", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "no convergence" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
-def test_cli_kernel_scan(tmp_path, capsys):
-    rc = main(["kernel-scan", "--alpha-min", "1.3", "--alpha-max", "1.4",
-               "--step", "0.1", "--nodes", "32", "--no-refine",
-               "--out", str(tmp_path)])
-    assert rc == 0
-    path = Path(capsys.readouterr().out.strip().splitlines()[0])
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("re_alpha,im_alpha,m,n_nodes,det_re")
-    assert len(lines) == 3
+def test_kernel_scan_skips_exit_2(tmp_path, capsys, monkeypatch):
+    original = kernel_spectrum.assemble_H
+
+    def assemble(alpha, *args, **kwargs):
+        if alpha > 1.35:
+            raise ValueError("injected failure")
+        return original(alpha, *args, **kwargs)
+    monkeypatch.setattr(kernel_spectrum, "assemble_H", assemble)
+    rc, (csv_path, meta_path) = _cli(
+        ["kernel-scan", "--alpha-min", "1.3", "--alpha-max", "1.4", "--step", "0.1",
+         "--nodes", "32", "--no-refine", "--out", str(tmp_path)], capsys)
+    assert rc == 2
+    assert len(csv_path.read_text().splitlines()) == 2
+    (note,) = json.loads(meta_path.read_text())["skipped"]
+    assert note.startswith("ValueError: alpha=1.4") and note.endswith("injected failure")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -14,7 +16,6 @@ from levylab.fixed_point import (
     eval_G,
     eval_G_error_estimate,
     gamma_star_zero,
-    pool_gamma,
     pool_moment,
     population_dynamics,
     r_p,
@@ -25,6 +26,7 @@ from levylab.fixed_point import (
     solve_tilde_gamma,
     spectral_density,
 )
+from levylab.matrix_model import empirical_gamma
 
 
 def test_constants():
@@ -168,7 +170,7 @@ def test_solver_monotone_residuals_small_z():
 
 def test_checkpoint_round_trip(tmp_path):
     sol = solve_gamma_star(0.0, 1.2, tol=1e-6, quad=QuadratureConfig.fast())
-    text = sol.checkpoint_json(QuadratureConfig.fast())
+    text = json.dumps(sol.checkpoint(QuadratureConfig.fast()))
     back = fp.FixedPointSolution.from_checkpoint(text)
     assert back.z == sol.z
     assert np.array_equal(back.gamma.values, sol.gamma.values)
@@ -245,7 +247,7 @@ def test_moment_identities_small_pool():
         meanS, seS = pool_moment(pool, p, "signed")
         assert abs(meanS - s_p(z, x1, p, alpha)) < 3 * seS + 0.01
     # the pool-estimated order parameter sits close to the quadrature one
-    assert sup_distance(pool_gamma(pool, alpha, 65), gq) < 0.05
+    assert sup_distance(empirical_gamma(pool.pool, alpha, 65), gq) < 0.05
     # the central angle encodes the fractional moment of Im R
     y_half = np.mean(pool.pool.imag ** (alpha / 2))
     closed = gq.values_at_angle(np.array([np.pi / 4]))[0].real \
@@ -280,12 +282,11 @@ def test_density_symmetry_and_known_scale():
 
 def test_density_matches_eigenvalue_histogram():
     # finite-size check: window mass from the density pipeline vs counting
-    from levylab.matrix_model import build_levy_matrix, eigendecompose
+    from levylab.matrix_model import build_levy_matrix, eigendecompose, eigenvalue_counting
     alpha = 1.0
     mass = fp.stieltjes_mass(-0.25, 0.25, alpha, n_points=9)
     fracs = []
     for seed in range(5):
         sd = eigendecompose(build_levy_matrix(1500, alpha, 900 + seed))
-        fracs.append(np.count_nonzero(
-            (sd.eigenvalues >= -0.25) & (sd.eigenvalues <= 0.25)) / 1500)
+        fracs.append(eigenvalue_counting(sd, -0.25, 0.25) / 1500)
     assert abs(np.mean(fracs) - mass) < 0.02

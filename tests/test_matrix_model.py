@@ -111,7 +111,7 @@ def test_empirical_gamma_identities():
     sd = eigendecompose(build_levy_matrix(150, alpha, seed=8))
     rd = resolvent_diagonal(sd, 0.2j)
     grid = default_grid(65)
-    g = empirical_gamma(rd, alpha, grid)
+    g = empirical_gamma(rd.values, alpha, grid)
     # value at u=1 equals the direct definition sum
     direct = gamma_fn(1 - alpha / 2) * np.mean((-1j * rd.values) ** (alpha / 2))
     assert abs(g.values_at_angle(np.array([0.0]))[0] - direct) < 1e-12
@@ -123,7 +123,7 @@ def test_empirical_gamma_identities():
     closed = 2 ** (alpha / 4) * gamma_fn(1 - alpha / 2) * y
     assert abs(g.values_at_angle(np.array([np.pi / 4]))[0] - closed) < 1e-12
     with pytest.raises(ValueError):
-        empirical_gamma(rd, alpha, np.array([]))
+        empirical_gamma(rd.values, alpha, np.array([]))
 
 
 def test_spectrum_sign_symmetry():
