@@ -2,7 +2,8 @@
 
 Each run leaves ``<kind>-<hash>.meta.json`` (plus ``<kind>-<hash>.csv``
 for tabular results) and prints every path on its own line.
-Exit codes: 0 success, 2 partial (some samples skipped), 1 failure.
+Exit codes: 0 success, 2 partial (some samples skipped), 1 failure
+(a ``RuntimeError`` or ``ValueError``, including a bad config file).
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ def kernel_scan(cfg, args) -> RunRecord:
                   r.det_value.real, r.det_value.imag, abs(r.det_value),
                   abs(r.det_deflated), r.refinement_delta, int(i in minima))
                  for i, r in enumerate(results))
-    return RunRecord("kernel-scan", cfg,
+    # the scan reads no config: its hash covers its own arguments only
+    return RunRecord("kernel-scan", None,
                      columns=("re_alpha", "im_alpha", "m", "n_nodes", "det_re",
                               "det_im", "abs_det", "abs_det_deflated",
                               "refinement_delta", "candidate_minimum"),
@@ -175,11 +177,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    cfg = _load_config(args)
     own = {k: v for k, v in vars(args).items() if k not in _NOT_ARGS}
     try:
+        cfg = _load_config(args)
         record = replace(COMMANDS[args.command](cfg, args), args=own)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 1
     for path in emit(record, args.out):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +70,9 @@ class ExperimentConfig:
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
         obj = json.loads(text)
+        unknown = sorted(set(obj) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         for key in ("n_list", "energies", "eta_ladder"):
             if key in obj and obj[key] is not None:
                 obj[key] = tuple(obj[key])
@@ -83,6 +86,7 @@ class ExperimentConfig:
 class RunRecord:
     """One run of one subcommand: what was asked and what came out.
 
+    ``config`` is None for a run that reads no config (``kernel-scan``);
     ``args`` are the subcommand's own arguments (never the output
     directory or the config path); ``fields`` are result values written
     at the top level of the metadata file; ``skipped`` holds one
@@ -90,7 +94,7 @@ class RunRecord:
     """
 
     kind: str
-    config: ExperimentConfig
+    config: ExperimentConfig | None
     args: dict = field(default_factory=dict)
     columns: tuple[str, ...] = ()
     rows: tuple[tuple, ...] = ()
@@ -100,7 +104,8 @@ class RunRecord:
 
     @property
     def config_hash(self) -> str:
-        text = self.config.to_json() + json.dumps(self.args, sort_keys=True)
+        config = self.config.to_json() if self.config else "null"
+        text = config + json.dumps(self.args, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -262,7 +267,7 @@ def emit(record: RunRecord, output_dir: str | Path) -> list[Path]:
     stem = f"{record.kind}-{record.config_hash}"
     meta = {
         "kind": record.kind,
-        "config": asdict(record.config),
+        "config": asdict(record.config) if record.config else None,
         "args": record.args,
         "config_hash": record.config_hash,
         "version": record.version,

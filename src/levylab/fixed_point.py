@@ -22,6 +22,8 @@ Quadrature layout (one shared design for every integral):
   function on [0, 2], again Gauss-Jacobi.
 * the theta-integral uses tanh-sinh to absorb the ``sin(2 theta)**
   (alpha/2 - 1)`` endpoint singularities.
+* ``difference_integral`` holds the (theta, y) part once; ``eval_F`` and
+  ``kernel_spectrum.apply_linearized`` differ only in the integrand.
 """
 
 from __future__ import annotations
@@ -34,14 +36,8 @@ from scipy.special import gamma as gamma_fn
 
 from . import halfplane
 from .halfplane import HALF_PI, HomogeneousFn, dot
-from .quadrature import gauss_jacobi_left, tanh_sinh
+from .quadrature import power_rule, sin2_theta_rule, tanh_sinh
 from .stable_random import poisson_weights_matrix
-
-#: when True, every r-integral asserts the closed-form envelope
-#: min((2/alpha) Gamma(2 beta/alpha) Re(x)^(-2 beta/alpha),
-#:     Gamma(beta) Re(h)^(-beta))
-DEBUG_BOUNDS = False
-
 
 class QuadratureError(RuntimeError):
     pass
@@ -135,10 +131,7 @@ def radial_integral(beta: float, H, X, alpha: float, n_s: int = 97,
     shape = np.broadcast_shapes(H.shape, X.shape)
     Hb = np.broadcast_to(H, shape)[..., None]
     Xb = np.broadcast_to(X, shape)[..., None]
-    vals = (2.0 / alpha) * np.exp(-Hb * s2a - Xb * s) @ (ws * s ** power)
-    if DEBUG_BOUNDS:
-        _assert_radial_envelope(beta, H, X, alpha, vals)
-    return vals
+    return (2.0 / alpha) * np.exp(-Hb * s2a - Xb * s) @ (ws * s ** power)
 
 
 def radial_integral_rotated(beta: float, h: complex, x: complex, alpha: float,
@@ -171,34 +164,46 @@ def radial_integral_rotated(beta: float, h: complex, x: complex, alpha: float,
     return complex(np.exp(1j * beta * phi) * val)
 
 
-def _assert_radial_envelope(beta, H, X, alpha, vals):
-    env = np.full(np.shape(vals), np.inf)
-    rh = np.broadcast_to(H, np.shape(vals)).real
-    rx = np.broadcast_to(X, np.shape(vals)).real
-    ok = rx > 0
-    env[ok] = (2.0 / alpha) * gamma_fn(2.0 * beta / alpha) * rx[ok] ** (-2.0 * beta / alpha)
-    ok = rh > 0
-    env[ok] = np.minimum(env[ok], gamma_fn(beta) * rh[ok] ** (-beta))
-    if np.any(np.abs(vals) > env * (1.0 + 1e-8) + 1e-12):
-        raise AssertionError("radial integral exceeded its closed-form envelope")
-
-
 # ---------------------------------------------------------------------------
 # the map F_h and the fixed-point map G_z
 # ---------------------------------------------------------------------------
 
-def _theta_rule(alpha: float, n_theta: int, exponent: float | None = None):
-    """Tanh-sinh angles with the sin(2 theta)^exponent factor folded in.
+def difference_integral(alpha: float, phi, drop, out_thetas, n_theta: int,
+                        n_y: int, n_w: int) -> np.ndarray:
+    """The (theta, y) integral shared by F_h and its linearization.
 
-    sin(2 theta) is formed from the endpoint distances as
-    2 sin(d0) sin(d1); the naive expression loses all accuracy at the
-    double-exponentially deep nodes near pi/2.
+    For each output angle u (with e = e^(i theta) and the measure
+    sin(2 theta)^(alpha/2-1) dtheta on (0, pi/2)) it returns
+
+        (2/alpha) 2^(alpha/2) int phi(e)
+        + int int_0^(1/2) y^(-alpha/2) (phi(e) - phi(e + y u)) / y dy
+        - int int_0^2 w^(alpha-1) phi(w e + u) dw,
+
+    the last piece being y >= 1/2 after y = 1/w.  ``phi`` maps an array
+    of points to values.  The near difference cancels as y -> 0; when the
+    plain ``phi(e) - phi(e + y u)`` loses digits, ``drop(e)`` returns a
+    function ``(y, u) -> phi(e) - phi(e + y u)`` on the (theta, y) grid
+    that avoids the cancellation (None means the plain difference).
     """
-    if exponent is None:
-        exponent = 0.5 * alpha - 1.0
-    th, wt, d0, d1 = tanh_sinh(0.0, HALF_PI, n_theta, endpoint_exponent=exponent)
-    weight = wt * (2.0 * np.sin(d0) * np.sin(d1)) ** exponent
-    return th, weight
+    th, wt = sin2_theta_rule(n_theta, 0.5 * alpha - 1.0)
+    e_th = np.exp(1j * th)
+    phi_e = phi(e_th)
+    term_a = (2.0 / alpha) * 2.0 ** (0.5 * alpha) * complex(wt @ phi_e)
+    if drop is None:
+        def drop_at(y, u):
+            return phi_e[:, None] - phi(e_th[:, None] + y[None, :] * u)
+    else:
+        drop_at = drop(e_th)
+    yj, wy = power_rule(-0.5 * alpha, 0.5, n_y)
+    wj, ww = power_rule(alpha - 1.0, 2.0, n_w)
+
+    out = np.empty(len(out_thetas), dtype=complex)
+    for k, tu in enumerate(np.asarray(out_thetas, dtype=float)):
+        u = complex(np.cos(tu), np.sin(tu))
+        near = wt @ (drop_at(yj, u) / yj[None, :]) @ wy
+        far = wt @ phi(wj[None, :] * e_th[:, None] + u) @ ww
+        out[k] = term_a - far + near
+    return out
 
 
 def eval_F(h: complex, g: HomogeneousFn, quad: QuadratureConfig | None = None,
@@ -206,7 +211,9 @@ def eval_F(h: complex, g: HomogeneousFn, quad: QuadratureConfig | None = None,
     """The degree-alpha/2 image F_h(g) on an angular grid.
 
     Well-defined when Re(h) > 0 (then Re g >= 0 suffices) or when
-    Re g > 0 uniformly on the grid.
+    Re g > 0 uniformly on the grid.  The integrand of
+    ``difference_integral`` is the radial integral
+    phi(w) = (2/alpha) int_0^inf exp(-s^(2/alpha) h.w - s g(w)) ds.
     """
     quad = quad or QuadratureConfig()
     h = complex(h)
@@ -221,48 +228,44 @@ def eval_F(h: complex, g: HomogeneousFn, quad: QuadratureConfig | None = None,
         raise QuadratureError(
             "integrand does not decay: need Re(h) > 0 or Re(g) > 0 on the grid")
 
-    th, wt = _theta_rule(alpha, quad.n_theta)
-    e_th = np.exp(1j * th)
-    gE = g.values_at_angle(th)
-    hE = dot(h, e_th)
-
     s_star = _s_truncation(alpha, max(h.real, 0.0), max(eps_g, 0.0),
                            quad.exp_budget)
     s, ws, *_ = tanh_sinh(0.0, s_star, quad.n_s, endpoint_exponent=0.0)
     s2a = s ** (2.0 / alpha)
 
-    # A-term, independent of the evaluation angle
-    A = np.exp(-hE[:, None] * s2a[None, :] - gE[:, None] * s[None, :])
-    IA = (2.0 / alpha) * (A @ ws)
-    term_a = (2.0 / alpha) * 2.0 ** (0.5 * alpha) * complex(wt @ IA)
+    # the exponent tensors are a few MB per output angle; reusing them
+    # avoids returning that memory to the OS and faulting it back in
+    work: dict = {}
 
-    yj, wy = gauss_jacobi_left(quad.n_y, -0.5 * alpha, 0.0, 0.5)
-    wj, ww = gauss_jacobi_left(quad.n_w, alpha - 1.0, 0.0, 2.0)
+    def exponent(hw, gw):
+        """-(hw s^(2/alpha) + gw s) over a trailing s axis, in a work tensor."""
+        shape = np.broadcast_shapes(hw.shape, gw.shape) + s.shape
+        if shape not in work:
+            work[shape] = np.empty((2,) + shape, dtype=complex)
+        t, t2 = work[shape]
+        np.multiply(hw[..., None], s2a, out=t)
+        np.add(t, np.multiply(gw[..., None], s, out=t2), out=t)
+        return np.negative(t, out=t)
 
-    out = np.empty(out_thetas.size, dtype=complex)
-    for k, tu in enumerate(np.asarray(out_thetas, dtype=float)):
-        u = complex(np.cos(tu), np.sin(tu))
-        hU = complex(dot(h, u))
+    def phi(w):
+        t = exponent(dot(h, w), g(w))
+        return (2.0 / alpha) * (np.exp(t, out=t) @ ws)
 
-        # difference part on y in [0, 1/2]:  weight y^(-alpha/2), analytic rest
-        W = e_th[:, None] + yj[None, :] * u
-        gW = g(W)
-        delta = (s2a[None, None, :] * (yj[None, :, None] * hU)
-                 + s[None, None, :] * (gW - gE[:, None])[:, :, None])
-        D = -(2.0 / alpha) * np.einsum("ts,tys,s->ty", A, np.expm1(-delta), ws)
-        phi2 = wt @ (D / yj[None, :]) @ wy
+    def drop(e_th):
+        # phi(e) - phi(e + y u) = -(2/alpha) int A (expm1(-delta)) ds with
+        # delta formed from y (h.u) and g(e + y u) - g(e): no cancellation
+        gE = g(e_th)
+        A = np.exp(exponent(dot(h, e_th), gE))
 
-        # surviving part on y >= 1/2 via y = 1/w, s = w^(alpha/2) sigma:
-        # weight w^(alpha-1), analytic rest
-        V = wj[None, :] * e_th[:, None] + u
-        g_tilde = g(V)
-        H2 = wj[None, :] * hE[:, None] + hU
-        expo = (-H2[:, :, None] * s2a[None, None, :]
-                - g_tilde[:, :, None] * s[None, None, :])
-        I_tilde = (2.0 / alpha) * (np.exp(expo) @ ws)
-        phi1 = wt @ I_tilde @ ww
+        def drop_at(y, u):
+            hU = complex(dot(h, u))
+            gW = g(e_th[:, None] + y[None, :] * u)
+            t = exponent((y * hU)[None, :], gW - gE[:, None])
+            return -(2.0 / alpha) * np.einsum("ts,tys,s->ty", A, np.expm1(t, out=t), ws)
+        return drop_at
 
-        out[k] = term_a - phi1 + phi2
+    out = difference_integral(alpha, phi, drop, out_thetas, quad.n_theta,
+                              quad.n_y, quad.n_w)
     return HomogeneousFn(0.5 * alpha, out_thetas, out)
 
 
@@ -276,11 +279,10 @@ def eval_G(z: complex, f: HomogeneousFn,
     z = complex(z)
     if z != 0 and z.imag <= 0:
         raise ValueError("G_z needs Im z > 0 (or z = 0)")
-    alpha = 2.0 * f.beta
-    F = eval_F(-1j * z, f, quad, out_thetas=f.thetas)
     if not np.allclose(f.thetas + f.thetas[::-1], HALF_PI, atol=1e-12):
         raise ValueError("grid must be symmetric about pi/4 for the pullback")
-    return HomogeneousFn(f.beta, f.thetas, c_alpha(alpha) * F.values[::-1])
+    F = eval_F(-1j * z, f, quad, out_thetas=f.thetas)
+    return HomogeneousFn(f.beta, f.thetas, c_alpha(2.0 * f.beta) * F.values[::-1])
 
 
 def eval_G_error_estimate(z: complex, f: HomogeneousFn,
@@ -331,14 +333,12 @@ def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
                      damping: float = 0.5, *, m: int = 65,
                      quad: QuadratureConfig | None = None,
                      initial: HomogeneousFn | None = None,
-                     max_iter: int = 200, z_guard: float = 0.5,
-                     anderson: bool = False) -> FixedPointSolution:
+                     max_iter: int = 200,
+                     z_guard: float = 0.5) -> FixedPointSolution:
     """Damped iteration f <- (1-s) f + s G_z(f) started from gamma*_0.
 
     Local uniqueness is only available near the origin, hence the |z|
     guard; the damping is halved whenever the residual increases.
-    Optional Anderson mixing (depth 3) accelerates the tail of the
-    iteration.
     """
     z = complex(z)
     if abs(z) > z_guard:
@@ -354,8 +354,6 @@ def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
     history: list[float] = []
     prev_resid = np.inf
     stall = 0
-    hist_f: list[np.ndarray] = []
-    hist_g: list[np.ndarray] = []
     for it in range(1, max_iter + 1):
         G = eval_G(z, f, quad)
         resid = float(np.max(np.abs(G.values - f.values)))
@@ -370,26 +368,7 @@ def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
                 f"residual stagnated near {resid:.3e} at iteration {it}")
         prev_resid = resid
 
-        new_vals = (1.0 - s) * f.values + s * G.values
-        if anderson:
-            hist_f.append(f.values.copy())
-            hist_g.append(G.values.copy())
-            if len(hist_f) > 3:
-                hist_f.pop(0)
-                hist_g.pop(0)
-            if len(hist_f) >= 2:
-                R = np.stack([gv - fv for fv, gv in zip(hist_f, hist_g)])
-                ones = np.ones(R.shape[0])
-                M = R @ R.conj().T
-                try:
-                    c = np.linalg.solve(M + 1e-12 * np.trace(M).real * np.eye(len(ones)), ones)
-                    c = c / c.sum()
-                    mixed = sum(ck * ((1 - s) * fv + s * gv)
-                                for ck, fv, gv in zip(c, hist_f, hist_g))
-                    new_vals = mixed
-                except np.linalg.LinAlgError:
-                    pass
-        f = HomogeneousFn(f.beta, f.thetas, new_vals)
+        f = HomogeneousFn(f.beta, f.thetas, (1.0 - s) * f.values + s * G.values)
         if f.min_real_part() < 1e-6:
             raise FixedPointError(
                 "iterate left the positive-real-part cone (Re gamma < 1e-6)")
@@ -432,7 +411,7 @@ def r_p(z: complex, f: HomogeneousFn, p: float,
     alpha = 2.0 * f.beta
     if h.real <= 0 and f.min_real_part() <= 0:
         raise QuadratureError("need Im z > 0 or Re f > 0 on the grid")
-    th, weight = _theta_rule(alpha, quad.n_theta, exponent=0.5 * p - 1.0)
+    th, weight = sin2_theta_rule(quad.n_theta, 0.5 * p - 1.0)
     radial = radial_integral(p, dot(h, np.exp(1j * th)), f.values_at_angle(th),
                              alpha, quad.n_s, quad.exp_budget)
     const = 2.0 ** (1.0 - 0.5 * p) / gamma_fn(0.5 * p) ** 2

@@ -18,15 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .fixed_point import SAMPLE_ERRORS, c_alpha
+from .fixed_point import SAMPLE_ERRORS, c_alpha, difference_integral
 from .halfplane import HALF_PI, HomogeneousFn, check_involution
-from .quadrature import (
-    cached_roots_jacobi,
-    gauss_jacobi_left,
-    gauss_legendre_panels,
-    log_power_rule,
-    tanh_sinh,
-)
+from .quadrature import gauss_legendre_panels, power_rule, sin2_theta_rule
 
 
 def a_zero_sq(alpha) -> complex:
@@ -55,15 +49,13 @@ def _kernel_theta_integral(alpha: complex, omega: float, psi: float,
 
     Integrand sin(2 theta)^(alpha/2-1) * sin(theta-psi)^(-alpha/2)
     * sin(theta-omega)^(-alpha/2).  The endpoint singularities carry
-    exact Gauss-Jacobi weights for their real powers (the residual
-    dist^(i Im alpha) oscillation stays in the function); the pole just
+    exact weights from ``power_rule`` (complex weights for complex
+    alpha, so the dist^(i Im alpha) oscillation is exact too); the pole just
     below the interval, at distance d = psi - omega, is defused by
     geometric panel growth away from psi.  All distances are formed in
     offset arithmetic, never by subtracting nearby floats.
     """
     a2 = 0.5 * alpha
-    re_a2 = 0.5 * alpha.real
-    im_a2 = 0.5 * alpha.imag
     L = HALF_PI - psi
     d = psi - omega
     if L <= 0 or d <= 0:
@@ -76,12 +68,7 @@ def _kernel_theta_integral(alpha: complex, omega: float, psi: float,
 
     # left panel [psi, psi + t1]: weight off^(-alpha/2)
     t1 = min(2.0 * d, 0.5 * L)
-    if im_a2 == 0.0:
-        x, w = cached_roots_jacobi(n_jac, 0.0, -re_a2)
-        off = 0.5 * t1 * (x + 1.0)
-        wj = w * (0.5 * t1) ** (1.0 - re_a2)
-    else:
-        off, wj = log_power_rule(-a2, t1)
+    off, wj = power_rule(-a2, t1, n_jac)
     vals = (sin2theta(psi + off, L - off) ** (a2 - 1.0)
             * (np.sin(off) / off) ** (-a2)
             * np.sin(off + d) ** (-a2))
@@ -90,7 +77,7 @@ def _kernel_theta_integral(alpha: complex, omega: float, psi: float,
     # geometric middle panels in offset space, from t1 out to 3L/4;
     # the panel ratio resolves the Im(alpha)*log(off) phase drift
     hi = 0.75 * L
-    ratio = 2.0 if im_a2 == 0.0 else min(2.0, np.exp(1.5 / abs(im_a2)))
+    ratio = 2.0 if alpha.imag == 0.0 else min(2.0, np.exp(1.5 / abs(a2.imag)))
     edges = [t1]
     while edges[-1] < hi:
         edges.append(min(ratio * edges[-1], hi))
@@ -102,12 +89,7 @@ def _kernel_theta_integral(alpha: complex, omega: float, psi: float,
     # right panel [pi/2 - L/4, pi/2]: weight dist^(alpha/2 - 1),
     # with sin(2 theta) = sin(2 dist) there
     t2 = 0.25 * L
-    if im_a2 == 0.0:
-        x, w = cached_roots_jacobi(n_jac, 0.0, re_a2 - 1.0)
-        dist = 0.5 * t2 * (x + 1.0)
-        wj = w * (0.5 * t2) ** re_a2
-    else:
-        dist, wj = log_power_rule(a2 - 1.0, t2)
+    dist, wj = power_rule(a2 - 1.0, t2, n_jac)
     th_off = L - dist  # offset from psi
     vals = ((np.sin(2.0 * dist) / dist) ** (a2 - 1.0)
             * np.sin(th_off) ** (-a2) * np.sin(th_off + d) ** (-a2))
@@ -174,18 +156,11 @@ def kernel_row_integrals(alpha, omegas: np.ndarray, n_theta: int = 96,
     """
     alpha = complex(alpha)
     a2 = 0.5 * alpha
-    th, wt, d0, d1 = tanh_sinh(0.0, HALF_PI, n_theta,
-                               endpoint_exponent=0.5 * alpha.real - 1.0)
-    wsin = wt * (2.0 * np.sin(d0) * np.sin(d1)) ** (a2 - 1.0)
+    th, wsin = sin2_theta_rule(n_theta, a2 - 1.0)
     e_th = np.exp(1j * th)
     e_om = np.exp(1j * np.asarray(omegas))
-
-    if alpha.imag == 0.0:
-        y, wy = gauss_jacobi_left(n_y, -0.5 * alpha.real, 0.0, 1.0)
-        w_, ww = gauss_jacobi_left(n_y, alpha.real - 1.0, 0.0, 1.0)
-    else:
-        y, wy = log_power_rule(-a2, 1.0)
-        w_, ww = log_power_rule(alpha - 1.0, 1.0)
+    y, wy = power_rule(-a2, 1.0, n_y)
+    w_, ww = power_rule(alpha - 1.0, 1.0, n_y)
 
     # near piece: weight y^(-alpha/2), rest analytic in y
     mod_near = np.abs(e_th[:, None, None] + y[None, :, None] * e_om[None, None, :])
@@ -250,8 +225,6 @@ def assemble_P(alpha, n_nodes: int = 64, kappa: float = 0.5,
         raise ValueError("need at least 16 nodes")
     nodes, weights = graded_mesh(n_nodes, alpha.real, gl_order)
     n = nodes.size
-    # oscillation from Im(alpha)*log(singularity) needs extra resolution
-    n_jac = 24 + int(4 * abs(alpha.imag))
     mat = np.zeros((n, n), dtype=complex)
     for i in range(n):
         row = np.array([kernel_k(alpha, nodes[i], nodes[j]) if j != i else 0.0
@@ -444,39 +417,18 @@ def apply_linearized(f: HomogeneousFn, out_thetas: np.ndarray | None = None,
                      n_theta: int = 96, n_y: int = 24) -> HomogeneousFn:
     """Apply the linearized fixed-point map to f on the angular grid.
 
-    The operator acts as -c'_alpha times the (theta, y) difference
-    integral of phi(w) = f(w-check) (1.w)^(-alpha); no radial integral is
-    involved.  Uses the same y-split and exact Jacobi weights as the
-    nonlinear map.
+    The operator acts as -c'_alpha times ``difference_integral`` of
+    phi(w) = f(w-check) (1.w)^(-alpha), the core of the nonlinear map;
+    no radial integral is involved, so the near difference is formed
+    plainly.
     """
     alpha = 2.0 * f.beta
     out_thetas = f.thetas if out_thetas is None else np.asarray(out_thetas)
-    th, wt, dd0, dd1 = tanh_sinh(0.0, HALF_PI, n_theta,
-                                 endpoint_exponent=0.5 * alpha - 1.0)
-    wsin = wt * (2.0 * np.sin(dd0) * np.sin(dd1)) ** (0.5 * alpha - 1.0)
-    e_th = np.exp(1j * th)
 
     def phi(w):
         return f(check_involution(w)) * (w.real + w.imag) ** (-alpha)
 
-    phiE = phi(e_th)
-    term_a = (2.0 / alpha) * 2.0 ** (0.5 * alpha) * complex(wsin @ phiE)
-
-    yj, wy = gauss_jacobi_left(n_y, -0.5 * alpha, 0.0, 0.5)
-    wj, ww = gauss_jacobi_left(n_y, alpha - 1.0, 0.0, 2.0)
-    out = np.empty(out_thetas.size, dtype=complex)
-    for k, tu in enumerate(np.asarray(out_thetas, dtype=float)):
-        u = complex(np.cos(tu), np.sin(tu))
-        W = e_th[:, None] + yj[None, :] * u
-        diff = (phiE[:, None] - phi(W)) / yj[None, :]
-        phi2 = wsin @ diff @ wy
-
-        V = wj[None, :] * e_th[:, None] + u
-        u_check = complex(np.sin(tu), np.cos(tu))
-        V_check = wj[None, :] * np.exp(1j * (HALF_PI - th))[:, None] + u_check
-        far = f(V_check) * (V.real + V.imag) ** (-alpha)
-        phi1 = wsin @ far @ ww
-        out[k] = term_a - phi1 + phi2
+    out = difference_integral(alpha, phi, None, out_thetas, n_theta, n_y, n_y)
     return HomogeneousFn(f.beta, out_thetas, -c_prime(alpha) * out)
 
 

@@ -2,12 +2,11 @@
 
 Three families cover every integral in this package:
 
-* tanh-sinh (double-exponential) rules for finite intervals whose
-  integrand has algebraic endpoint singularities,
-* Gauss-Jacobi rules that fold a one-sided algebraic weight ``(x-a)^mu``
-  or ``(b-x)^mu`` exactly into the weights,
-* composite Gauss-Legendre panels, optionally geometrically graded
-  toward one endpoint, for smooth integrands with a nearby singularity.
+* tanh-sinh (double-exponential) rules for algebraic endpoint
+  singularities, among them the angle rule ``sin2_theta_rule``,
+* ``power_rule`` for an exact endpoint weight ``x^expo``: Gauss-Jacobi
+  for real expo, a log-substituted rule with complex weights otherwise,
+* composite Gauss-Legendre panels for smooth integrands.
 """
 
 from __future__ import annotations
@@ -52,22 +51,18 @@ def tanh_sinh(a: float, b: float, n: int, endpoint_exponent: float = 0.0):
     return nodes, weights, width * sp, width * sm
 
 
-def gauss_jacobi_left(n: int, exponent: float, a: float, b: float):
-    """Nodes/weights for ``int_a^b (x-a)^exponent f(x) dx = sum w f(x)``."""
-    x, w = roots_jacobi(n, 0.0, exponent)
-    half = 0.5 * (b - a)
-    nodes = a + half * (x + 1.0)
-    weights = w * half ** (1.0 + exponent)
-    return nodes, weights
+def sin2_theta_rule(n: int, exponent):
+    """Tanh-sinh angles on (0, pi/2) with sin(2 theta)^exponent folded in.
 
-
-def gauss_jacobi_both(n: int, exp_left: float, exp_right: float, a: float, b: float):
-    """Rule for ``int_a^b (x-a)^exp_left (b-x)^exp_right f(x) dx``."""
-    x, w = roots_jacobi(n, exp_right, exp_left)
-    half = 0.5 * (b - a)
-    nodes = a + half * (x + 1.0)
-    weights = w * half ** (1.0 + exp_left + exp_right)
-    return nodes, weights
+    sin(2 theta) is formed from the endpoint distances as
+    2 sin(d0) sin(d1); the naive expression loses all accuracy at the
+    double-exponentially deep nodes near pi/2.  The exponent may be
+    complex; the endpoint width follows its real part.
+    Returns ``(thetas, weights)``.
+    """
+    th, wt, d0, d1 = tanh_sinh(0.0, 0.5 * np.pi, n,
+                               endpoint_exponent=complex(exponent).real)
+    return th, wt * (2.0 * np.sin(d0) * np.sin(d1)) ** exponent
 
 
 @lru_cache(maxsize=64)
@@ -78,6 +73,24 @@ def _gl(n: int):
 @lru_cache(maxsize=256)
 def cached_roots_jacobi(n: int, a: float, b: float):
     return roots_jacobi(n, a, b)
+
+
+def gauss_jacobi_left(n: int, exponent: float, a: float, b: float):
+    """Nodes/weights for ``int_a^b (x-a)^exponent f(x) dx = sum w f(x)``."""
+    x, w = cached_roots_jacobi(n, 0.0, exponent)
+    half = 0.5 * (b - a)
+    nodes = a + half * (x + 1.0)
+    weights = w * half ** (1.0 + exponent)
+    return nodes, weights
+
+
+def power_rule(expo, delta: float, n: int):
+    """Rule for ``int_0^delta x**expo phi(x) dx``, phi smooth: n-node
+    Gauss-Jacobi for real expo, ``log_power_rule`` for complex expo."""
+    expo = complex(expo)
+    if expo.imag == 0.0:
+        return gauss_jacobi_left(n, expo.real, 0.0, delta)
+    return log_power_rule(expo, delta)
 
 
 @lru_cache(maxsize=128)
@@ -122,16 +135,3 @@ def gauss_legendre_panels(breaks, order: int = 12):
     weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
 
-
-def geometric_breaks(a: float, b: float, n_panels: int, ratio: float = 0.25,
-                     toward: str = "left"):
-    """Panel breakpoints on [a, b] shrinking geometrically toward one end."""
-    if n_panels < 1:
-        raise ValueError("need at least one panel")
-    rel = ratio ** np.arange(n_panels, -1, -1, dtype=float)
-    rel[0] = 0.0
-    if toward == "left":
-        return a + (b - a) * rel
-    if toward == "right":
-        return b - (b - a) * rel[::-1]
-    raise ValueError("toward must be 'left' or 'right'")

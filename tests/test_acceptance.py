@@ -229,8 +229,16 @@ def test_11_kernel_bound_three_regimes():
     report(11, ok, "; ".join(details))
 
 
-def test_12_fredholm_finite_dimensional_identity():
+@pytest.fixture(scope="module")
+def H_15_96():
+    """assemble_H(1.5, 96, kappa=0.5), shared read-only by the test_12 checks."""
     H = ks.assemble_H(1.5, 96, kappa=0.5)
+    H.matrix.setflags(write=False)
+    return H
+
+
+def test_12_fredholm_finite_dimensional_identity(H_15_96):
+    H = H_15_96
     mu = np.linalg.eigvals(H.matrix)
     lhs = np.prod(1.0 - mu ** 2)
     rhs = np.linalg.det(np.eye(H.matrix.shape[0]) - H.matrix @ H.matrix)
@@ -240,12 +248,11 @@ def test_12_fredholm_finite_dimensional_identity():
            f"(values ~{abs(rhs):.2e}; both carry the structural zero)")
 
 
-def test_12_determinant_refinement_stability():
+def test_12_determinant_refinement_stability(H_15_96):
     # measured on the structurally deflated determinant; the literal
     # det(I - H^2) is an exact zero of the continuum operator, so its
     # refinement ratio is discretization noise over discretization noise
-    H = ks.assemble_H(1.5, 96, kappa=0.5)
-    res = ks.fredholm_det(H, 2, refine=True)
+    res = ks.fredholm_det(H_15_96, 2, refine=True)
     report(12, res.refinement_delta <= 0.05,
            f"deflated det(I-H^2) = {abs(res.det_deflated):.6f} at 96 nodes, "
            f"vs 192 nodes delta = {100 * res.refinement_delta:.2f}%; "

@@ -181,8 +181,10 @@ def test_cli_rerun_is_byte_identical(command, tmp_path, capsys):
     argv = [command] + [a.format(**{k: tmp_path / f"{k}.json" for k in configs})
                         for a in extra]
     runs = {}
-    for sub in ("a", "b"):
-        rc, printed = _cli(argv + ["--out", str(tmp_path / sub)], capsys)
+    for i, sub in enumerate(("a", "b")):
+        # kernel-scan reads no config, so a new master seed must not rename it
+        seed = ["--seed", str(i + 1)] if command == "kernel-scan" else []
+        rc, printed = _cli(argv + seed + ["--out", str(tmp_path / sub)], capsys)
         assert rc == 0
         assert sorted(printed) == sorted((tmp_path / sub).iterdir())
         runs[sub] = {p.name: p.read_bytes() for p in printed}
@@ -208,6 +210,8 @@ def test_cli_rerun_is_byte_identical(command, tmp_path, capsys):
         assert sol.residual <= 1e-6 and sol.gamma.values.size == 33
     if command == "population-dynamics":
         assert meta["E_abs_R"] > 0 and meta["K"] == 50
+    if command == "kernel-scan":
+        assert meta["config"] is None
 
 
 def test_cli_localization_sweep_with_config(tmp_path, capsys):
@@ -245,6 +249,21 @@ def test_cli_failure_exits_1(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert rc == 1
     assert "no convergence" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_with_unknown_key_exits_1(tmp_path, capsys):
+    # a config written when ExperimentConfig still had output_dir
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({**json.loads(small_cfg().to_json()),
+                                    "output_dir": "runs"}))
+    with pytest.raises(ValueError, match="output_dir"):
+        ExperimentConfig.from_json(cfg_path.read_text())
+    rc = main(["localization-sweep", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "output_dir" in captured.err and captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

@@ -49,13 +49,16 @@ def test_radial_integral_closed_forms():
 
 
 def test_radial_envelope_debug_mode():
-    fp.DEBUG_BOUNDS = True
-    try:
-        H = np.array([0.5 + 1.0j, 2.0 + 0.0j])
-        X = np.array([0.7 - 0.2j, 0.1 + 0.1j])
-        radial_integral(0.9, H, X, 1.3)
-    finally:
-        fp.DEBUG_BOUNDS = False
+    # |int r^(b-1) e^(-rH - r^(a/2) X) dr| stays below the closed-form
+    # envelope min((2/a) Gamma(2b/a) Re(X)^(-2b/a), Gamma(b) Re(H)^(-b))
+    beta, alpha = 0.9, 1.3
+    H = np.array([0.5 + 1.0j, 2.0 + 0.0j, 1e-3 + 0.0j])
+    X = np.array([0.7 - 0.2j, 0.1 + 0.1j, 2.0 + 0.5j])
+    vals = radial_integral(beta, H, X, alpha)
+    env = np.minimum(
+        (2.0 / alpha) * gamma_fn(2.0 * beta / alpha) * X.real ** (-2.0 * beta / alpha),
+        gamma_fn(beta) * H.real ** (-beta))
+    assert np.all(np.abs(vals) <= env * (1.0 + 1e-8))
 
 
 def test_rotated_integral_matches_plain():
@@ -134,6 +137,18 @@ def test_exact_fixed_point_at_origin():
         g0 = gamma_star_zero(alpha, m=65)
         G = eval_G(0.0, g0, QuadratureConfig.fast())
         assert np.max(np.abs(G.values - g0.values)) < 1e-6
+
+
+def test_G_checks_grid_before_F(monkeypatch):
+    th = default_grid(65)
+    th[10] += 1e-3  # breaks the symmetry about pi/4
+    f = HomogeneousFn(0.5, th, np.ones(65, dtype=complex))
+
+    def no_F(*args, **kwargs):
+        raise AssertionError("eval_F ran before the grid check")
+    monkeypatch.setattr(fp, "eval_F", no_F)
+    with pytest.raises(ValueError, match="symmetric"):
+        eval_G(0.1j, f, QuadratureConfig.fast())
 
 
 def test_F_requires_decay():

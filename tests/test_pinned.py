@@ -1,0 +1,89 @@
+"""Old == new gate for the shared integral core.
+
+``pinned_values.json`` holds outputs of ``eval_G``, ``apply_linearized``,
+``kernel_k`` and ``kernel_row_integrals`` recorded before these functions
+were rebuilt on one angle rule, one endpoint-power rule and one
+difference-integral core.  Any later rewrite of that core (a new radial
+evaluation, say) must reproduce them to ``RTOL`` in the sup norm.
+
+Re-record (only when a change of the numbers is intended and argued):
+
+    PYTHONPATH=src python tests/test_pinned.py
+"""
+
+import json
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from levylab import fixed_point as fp
+from levylab import kernel_spectrum as ks
+from levylab.halfplane import from_callable
+
+PINNED = Path(__file__).with_name("pinned_values.json")
+RTOL = 1e-12
+
+#: grid indices at which the eval_G values are kept (m = 33)
+G_ANGLES = [0, 5, 11, 16, 22, 27, 32]
+KERNEL_PAIRS = [(0.2, 0.9), (0.05, 0.3), (1.3, 0.4), (0.7, 0.71), (0.01, 1.5)]
+ROW_OMEGAS = [0.05, 0.4, 0.785, 1.2, 1.52]
+KERNEL_ALPHAS = [0.9, 1.5, 1.5 + 5j]
+
+
+def _eval_G(alpha, z, quad):
+    return fp.eval_G(z, fp.gamma_star_zero(alpha, 33), quad).values[G_ANGLES]
+
+
+def _kernel_k(alpha):
+    return np.array([ks.kernel_k(alpha, o, p) for o, p in KERNEL_PAIRS])
+
+
+def _row_integrals(alpha):
+    return ks.kernel_row_integrals(alpha, np.array(ROW_OMEGAS))
+
+
+def _not_a_fixed_point():
+    return from_callable(0.6, lambda t: 1.0 + 0.3 * np.cos(3 * t) + 0.2j * np.sin(t), 33)
+
+
+def cases() -> dict:
+    """Case name -> function returning the pinned values."""
+    out = {}
+    for a in (0.8, 1.0, 1.5):
+        for z in (0.1j, 0.2 + 0.1j):
+            for qname, quad in (("fast", fp.QuadratureConfig.fast()),
+                                ("default", fp.QuadratureConfig())):
+                out[f"eval_G alpha={a} z={z} {qname}"] = partial(_eval_G, a, z, quad)
+    out["apply_linearized gamma_star_zero(1.2)"] = \
+        lambda: ks.apply_linearized(fp.gamma_star_zero(1.2)).values
+    out["apply_linearized not a fixed point"] = \
+        lambda: ks.apply_linearized(_not_a_fixed_point()).values
+    for a in KERNEL_ALPHAS:
+        out[f"kernel_k alpha={a}"] = partial(_kernel_k, a)
+        out[f"kernel_row_integrals alpha={a}"] = partial(_row_integrals, a)
+    return out
+
+
+CASES = cases()
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    return json.loads(PINNED.read_text())
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_matches_pinned_values(name, pinned):
+    ref = np.array(pinned[name])
+    ref = ref[:, 0] + 1j * ref[:, 1]
+    got = CASES[name]()
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
+
+
+if __name__ == "__main__":
+    lines = [f" {json.dumps(name)}: {json.dumps([[v.real, v.imag] for v in run()])}"
+             for name, run in CASES.items()]
+    PINNED.write_text("{\n" + ",\n".join(lines) + "\n}\n")

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma as gamma_fn
 
 from levylab.quadrature import (
-    gauss_jacobi_both,
     gauss_jacobi_left,
     gauss_legendre_panels,
-    geometric_breaks,
     log_power_rule,
+    power_rule,
+    sin2_theta_rule,
     tanh_sinh,
 )
 
@@ -32,20 +33,26 @@ def test_gauss_jacobi_left_weight():
     assert abs(w @ np.cos(x) - oracle) < 1e-12
 
 
-def test_gauss_jacobi_both_weights():
-    x, w = gauss_jacobi_both(24, -0.25, -0.5, 0.0, 1.0)
-    oracle = quad(lambda t: t ** -0.25 * (1 - t) ** -0.5 * np.exp(t),
-                  0, 1, limit=200)[0]
-    assert abs(w @ np.exp(x) - oracle) < 1e-8
-
-
 def test_legendre_panels_and_breaks():
-    breaks = geometric_breaks(0.0, 1.0, 6, ratio=0.3)
-    assert breaks[0] == 0.0 and abs(breaks[-1] - 1.0) < 1e-15
+    # panels shrinking geometrically toward the sqrt singularity at 0
+    breaks = np.concatenate([[0.0], 0.3 ** np.arange(6, -1, -1.0)])
     x, w = gauss_legendre_panels(breaks, order=10)
     assert abs(w @ np.sqrt(x) - 2.0 / 3.0) < 1e-7
-    with pytest.raises(ValueError):
-        geometric_breaks(0.0, 1.0, 6, toward="center")
+
+
+@pytest.mark.parametrize("e", [-0.55, 0.3, -0.25 + 2.0j])
+def test_sin2_theta_rule(e):
+    # int_0^(pi/2) sin(2 theta)^e dtheta = sqrt(pi) Gamma((e+1)/2) / (2 Gamma(e/2+1))
+    _, w = sin2_theta_rule(96, e)
+    exact = np.sqrt(np.pi) * gamma_fn(0.5 * (e + 1)) / (2.0 * gamma_fn(0.5 * e + 1))
+    assert abs(w.sum() - exact) < 1e-10 * abs(exact)
+
+
+def test_power_rule_real_and_complex():
+    # real exponents get the Gauss-Jacobi rule, complex ones the log rule
+    for got, want in ((power_rule(-0.4, 0.5, 16), gauss_jacobi_left(16, -0.4, 0.0, 0.5)),
+                      (power_rule(-0.4 + 3j, 0.5, 16), log_power_rule(-0.4 + 3j, 0.5))):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_log_power_rule_complex_exponent():
