@@ -163,6 +163,9 @@ def kernel_scan(cfg, args) -> RunRecord:
                      rows=rows, skipped=tuple(note for _, note in failures))
 
 
+#: subcommands that read no config: ``--config`` is accepted, not loaded
+NO_CONFIG = frozenset({"kernel-scan"})
+
 #: subcommand -> compute step returning its RunRecord (without ``args``)
 COMMANDS = {
     "sample-spectrum": sample_spectrum,
@@ -179,7 +182,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     own = {k: v for k, v in vars(args).items() if k not in _NOT_ARGS}
     try:
-        cfg = _load_config(args)
+        cfg = None if args.command in NO_CONFIG else _load_config(args)
         record = replace(COMMANDS[args.command](cfg, args), args=own)
     except (RuntimeError, ValueError) as exc:
         print(f"{args.command} failed: {exc}", file=sys.stderr)

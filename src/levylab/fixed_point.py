@@ -206,9 +206,9 @@ def difference_integral(alpha: float, phi, drop, out_thetas, n_theta: int,
     return out
 
 
-def eval_F(h: complex, g: HomogeneousFn, quad: QuadratureConfig | None = None,
-           out_thetas: np.ndarray | None = None) -> HomogeneousFn:
-    """The degree-alpha/2 image F_h(g) on an angular grid.
+def eval_F(h: complex, g: HomogeneousFn,
+           quad: QuadratureConfig | None = None) -> HomogeneousFn:
+    """The degree-alpha/2 image F_h(g) on g's angular grid.
 
     Well-defined when Re(h) > 0 (then Re g >= 0 suffices) or when
     Re g > 0 uniformly on the grid.  The integrand of
@@ -222,7 +222,6 @@ def eval_F(h: complex, g: HomogeneousFn, quad: QuadratureConfig | None = None,
         raise ValueError("g must have homogeneity degree alpha/2 with alpha in (0,2)")
     if h.real < -1e-12:
         raise ValueError("h must lie in the closed right half-plane")
-    out_thetas = g.thetas if out_thetas is None else np.asarray(out_thetas)
     eps_g = g.min_real_part()
     if eps_g <= 0 and h.real <= 0:
         raise QuadratureError(
@@ -264,9 +263,9 @@ def eval_F(h: complex, g: HomogeneousFn, quad: QuadratureConfig | None = None,
             return -(2.0 / alpha) * np.einsum("ts,tys,s->ty", A, np.expm1(t, out=t), ws)
         return drop_at
 
-    out = difference_integral(alpha, phi, drop, out_thetas, quad.n_theta,
+    out = difference_integral(alpha, phi, drop, g.thetas, quad.n_theta,
                               quad.n_y, quad.n_w)
-    return HomogeneousFn(0.5 * alpha, out_thetas, out)
+    return HomogeneousFn(0.5 * alpha, g.thetas, out)
 
 
 def eval_G(z: complex, f: HomogeneousFn,
@@ -281,7 +280,7 @@ def eval_G(z: complex, f: HomogeneousFn,
         raise ValueError("G_z needs Im z > 0 (or z = 0)")
     if not np.allclose(f.thetas + f.thetas[::-1], HALF_PI, atol=1e-12):
         raise ValueError("grid must be symmetric about pi/4 for the pullback")
-    F = eval_F(-1j * z, f, quad, out_thetas=f.thetas)
+    F = eval_F(-1j * z, f, quad)
     return HomogeneousFn(f.beta, f.thetas, c_alpha(2.0 * f.beta) * F.values[::-1])
 
 

@@ -40,88 +40,93 @@ def c_prime(alpha) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the scalar kernel
+# the kernel
 # ---------------------------------------------------------------------------
 
-def _kernel_theta_integral(alpha: complex, omega: float, psi: float,
-                           n_jac: int = 24, gl_order: int = 12) -> complex:
-    """Integral over theta in (psi, pi/2) for the branch psi > omega.
-
-    Integrand sin(2 theta)^(alpha/2-1) * sin(theta-psi)^(-alpha/2)
-    * sin(theta-omega)^(-alpha/2).  The endpoint singularities carry
-    exact weights from ``power_rule`` (complex weights for complex
-    alpha, so the dist^(i Im alpha) oscillation is exact too); the pole just
-    below the interval, at distance d = psi - omega, is defused by
-    geometric panel growth away from psi.  All distances are formed in
-    offset arithmetic, never by subtracting nearby floats.
-    """
-    a2 = 0.5 * alpha
-    L = HALF_PI - psi
-    d = psi - omega
-    if L <= 0 or d <= 0:
-        raise ValueError("branch requires omega < psi < pi/2")
-
-    def sin2theta(th, dist_to_right):
-        return 2.0 * np.sin(th) * np.sin(dist_to_right)
-
-    total = 0.0 + 0.0j
-
-    # left panel [psi, psi + t1]: weight off^(-alpha/2)
-    t1 = min(2.0 * d, 0.5 * L)
-    off, wj = power_rule(-a2, t1, n_jac)
-    vals = (sin2theta(psi + off, L - off) ** (a2 - 1.0)
-            * (np.sin(off) / off) ** (-a2)
-            * np.sin(off + d) ** (-a2))
-    total += wj @ vals
-
-    # geometric middle panels in offset space, from t1 out to 3L/4;
-    # the panel ratio resolves the Im(alpha)*log(off) phase drift
-    hi = 0.75 * L
-    ratio = 2.0 if alpha.imag == 0.0 else min(2.0, np.exp(1.5 / abs(a2.imag)))
-    edges = [t1]
-    while edges[-1] < hi:
-        edges.append(min(ratio * edges[-1], hi))
-    off, w = gauss_legendre_panels(np.array(edges), order=gl_order)
-    vals = (sin2theta(psi + off, L - off) ** (a2 - 1.0)
-            * np.sin(off) ** (-a2) * np.sin(off + d) ** (-a2))
-    total += w @ vals
-
-    # right panel [pi/2 - L/4, pi/2]: weight dist^(alpha/2 - 1),
-    # with sin(2 theta) = sin(2 dist) there
-    t2 = 0.25 * L
-    dist, wj = power_rule(a2 - 1.0, t2, n_jac)
-    th_off = L - dist  # offset from psi
-    vals = ((np.sin(2.0 * dist) / dist) ** (a2 - 1.0)
-            * np.sin(th_off) ** (-a2) * np.sin(th_off + d) ** (-a2))
-    total += wj @ vals
-    return complex(total)
-
-
-def kernel_k(alpha, omega: float, psi: float, n_jac: int = 24,
-             gl_order: int = 12) -> complex:
-    """The scalar kernel k(omega, psi), omega != psi, on (0, pi/2)^2.
+def kernel_k(alpha, omega, psi, n_jac: int = 24, gl_order: int = 12):
+    """The kernel k(omega, psi), omega != psi, on (0, pi/2)^2.
 
     For psi > omega:
         sin(psi-omega)^(alpha-1) * int_psi^(pi/2) sin(2 theta)^(alpha/2-1)
         sin(theta-psi)^(-alpha/2) sin(theta-omega)^(-alpha/2) dtheta
     and the psi < omega branch is the mirror image under
     theta -> pi/2 - theta, i.e. k(omega, psi) = k(pi/2-omega, pi/2-psi).
-    All bases are positive reals, so complex alpha uses principal powers
-    and |k^alpha| <= k^(Re alpha) pointwise.
+    ``omega`` and ``psi`` broadcast against each other (a whole Nystrom
+    row in one call); scalars give a complex scalar.  All bases are
+    positive reals, so each power is the principal one,
+    exp(exponent * log(base)), and |k^alpha| <= k^(Re alpha) pointwise.
+
+    The theta integral runs in offsets from psi over three panels.  The
+    endpoint singularities carry exact weights from ``power_rule``
+    (complex weights for complex alpha, so the dist^(i Im alpha)
+    oscillation is exact too); the pole just below the interval, at
+    distance d = psi - omega, is defused by geometric panel growth away
+    from psi, padded with zero-width panels to the longest recurrence in
+    the batch.  All distances are formed in offset arithmetic, never by
+    subtracting nearby floats.
     """
     alpha = complex(alpha)
     if not 0.0 < alpha.real < 2.0:
         raise ValueError("Re(alpha) must lie in (0, 2)")
-    if not (0.0 < omega < HALF_PI and 0.0 < psi < HALF_PI):
+    omega, psi = np.broadcast_arrays(np.asarray(omega, dtype=float),
+                                     np.asarray(psi, dtype=float))
+    if not np.all((0.0 < omega) & (omega < HALF_PI) & (0.0 < psi) & (psi < HALF_PI)):
         raise ValueError("kernel arguments must lie in the open interval")
-    if omega == psi:
+    if np.any(omega == psi):
         raise ValueError("kernel is singular on the diagonal; use the "
                          "assembly rule for diagonal cells")
-    if psi < omega:
-        omega, psi = HALF_PI - omega, HALF_PI - psi
-    pref = np.sin(psi - omega) ** (alpha - 1.0)
-    val = pref * _kernel_theta_integral(alpha, omega, psi, n_jac, gl_order)
-    return complex(val) if alpha.imag != 0 else complex(val.real, 0.0)
+    flip = psi < omega
+    om = np.where(flip, HALF_PI - omega, omega).ravel()
+    ps = np.where(flip, HALF_PI - psi, psi).ravel()
+    # real arithmetic throughout when alpha is real
+    a = alpha if alpha.imag else alpha.real
+    a2 = 0.5 * a
+    L = HALF_PI - ps
+    d = ps - om
+    Lc, dc, psc = L[:, None], d[:, None], ps[:, None]
+    log_pref = (a - 1.0) * np.log(np.sin(dc))
+
+    def weighted(w, log_sin2, log_sin_off, off):
+        """w * sin(d)^(alpha-1) sin(2 theta)^(alpha/2-1) sin(off)^(-alpha/2)
+        sin(off+d)^(-alpha/2) at theta = psi + off, as one exp.
+
+        The exp comes first: SIMD complex products are not bitwise
+        commutative, and numpy reuses a large left temporary in place
+        without swapping operands, so each pair sees the same product
+        whatever the batch size."""
+        return np.exp(log_pref + (a2 - 1.0) * log_sin2
+                      - a2 * (log_sin_off + np.log(np.sin(off + dc)))) * w
+
+    def log_sin2(off):
+        return np.log(2.0 * np.sin(psc + off) * np.sin(Lc - off))
+
+    # left panel [psi, psi + t1]: weight off^(-alpha/2)
+    t1 = np.minimum(2.0 * d, 0.5 * L)
+    off, w = power_rule(-a2, t1, n_jac)
+    left = weighted(w, log_sin2(off), np.log(np.sin(off) / off), off).sum(axis=-1)
+
+    # geometric middle panels in offset space, from t1 out to 3L/4; the
+    # panel ratio resolves the Im(alpha)*log(off) phase drift
+    hi = 0.75 * L
+    ratio = 2.0 if alpha.imag == 0.0 else min(2.0, np.exp(1.5 / abs(a2.imag)))
+    edges = [t1]
+    while np.any(edges[-1] < hi):
+        edges.append(np.minimum(ratio * edges[-1], hi))
+    off, w = gauss_legendre_panels(np.stack(edges, axis=-1), order=gl_order)
+    vals = weighted(w, log_sin2(off), np.log(np.sin(off)), off)
+    # panel sums accumulate in order, so padding panels add exact zeros
+    per_panel = vals.reshape(ps.size, len(edges) - 1, gl_order).sum(axis=-1)
+    middle = per_panel.cumsum(axis=-1)[:, -1]
+
+    # right panel [pi/2 - L/4, pi/2]: weight dist^(alpha/2 - 1),
+    # with sin(2 theta) = sin(2 dist) there
+    dist, w = power_rule(a2 - 1.0, 0.25 * L, n_jac)
+    th_off = Lc - dist
+    right = weighted(w, np.log(np.sin(2.0 * dist) / dist), np.log(np.sin(th_off)),
+                     th_off).sum(axis=-1)
+
+    val = (left + middle + right).astype(complex).reshape(omega.shape)
+    return complex(val) if val.ndim == 0 else val
 
 
 def kernel_bound(alpha, omega: float, psi: float) -> tuple[float, str]:
@@ -155,21 +160,21 @@ def kernel_row_integrals(alpha, omegas: np.ndarray, n_theta: int = 96,
     exact Jacobi weight.  No singularities: the modulus stays >= 1.
     """
     alpha = complex(alpha)
-    a2 = 0.5 * alpha
-    th, wsin = sin2_theta_rule(n_theta, a2 - 1.0)
-    e_th = np.exp(1j * th)
-    e_om = np.exp(1j * np.asarray(omegas))
-    y, wy = power_rule(-a2, 1.0, n_y)
-    w_, ww = power_rule(alpha - 1.0, 1.0, n_y)
+    a = alpha if alpha.imag else alpha.real
+    th, wsin = sin2_theta_rule(n_theta, 0.5 * a - 1.0)
+    cos_gap = np.cos(th[:, None] - np.asarray(omegas, dtype=float)[None, :])
 
-    # near piece: weight y^(-alpha/2), rest analytic in y
-    mod_near = np.abs(e_th[:, None, None] + y[None, :, None] * e_om[None, None, :])
-    near = np.einsum("t,y,tyo->o", wsin, wy, mod_near ** (-1.0 - a2))
+    def piece(y, wy):
+        # |e^(i theta) + y e^(i omega)|^2 = 1 + y^2 + 2 y cos(theta - omega) >= 1
+        mod2 = (1.0 + y * y)[None, :, None] + (2.0 * y)[None, :, None] * cos_gap[:, None, :]
+        power = (-0.5 - 0.25 * a) * np.log(mod2, out=mod2)
+        weights = (wsin[:, None] * wy[None, :]).ravel()
+        return weights @ np.exp(power, out=power).reshape(weights.size, -1)
 
-    # far piece: y = 1/w gives weight w^(alpha - 1)
-    mod_far = np.abs(w_[None, :, None] * e_th[:, None, None] + e_om[None, None, :])
-    far = np.einsum("t,y,tyo->o", wsin, ww, mod_far ** (-1.0 - a2))
-    return near + far
+    # near piece: weight y^(-alpha/2); far piece: y = 1/w, weight w^(alpha - 1)
+    near = piece(*power_rule(-0.5 * a, 1.0, n_y))
+    far = piece(*power_rule(a - 1.0, 1.0, n_y))
+    return (near + far).astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +230,19 @@ def assemble_P(alpha, n_nodes: int = 64, kappa: float = 0.5,
         raise ValueError("need at least 16 nodes")
     nodes, weights = graded_mesh(n_nodes, alpha.real, gl_order)
     n = nodes.size
-    mat = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        row = np.array([kernel_k(alpha, nodes[i], nodes[j]) if j != i else 0.0
-                        for j in range(n)], dtype=complex)
-        mat[i] = weights * row
-    rowints = kernel_row_integrals(alpha, nodes,
+    # the mesh is mirror-symmetric about pi/4 with an even node count, and
+    # k(omega, psi) = k(pi/2-omega, pi/2-psi): rows below the middle are
+    # the mirror images P[n-1-i, n-1-j] = P[i, j] of the rows above
+    half = n // 2
+    rowints = kernel_row_integrals(alpha, nodes[:half],
                                    n_theta=96 + 8 * int(abs(alpha.imag)))
-    for i in range(n):
-        mat[i, i] = rowints[i] - (mat[i].sum() - mat[i, i])
+    mat = np.zeros((n, n), dtype=complex)
+    cols = np.arange(n)
+    for i in range(half):
+        off = cols != i
+        mat[i, off] = weights[off] * kernel_k(alpha, nodes[i], nodes[off])
+        mat[i, i] = rowints[i] - mat[i].sum()
+    mat[half:] = mat[half - 1::-1, ::-1]
     if kappa != 0.0:
         d = np.abs(np.cos(nodes) - np.sin(nodes)) ** kappa
         mat = d[:, None] * mat / d[None, :]
@@ -279,12 +288,10 @@ def assemble_H(alpha, n_nodes: int = 64, kappa: float = 0.5,
     S = np.block([row0, row1, row2])
 
     # J: angle reflection (index reversal on the symmetric mesh) composed
-    # with the swap of the two derivative components
-    R = np.eye(n)[::-1]
-    J = np.block([[R, Z.real, Z.real],
-                  [Z.real, Z.real, R],
-                  [Z.real, R, Z.real]])
-    H = c_prime(alpha) * (S @ J)
+    # with the swap of the two derivative components, applied as the
+    # column permutation S @ J = S[:, perm]
+    rev = np.arange(n)[::-1]
+    H = c_prime(alpha) * S[:, np.concatenate([rev, 2 * n + rev, n + rev])]
     if kappa != 0.0:
         d = np.abs(c - s) ** kappa
         dd = np.concatenate([np.ones(n), d, d])

@@ -84,10 +84,17 @@ def gauss_jacobi_left(n: int, exponent: float, a: float, b: float):
     return nodes, weights
 
 
-def power_rule(expo, delta: float, n: int):
+def power_rule(expo, delta, n: int):
     """Rule for ``int_0^delta x**expo phi(x) dx``, phi smooth: n-node
-    Gauss-Jacobi for real expo, ``log_power_rule`` for complex expo."""
+    Gauss-Jacobi for real expo, ``log_power_rule`` for complex expo.
+
+    An array ``delta`` gives one rule per entry: nodes and weights have
+    shape ``delta.shape + (k,)``.  A scalar ``delta`` takes the scalar
+    arithmetic of the two rules unchanged.
+    """
     expo = complex(expo)
+    if np.ndim(delta):
+        delta = np.asarray(delta, dtype=float)[..., None]
     if expo.imag == 0.0:
         return gauss_jacobi_left(n, expo.real, 0.0, delta)
     return log_power_rule(expo, delta)
@@ -124,14 +131,20 @@ def log_power_rule(expo: complex, delta: float, order: int = 8,
 
 
 def gauss_legendre_panels(breaks, order: int = 12):
-    """Composite Gauss-Legendre rule over consecutive panels."""
+    """Composite Gauss-Legendre rule over consecutive panels.
+
+    ``breaks`` may be a batch of break rows (last axis: the breaks of one
+    rule); nodes and weights then keep the leading axes, panel by panel.
+    A zero-width panel contributes nodes with zero weight.
+    """
     x, w = _gl(order)
     breaks = np.asarray(breaks, dtype=float)
-    lo = breaks[:-1]
-    hi = breaks[1:]
+    lo = breaks[..., :-1, None]
+    hi = breaks[..., 1:, None]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    rows = breaks.shape[:-1] + (-1,)
+    nodes = (mid + half * x).reshape(rows)
+    weights = (half * w).reshape(rows)
     return nodes, weights
 

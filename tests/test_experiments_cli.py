@@ -267,6 +267,21 @@ def test_config_with_unknown_key_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_kernel_scan_ignores_config(tmp_path, capsys):
+    # kernel-scan reads no config: an outdated file neither fails the scan
+    # nor changes a byte of its output
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({**json.loads(small_cfg().to_json()),
+                                    "output_dir": "runs"}))
+    argv = ["kernel-scan"] + CLI_CASES["kernel-scan"][0]
+    runs = []
+    for sub, extra in (("plain", []), ("config", ["--config", str(cfg_path)])):
+        rc, printed = _cli(argv + extra + ["--out", str(tmp_path / sub)], capsys)
+        assert rc == 0
+        runs.append({p.name: p.read_bytes() for p in printed})
+    assert runs[0] == runs[1] and len(runs[0]) == 2
+
+
 def test_kernel_scan_skips_exit_2(tmp_path, capsys, monkeypatch):
     original = kernel_spectrum.assemble_H
 

@@ -65,6 +65,18 @@ def test_kernel_mirror_symmetry():
                - ks.kernel_k(alpha, HALF_PI - 0.8, HALF_PI - 0.3)) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [0.9, 1.5, 1.5 + 5j])
+def test_kernel_row_equals_scalar_calls(alpha):
+    # one broadcast call per Nystrom row is bitwise the loop of scalar calls
+    nodes, _ = ks.graded_mesh(48, complex(alpha).real)
+    for i in (0, 17, 40):
+        others = np.delete(nodes, i)
+        row = ks.kernel_k(alpha, nodes[i], others)
+        loop = np.array([ks.kernel_k(alpha, nodes[i], p) for p in others])
+        assert row.dtype == complex and np.array_equal(row, loop)
+    assert isinstance(ks.kernel_k(alpha, 0.3, 0.9), complex)
+
+
 @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.4])
 def test_kernel_three_regime_bound(alpha):
     # |k| <= C * shape with one constant per regime on a coarse grid
@@ -88,6 +100,22 @@ def test_assemble_P_contract():
     assert np.all(off.imag == 0) and np.all(off.real >= 0)
     with pytest.raises(ValueError):
         ks.assemble_P(1.5, n_nodes=8)
+
+
+@pytest.mark.parametrize("n, re_alpha", [(32, 1.1), (48, 1.5), (96, 0.7)])
+def test_graded_mesh_mirror_symmetry(n, re_alpha):
+    # the mirror fill of assemble_P rests on this; both defects come from
+    # rounding the break points, so they are counted in ulps of pi/2
+    nodes, weights = ks.graded_mesh(n, re_alpha)
+    ulp = np.spacing(HALF_PI)
+    assert np.all(np.abs(nodes + nodes[::-1] - HALF_PI) <= 4 * ulp)
+    assert np.all(np.abs(weights - weights[::-1]) <= 4 * ulp)
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5 + 5j])
+def test_assemble_P_mirror_is_exact(alpha):
+    M = ks.assemble_P(alpha, 32, kappa=0.0).matrix
+    assert np.array_equal(M, M[::-1, ::-1])
 
 
 def test_assemble_P_spectrum_stability_and_decay():
@@ -122,6 +150,28 @@ def test_H_block_sparsity():
     assert np.all(blocks[(2, 2)] == 0)
     assert np.linalg.norm(blocks[(1, 2)]) > 0
     assert np.linalg.norm(blocks[(2, 1)]) > 0
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5 + 5j])
+def test_H_pullback_by_column_indexing(alpha):
+    # the pullback J applied by indexing the columns of S is bitwise the
+    # explicit product with the permutation matrix
+    P = ks.assemble_P(alpha, 32, kappa=0.0)
+    a = complex(alpha)
+    n = P.n_nodes
+    c, s = np.cos(P.nodes), np.sin(P.nodes)
+    one_u = c + s
+    PN0 = P.matrix * one_u ** (-a - 1.0)
+    PN1 = P.matrix * one_u ** (-a)
+    Z = np.zeros((n, n))
+    S = np.block([[(-2.0 * one_u)[:, None] * PN0, (2.0 / a) * c[:, None] * PN1,
+                   (2.0 / a) * s[:, None] * PN1],
+                  [-a * PN0, PN1, Z],
+                  [-a * PN0, Z, PN1]])
+    R = np.eye(n)[::-1]
+    J = np.block([[R, Z, Z], [Z, Z, R], [Z, R, Z]])
+    H = ks.assemble_H(alpha, 32, kappa=0.0)
+    assert np.array_equal(H.matrix, ks.c_prime(a) * (S @ J))
 
 
 def test_derivative_lift_identity():

@@ -1,12 +1,15 @@
-"""Old == new gate for the shared integral core.
+"""Old == new gate for the shared integral core and the Nystrom assembly.
 
 ``pinned_values.json`` holds outputs of ``eval_G``, ``apply_linearized``,
 ``kernel_k`` and ``kernel_row_integrals`` recorded before these functions
 were rebuilt on one angle rule, one endpoint-power rule and one
-difference-integral core.  Any later rewrite of that core (a new radial
-evaluation, say) must reproduce them to ``RTOL`` in the sup norm.
+difference-integral core, and Fredholm determinants recorded before the
+kernel was evaluated row by row with the mirror fill.  Any later rewrite
+must reproduce them to ``RTOL`` (or the case's entry in ``CASE_RTOL``) in
+the sup norm.
 
-Re-record (only when a change of the numbers is intended and argued):
+Record the cases missing from the file (existing entries are never
+rewritten; to re-record one on purpose, delete its entry first):
 
     PYTHONPATH=src python tests/test_pinned.py
 """
@@ -24,12 +27,17 @@ from levylab.halfplane import from_callable
 
 PINNED = Path(__file__).with_name("pinned_values.json")
 RTOL = 1e-12
+#: determinants of the mirror-filled assembly: the mirror gap of the
+#: per-pair assembly (up to 2e-10 on the diagonal at 1.5+5i) moves them
+FREDHOLM_RTOL = 1e-8
 
 #: grid indices at which the eval_G values are kept (m = 33)
 G_ANGLES = [0, 5, 11, 16, 22, 27, 32]
 KERNEL_PAIRS = [(0.2, 0.9), (0.05, 0.3), (1.3, 0.4), (0.7, 0.71), (0.01, 1.5)]
 ROW_OMEGAS = [0.05, 0.4, 0.785, 1.2, 1.52]
 KERNEL_ALPHAS = [0.9, 1.5, 1.5 + 5j]
+FREDHOLM_ALPHAS = [1.1, 1.5 + 5j]
+FREDHOLM_NODES = 32
 
 
 def _eval_G(alpha, z, quad):
@@ -42,6 +50,12 @@ def _kernel_k(alpha):
 
 def _row_integrals(alpha):
     return ks.kernel_row_integrals(alpha, np.array(ROW_OMEGAS))
+
+
+def _fredholm(alpha, field):
+    H = ks.assemble_H(alpha, FREDHOLM_NODES)
+    res = ks.fredholm_det(H, ks.band_power(complex(alpha).real))
+    return np.array([getattr(res, field)], dtype=complex)
 
 
 def _not_a_fixed_point():
@@ -63,10 +77,15 @@ def cases() -> dict:
     for a in KERNEL_ALPHAS:
         out[f"kernel_k alpha={a}"] = partial(_kernel_k, a)
         out[f"kernel_row_integrals alpha={a}"] = partial(_row_integrals, a)
+    for a in FREDHOLM_ALPHAS:
+        for field in ("det_deflated", "refinement_delta"):
+            out[f"fredholm_det {field} alpha={a} n={FREDHOLM_NODES}"] = \
+                partial(_fredholm, a, field)
     return out
 
 
 CASES = cases()
+CASE_RTOL = {name: FREDHOLM_RTOL for name in CASES if name.startswith("fredholm_det")}
 
 
 @pytest.fixture(scope="module")
@@ -80,10 +99,15 @@ def test_matches_pinned_values(name, pinned):
     ref = ref[:, 0] + 1j * ref[:, 1]
     got = CASES[name]()
     assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= RTOL * np.max(np.abs(ref))
+    rtol = CASE_RTOL.get(name, RTOL)
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
 
 
 if __name__ == "__main__":
-    lines = [f" {json.dumps(name)}: {json.dumps([[v.real, v.imag] for v in run()])}"
-             for name, run in CASES.items()]
+    # append-only: recorded values stay as they are, missing cases are added
+    table = json.loads(PINNED.read_text()) if PINNED.exists() else {}
+    for name, run in CASES.items():
+        if name not in table:
+            table[name] = [[v.real, v.imag] for v in run()]
+    lines = [f" {json.dumps(name)}: {json.dumps(vals)}" for name, vals in table.items()]
     PINNED.write_text("{\n" + ",\n".join(lines) + "\n}\n")

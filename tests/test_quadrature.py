@@ -55,6 +55,27 @@ def test_power_rule_real_and_complex():
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("expo", [-0.4, -0.4 + 3j])
+def test_power_rule_broadcasts_over_delta(expo):
+    deltas = np.array([0.3, 0.5, 1.7])
+    x, w = power_rule(expo, deltas, 16)
+    for k, delta in enumerate(deltas):
+        xs, ws = power_rule(expo, float(delta), 16)
+        assert np.array_equal(x[k], xs)
+        assert np.allclose(w[k], ws, rtol=1e-14, atol=0.0)
+
+
+def test_legendre_panels_batch_rows():
+    # a batch of break rows, the first padded with a zero-width panel
+    breaks = np.array([[0.0, 0.5, 1.0, 1.0], [0.2, 0.4, 0.8, 1.6]])
+    x, w = gauss_legendre_panels(breaks, order=6)
+    assert x.shape == w.shape == (2, 18)
+    for k in range(2):
+        xs, ws = gauss_legendre_panels(breaks[k], order=6)
+        assert np.array_equal(x[k], xs) and np.array_equal(w[k], ws)
+    assert np.all(w[0, 12:] == 0) and np.all(x[0, 12:] == 1.0)
+
+
 def test_log_power_rule_complex_exponent():
     e = -0.6 + 1.3j
     x, w = log_power_rule(e, 0.8)
