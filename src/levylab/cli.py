@@ -32,7 +32,7 @@ from .fixed_point import (
     spectral_density,
 )
 from .kernel_spectrum import alpha_scan, flag_minima
-from .matrix_model import build_levy_matrix, eigendecompose
+from .matrix_model import build_levy_matrix, eigenvalues
 
 #: options that locate inputs and outputs or override the config; they
 #: never enter a record's own arguments (and so never its hash)
@@ -105,9 +105,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def sample_spectrum(cfg, args) -> RunRecord:
     seed = derived_seed(cfg.master_seed, args.n, 0)
-    sd = eigendecompose(build_levy_matrix(args.n, cfg.alpha, seed))
+    lam = eigenvalues(build_levy_matrix(args.n, cfg.alpha, seed))
     return RunRecord("sample-spectrum", cfg, columns=("index", "eigenvalue"),
-                     rows=tuple(enumerate(sd.eigenvalues)))
+                     rows=tuple(enumerate(lam)))
 
 
 def solve_fixed_point(cfg, args) -> RunRecord:

@@ -24,11 +24,19 @@ Quadrature layout (one shared design for every integral):
   (alpha/2 - 1)`` endpoint singularities.
 * ``difference_integral`` holds the (theta, y) part once; ``eval_F`` and
   ``kernel_spectrum.apply_linearized`` differ only in the integrand.
+
+Two loops run on one thread pool with a worker per available core: the
+output angles of ``difference_integral`` and the row blocks of a
+population sweep.  Each item is computed by the same arithmetic as in a
+serial loop, so results are bit for bit independent of the worker count.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,7 +45,7 @@ from scipy.special import gamma as gamma_fn
 from . import halfplane
 from .halfplane import HALF_PI, HomogeneousFn, dot
 from .quadrature import power_rule, sin2_theta_rule, tanh_sinh
-from .stable_random import poisson_weights_matrix
+from .stable_random import _check_alpha, arrival_weights
 
 class QuadratureError(RuntimeError):
     pass
@@ -49,6 +57,30 @@ class FixedPointError(RuntimeError):
 
 #: the failures a batch records and skips per sample; anything else is a bug
 SAMPLE_ERRORS = (ValueError, np.linalg.LinAlgError, QuadratureError, FixedPointError)
+
+# started on first use; its tasks never submit to it, so they cannot
+# wait on one another
+_EXECUTOR: ThreadPoolExecutor | None = None
+_EXECUTOR_LOCK = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The module's thread pool, one worker per core this process may use."""
+    global _EXECUTOR
+    with _EXECUTOR_LOCK:
+        if _EXECUTOR is None:
+            _EXECUTOR = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
+                                           thread_name_prefix="levylab")
+        return _EXECUTOR
+
+
+def _forget_executor() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _EXECUTOR, _EXECUTOR_LOCK
+    _EXECUTOR, _EXECUTOR_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_executor)
 
 
 def c_alpha(alpha) -> complex:
@@ -197,13 +229,15 @@ def difference_integral(alpha: float, phi, drop, out_thetas, n_theta: int,
     yj, wy = power_rule(-0.5 * alpha, 0.5, n_y)
     wj, ww = power_rule(alpha - 1.0, 2.0, n_w)
 
-    out = np.empty(len(out_thetas), dtype=complex)
-    for k, tu in enumerate(np.asarray(out_thetas, dtype=float)):
+    def at_angle(tu):
         u = complex(np.cos(tu), np.sin(tu))
         near = wt @ (drop_at(yj, u) / yj[None, :]) @ wy
         far = wt @ phi(wj[None, :] * e_th[:, None] + u) @ ww
-        out[k] = term_a - far + near
-    return out
+        return term_a - far + near
+
+    # output angles are independent: one pool task each
+    angles = np.asarray(out_thetas, dtype=float)
+    return np.array(list(_executor().map(at_angle, angles)), dtype=complex)
 
 
 def eval_F(h: complex, g: HomogeneousFn,
@@ -233,12 +267,14 @@ def eval_F(h: complex, g: HomogeneousFn,
     s2a = s ** (2.0 / alpha)
 
     # the exponent tensors are a few MB per output angle; reusing them
-    # avoids returning that memory to the OS and faulting it back in
-    work: dict = {}
+    # avoids returning that memory to the OS and faulting it back in.
+    # Output angles run on several threads, so each keeps its own.
+    local = threading.local()
 
     def exponent(hw, gw):
         """-(hw s^(2/alpha) + gw s) over a trailing s axis, in a work tensor."""
         shape = np.broadcast_shapes(hw.shape, gw.shape) + s.shape
+        work = vars(local)
         if shape not in work:
             work[shape] = np.empty((2,) + shape, dtype=complex)
         t, t2 = work[shape]
@@ -593,6 +629,11 @@ class PopulationPool:
         return int(self.pool.size)
 
 
+#: rows per pool task; a block's gathered members (16 K bytes a row) stay
+#: a few MB, and the decomposition does not depend on the worker count
+SWEEP_BLOCK = 1024
+
+
 def population_dynamics(z: complex, alpha: float, pool_size: int = 100_000,
                         sweeps: int = 30, K: int = 200,
                         rng: np.random.Generator | None = None,
@@ -601,27 +642,45 @@ def population_dynamics(z: complex, alpha: float, pool_size: int = 100_000,
 
     The pool starts at -1/z; each sweep resamples every slot with fresh
     truncated weights and uniformly chosen pool members (synchronous
-    update, indices pre-drawn sequentially so results are independent of
-    work scheduling).  Convergence is tracked through the fractional
-    moment mean (Im R)^(alpha/2), with a 1%-per-sweep criterion on top
-    of the fixed sweep count.
+    update).  The calling thread makes every draw, per chunk of
+    ``chunk`` slots the indices and then the exponentials, one chunk
+    ahead of the pool threads, which update the chunk in blocks of
+    ``SWEEP_BLOCK`` rows; so results are independent of work scheduling.
+    Convergence is tracked through the fractional moment mean
+    (Im R)^(alpha/2), with a 1%-per-sweep criterion on top of the fixed
+    sweep count.
     """
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("population dynamics needs Im z > 0")
+    _check_alpha(alpha)
+    if min(pool_size, sweeps, K, chunk) < 1:
+        raise ValueError("pool_size, sweeps, K and chunk must all be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
+    executor = _executor()
+    chunks = [(lo, min(lo + chunk, pool_size)) for lo in range(0, pool_size, chunk)]
+    draws = ((rng.integers(0, pool_size, size=(hi - lo, K), dtype=np.int32),
+              rng.standard_exponential((hi - lo, K)))
+             for _ in range(sweeps) for lo, hi in chunks)
+
+    def update(old, idx, exps, out):
+        S = np.einsum("rk,rk->r", arrival_weights(alpha, exps), old[idx])
+        out[:] = -1.0 / (z + S)
+
     pool = np.full(pool_size, -1.0 / z, dtype=complex)
     history = []
+    ahead = next(draws)
     for _ in range(sweeps):
         new = np.empty_like(pool)
-        for lo in range(0, pool_size, chunk):
-            hi = min(lo + chunk, pool_size)
-            rows = hi - lo
-            idx = rng.integers(0, pool_size, size=(rows, K))
-            xi = poisson_weights_matrix(alpha, (rows, K), rng)
-            S = np.einsum("rk,rk->r", xi, pool[idx])
-            new[lo:hi] = -1.0 / (z + S)
+        for lo, hi in chunks:
+            idx, exps = ahead
+            blocks = [slice(a, a + SWEEP_BLOCK) for a in range(0, hi - lo, SWEEP_BLOCK)]
+            tasks = [executor.submit(update, pool, idx[b], exps[b], new[lo:hi][b])
+                     for b in blocks]
+            ahead = next(draws, None)
+            for task in tasks:
+                task.result()
         pool = new
         history.append(float(np.mean(pool.imag ** (0.5 * alpha))))
     # drift criterion on a 3-sweep moving average (raw sweeps carry MC noise)

@@ -149,6 +149,11 @@ def kernel_bound(alpha, omega: float, psi: float) -> tuple[float, str]:
 # row integrals (the kernel applied to the constant function)
 # ---------------------------------------------------------------------------
 
+#: bytes of one complex (theta, y, omega) tensor in kernel_row_integrals;
+#: the omegas are taken in blocks that stay under it
+ROW_INTEGRAL_BYTES = 64 << 20
+
+
 def kernel_row_integrals(alpha, omegas: np.ndarray, n_theta: int = 96,
                          n_y: int = 32) -> np.ndarray:
     """int_0^(pi/2) k(omega, psi) dpsi through the original (theta, y) form.
@@ -162,19 +167,25 @@ def kernel_row_integrals(alpha, omegas: np.ndarray, n_theta: int = 96,
     alpha = complex(alpha)
     a = alpha if alpha.imag else alpha.real
     th, wsin = sin2_theta_rule(n_theta, 0.5 * a - 1.0)
-    cos_gap = np.cos(th[:, None] - np.asarray(omegas, dtype=float)[None, :])
+    omegas = np.asarray(omegas, dtype=float)
+    # near piece: weight y^(-alpha/2); far piece: y = 1/w, weight w^(alpha - 1)
+    pieces = (power_rule(-0.5 * a, 1.0, n_y), power_rule(a - 1.0, 1.0, n_y))
 
-    def piece(y, wy):
+    def piece(cos_gap, y, wy):
         # |e^(i theta) + y e^(i omega)|^2 = 1 + y^2 + 2 y cos(theta - omega) >= 1
         mod2 = (1.0 + y * y)[None, :, None] + (2.0 * y)[None, :, None] * cos_gap[:, None, :]
         power = (-0.5 - 0.25 * a) * np.log(mod2, out=mod2)
         weights = (wsin[:, None] * wy[None, :]).ravel()
         return weights @ np.exp(power, out=power).reshape(weights.size, -1)
 
-    # near piece: weight y^(-alpha/2); far piece: y = 1/w, weight w^(alpha - 1)
-    near = piece(*power_rule(-0.5 * a, 1.0, n_y))
-    far = piece(*power_rule(a - 1.0, 1.0, n_y))
-    return (near + far).astype(complex)
+    per_omega = 16 * th.size * max(y.size for y, _ in pieces)
+    step = max(1, ROW_INTEGRAL_BYTES // per_omega)
+    out = np.empty(omegas.size, dtype=complex)
+    for lo in range(0, omegas.size, step):
+        cos_gap = np.cos(th[:, None] - omegas[None, lo:lo + step])
+        near, far = (piece(cos_gap, *rule) for rule in pieces)
+        out[lo:lo + step] = near + far
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -118,16 +118,25 @@ def poisson_weights(alpha: float, K: int, rng: np.random.Generator) -> PoissonWe
     _check_alpha(alpha)
     if K < 1:
         raise ValueError("truncation K must be at least 1")
-    arrivals = np.cumsum(rng.standard_exponential(K))
-    return PoissonWeights(alpha, arrivals ** (-2.0 / alpha))
+    return PoissonWeights(alpha, arrival_weights(alpha, rng.standard_exponential(K)))
 
 
 def poisson_weights_matrix(alpha: float, shape: tuple[int, int],
                            rng: np.random.Generator) -> np.ndarray:
     """Rows of independent weight vectors; bulk variant of poisson_weights."""
     _check_alpha(alpha)
-    arrivals = np.cumsum(rng.standard_exponential(shape), axis=-1)
-    return arrivals ** (-2.0 / alpha)
+    return arrival_weights(alpha, rng.standard_exponential(shape))
+
+
+def arrival_weights(alpha: float, exponentials: np.ndarray) -> np.ndarray:
+    """xi_k = Gamma_k^(-2/alpha) along the last axis, in place.
+
+    Gamma_k = E_1 + ... + E_k are the partial sums of the given unit
+    exponentials, which are overwritten by the weights.
+    """
+    _check_alpha(alpha)
+    arrivals = np.cumsum(exponentials, axis=-1, out=exponentials)
+    return np.power(arrivals, -2.0 / alpha, out=arrivals)
 
 
 def truncated_weight_tail_mean(alpha: float, K: int, terms: int = 200_000) -> float:

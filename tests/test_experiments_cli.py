@@ -252,6 +252,16 @@ def test_cli_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("option", ["--K", "--sweeps", "--pool"])
+def test_population_dynamics_empty_size_exits_1(option, tmp_path, capsys):
+    rc = main(["population-dynamics", option, "0", "--z-im", "0.2",
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "at least 1" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_with_unknown_key_exits_1(tmp_path, capsys):
     # a config written when ExperimentConfig still had output_dir
     cfg_path = tmp_path / "old.json"

@@ -1,10 +1,14 @@
 import json
+import multiprocessing
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
 import levylab.fixed_point as fp
+from levylab import kernel_spectrum as ks
 from levylab.halfplane import HomogeneousFn, default_grid, sup_distance
 from levylab.fixed_point import (
     FixedPointError,
@@ -223,6 +227,100 @@ def test_population_dynamics_contracts():
     assert np.max(pool.pool.imag) <= 1 / 0.5 + 1e-12
     with pytest.raises(ValueError):
         population_dynamics(1.0, 1.0, pool_size=10, sweeps=1, K=10, rng=rng)
+
+
+@pytest.mark.parametrize("field", ["pool_size", "sweeps", "K", "chunk"])
+def test_population_dynamics_rejects_empty_sizes(field):
+    sizes = dict(pool_size=10, sweeps=2, K=5, chunk=4)
+    population_dynamics(0.2j, 1.0, rng=np.random.default_rng(0), **sizes)
+    # zero K, sweeps or pool would hand back the untouched start -1/z
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            population_dynamics(0.2j, 1.0, rng=np.random.default_rng(0),
+                                **{**sizes, field: bad})
+
+
+def _serial_pool(z, alpha, pool_size, sweeps, K, rng, chunk):
+    """The one-thread sweep loop the threaded one must reproduce bit for bit."""
+    from levylab.stable_random import poisson_weights_matrix
+    pool = np.full(pool_size, -1.0 / z, dtype=complex)
+    for _ in range(sweeps):
+        new = np.empty_like(pool)
+        for lo in range(0, pool_size, chunk):
+            hi = min(lo + chunk, pool_size)
+            idx = rng.integers(0, pool_size, size=(hi - lo, K))
+            xi = poisson_weights_matrix(alpha, (hi - lo, K), rng)
+            new[lo:hi] = -1.0 / (z + np.einsum("rk,rk->r", xi, pool[idx]))
+        pool = new
+    return pool
+
+
+#: outputs of the threaded loops; each must not depend on the worker count
+THREADED = {
+    "eval_G 0.1i": lambda: eval_G(0.1j, gamma_star_zero(1.0, 33),
+                                  QuadratureConfig.fast()).values,
+    "eval_G 0.2+0.1i": lambda: eval_G(0.2 + 0.1j, gamma_star_zero(0.8, 33),
+                                      QuadratureConfig.fast()).values,
+    "apply_linearized": lambda: ks.apply_linearized(
+        gamma_star_zero(1.2, 33), n_theta=48, n_y=12).values,
+    # two chunks (3000 + 2001 rows), each in several row blocks
+    "pool on the axis": lambda: population_dynamics(
+        0.2j, 1.0, 5001, 3, 30, np.random.default_rng(5), chunk=3000).pool,
+    "pool off the axis": lambda: population_dynamics(
+        0.3 + 0.2j, 1.3, 5001, 3, 30, np.random.default_rng(6), chunk=3000).pool,
+}
+
+
+def _run_with_workers(monkeypatch, workers, fn):
+    executor = ThreadPoolExecutor(workers)
+    monkeypatch.setattr(fp, "_EXECUTOR", executor)
+    try:
+        return fn()
+    finally:
+        executor.shutdown()
+
+
+@pytest.mark.parametrize("name", list(THREADED))
+def test_threaded_loops_are_bitwise_independent_of_workers(name, monkeypatch):
+    one = _run_with_workers(monkeypatch, 1, THREADED[name])
+    two = _run_with_workers(monkeypatch, 2, THREADED[name])
+    assert np.array_equal(one, two)
+
+
+def test_pool_sweep_matches_the_serial_loop(monkeypatch):
+    for block in (fp.SWEEP_BLOCK, 7):
+        monkeypatch.setattr(fp, "SWEEP_BLOCK", block)
+        for z, alpha in ((0.2j, 1.0), (0.3 + 0.2j, 1.3)):
+            got = population_dynamics(z, alpha, 2501, 3, 20,
+                                      np.random.default_rng(8), chunk=1001).pool
+            ref = _serial_pool(z, alpha, 2501, 3, 20, np.random.default_rng(8), 1001)
+            assert np.array_equal(got, ref)
+
+
+def _small_pool_mean():
+    pool = population_dynamics(0.5j, 1.0, 300, 2, 10, np.random.default_rng(1))
+    return float(np.mean(pool.pool.imag))
+
+
+def test_forked_child_starts_its_own_pool():
+    expected = _small_pool_mean()  # the parent's pool threads now exist
+    with multiprocessing.get_context("fork").Pool(1) as workers:
+        assert workers.apply_async(_small_pool_mean).get(timeout=60) == expected
+
+
+def test_threaded_eval_F_keeps_scratch_per_thread(monkeypatch):
+    # more threads than cores and a short switch interval: a tensor shared
+    # between threads would be overwritten mid-angle and change the values
+    g = gamma_star_zero(1.0, 33)
+    quad = QuadratureConfig(n_theta=24, n_s=25, n_y=9, n_w=9)
+    ref = _run_with_workers(monkeypatch, 1, lambda: eval_F(0.2 + 0.3j, g, quad).values)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _run_with_workers(monkeypatch, 4, lambda: eval_F(0.2 + 0.3j, g, quad).values)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, ref)
 
 
 def test_population_pure_imaginary_closure():

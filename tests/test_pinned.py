@@ -3,8 +3,9 @@
 ``pinned_values.json`` holds outputs of ``eval_G``, ``apply_linearized``,
 ``kernel_k`` and ``kernel_row_integrals`` recorded before these functions
 were rebuilt on one angle rule, one endpoint-power rule and one
-difference-integral core, and Fredholm determinants recorded before the
-kernel was evaluated row by row with the mirror fill.  Any later rewrite
+difference-integral core, Fredholm determinants recorded before the
+kernel was evaluated row by row with the mirror fill, and pool members
+of ``population_dynamics`` recorded before its sweep ran on threads.  Any later rewrite
 must reproduce them to ``RTOL`` (or the case's entry in ``CASE_RTOL``) in
 the sup norm.
 
@@ -38,6 +39,8 @@ ROW_OMEGAS = [0.05, 0.4, 0.785, 1.2, 1.52]
 KERNEL_ALPHAS = [0.9, 1.5, 1.5 + 5j]
 FREDHOLM_ALPHAS = [1.1, 1.5 + 5j]
 FREDHOLM_NODES = 32
+#: pool members kept from a two-chunk run (every 250th slot)
+POOL_Z = [0.2j, 0.3 + 0.2j]
 
 
 def _eval_G(alpha, z, quad):
@@ -56,6 +59,12 @@ def _fredholm(alpha, field):
     H = ks.assemble_H(alpha, FREDHOLM_NODES)
     res = ks.fredholm_det(H, ks.band_power(complex(alpha).real))
     return np.array([getattr(res, field)], dtype=complex)
+
+
+def _pool(z):
+    pool = fp.population_dynamics(z, 1.0, pool_size=3001, sweeps=4, K=60,
+                                  rng=np.random.default_rng(17), chunk=2000)
+    return pool.pool[::250]
 
 
 def _not_a_fixed_point():
@@ -81,6 +90,8 @@ def cases() -> dict:
         for field in ("det_deflated", "refinement_delta"):
             out[f"fredholm_det {field} alpha={a} n={FREDHOLM_NODES}"] = \
                 partial(_fredholm, a, field)
+    for z in POOL_Z:
+        out[f"population_dynamics z={z}"] = partial(_pool, z)
     return out
 
 
