@@ -4,8 +4,10 @@
 ``kernel_k`` and ``kernel_row_integrals`` recorded before these functions
 were rebuilt on one angle rule, one endpoint-power rule and one
 difference-integral core, Fredholm determinants recorded before the
-kernel was evaluated row by row with the mirror fill, and pool members
-of ``population_dynamics`` recorded before its sweep ran on threads.  Any later rewrite
+kernel was evaluated row by row with the mirror fill, pool members
+of ``population_dynamics`` recorded before its sweep ran on threads, and
+limiting densities and a Stieltjes mass recorded before each energy's
+eta ladder became one continuation.  Any later rewrite
 must reproduce them to ``RTOL`` (or the case's entry in ``CASE_RTOL``) in
 the sup norm.
 
@@ -31,6 +33,9 @@ RTOL = 1e-12
 #: determinants of the mirror-filled assembly: the mirror gap of the
 #: per-pair assembly (up to 2e-10 on the diagonal at 1.5+5i) moves them
 FREDHOLM_RTOL = 1e-8
+#: densities and masses: a different warm start moves each scalar Newton
+#: root within its 1e-12 tolerance, and the Richardson step amplifies that
+DENSITY_RTOL = 1e-10
 
 #: grid indices at which the eval_G values are kept (m = 33)
 G_ANGLES = [0, 5, 11, 16, 22, 27, 32]
@@ -41,6 +46,8 @@ FREDHOLM_ALPHAS = [1.1, 1.5 + 5j]
 FREDHOLM_NODES = 32
 #: pool members kept from a two-chunk run (every 250th slot)
 POOL_Z = [0.2j, 0.3 + 0.2j]
+DENSITY_ALPHAS = [0.8, 1.0]
+DENSITY_E = [0.0, 0.5, 1.0, 2.5, 5.0]
 
 
 def _eval_G(alpha, z, quad):
@@ -65,6 +72,12 @@ def _pool(z):
     pool = fp.population_dynamics(z, 1.0, pool_size=3001, sweeps=4, K=60,
                                   rng=np.random.default_rng(17), chunk=2000)
     return pool.pool[::250]
+
+
+def _density(alpha):
+    """The f_star values on DENSITY_E, then their extrapolation errors."""
+    pairs = [fp.spectral_density(e, alpha, with_error=True) for e in DENSITY_E]
+    return np.array([f for f, _ in pairs] + [err for _, err in pairs], dtype=complex)
 
 
 def _not_a_fixed_point():
@@ -92,11 +105,17 @@ def cases() -> dict:
                 partial(_fredholm, a, field)
     for z in POOL_Z:
         out[f"population_dynamics z={z}"] = partial(_pool, z)
+    for a in DENSITY_ALPHAS:
+        out[f"spectral_density alpha={a}"] = partial(_density, a)
+    out["stieltjes_mass(-0.1, 0.1, 1.0, n_points=9)"] = \
+        lambda: np.array([fp.stieltjes_mass(-0.1, 0.1, 1.0, n_points=9)], dtype=complex)
     return out
 
 
 CASES = cases()
 CASE_RTOL = {name: FREDHOLM_RTOL for name in CASES if name.startswith("fredholm_det")}
+CASE_RTOL.update({name: DENSITY_RTOL for name in CASES
+                  if name.startswith(("spectral_density", "stieltjes_mass"))})
 
 
 @pytest.fixture(scope="module")
