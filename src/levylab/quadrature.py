@@ -17,18 +17,9 @@ import numpy as np
 from scipy.special import expit, roots_jacobi, roots_legendre
 
 
-def tanh_sinh(a: float, b: float, n: int, endpoint_exponent: float = 0.0):
-    """Tanh-sinh rule on (a, b) with n nodes.
-
-    ``endpoint_exponent`` is the worst algebraic exponent lam > -1 such
-    that the integrand behaves like ``dist^lam`` at an endpoint; the
-    truncation range is widened so the transformed tail of such an
-    integrand is below ~1e-13.
-
-    Returns ``(nodes, weights, dist_a, dist_b)`` where the dist arrays
-    are the node distances to each endpoint, computed without
-    cancellation (needed to evaluate singular factors accurately).
-    """
+@lru_cache(maxsize=128)
+def _unit_tanh_sinh(n: int, endpoint_exponent: float):
+    """The tanh-sinh rule on (0, 1) as read-only ``(sp, sm, weights)``."""
     if n < 5:
         raise ValueError("tanh-sinh rule needs at least 5 nodes")
     lam = 1.0 + endpoint_exponent
@@ -45,10 +36,28 @@ def tanh_sinh(a: float, b: float, n: int, endpoint_exponent: float = 0.0):
     u = 0.5 * np.pi * np.sinh(t)
     sp = expit(2.0 * u)
     sm = expit(-2.0 * u)
+    weights = h * 0.5 * np.pi * np.cosh(t) * 2.0 * sp * sm
+    for arr in (sp, sm, weights):
+        arr.flags.writeable = False
+    return sp, sm, weights
+
+
+def tanh_sinh(a: float, b: float, n: int, endpoint_exponent: float = 0.0):
+    """Tanh-sinh rule on (a, b) with n nodes.
+
+    ``endpoint_exponent`` is the worst algebraic exponent lam > -1 such
+    that the integrand behaves like ``dist^lam`` at an endpoint; the
+    truncation range is widened so the transformed tail of such an
+    integrand is below ~1e-13.  The unit rule is built once per
+    ``(n, endpoint_exponent)`` and scaled to the width.
+
+    Returns ``(nodes, weights, dist_a, dist_b)`` where the dist arrays
+    are the node distances to each endpoint, computed without
+    cancellation (needed to evaluate singular factors accurately).
+    """
+    sp, sm, unit = _unit_tanh_sinh(n, endpoint_exponent)
     width = b - a
-    nodes = a + width * sp
-    weights = h * 0.5 * np.pi * np.cosh(t) * 2.0 * sp * sm * width
-    return nodes, weights, width * sp, width * sm
+    return a + width * sp, unit * width, width * sp, width * sm
 
 
 def sin2_theta_rule(n: int, exponent):

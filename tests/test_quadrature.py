@@ -27,6 +27,22 @@ def test_tanh_sinh_endpoint_singularity():
     assert abs((da + db)[3] - 1.0) < 1e-14
 
 
+def test_tanh_sinh_scales_one_cached_unit_rule():
+    x0, w0, _, _ = tanh_sinh(0.0, 1.0, 41, endpoint_exponent=0.5)
+    x, w, da, db = tanh_sinh(2.0, 5.0, 41, endpoint_exponent=0.5)
+    assert np.array_equal(da, 3.0 * x0) and np.array_equal(x, 2.0 + 3.0 * x0)
+    assert np.array_equal(w, w0 * 3.0)
+    # callers get fresh arrays: writing to them leaves the cached rule alone
+    w[:] = 0.0
+    x[:] = 0.0
+    again = tanh_sinh(2.0, 5.0, 41, endpoint_exponent=0.5)
+    assert np.array_equal(again[0], 2.0 + 3.0 * x0) and np.array_equal(again[1], w0 * 3.0)
+    with pytest.raises(ValueError):
+        tanh_sinh(0.0, 1.0, 4)
+    with pytest.raises(ValueError):
+        tanh_sinh(0.0, 1.0, 41, endpoint_exponent=-1.0)
+
+
 def test_gauss_jacobi_left_weight():
     x, w = gauss_jacobi_left(16, -0.5, 0.0, 0.5)
     oracle = quad(lambda y: y ** -0.5 * np.cos(y), 0, 0.5)[0]
