@@ -119,11 +119,9 @@ def solve_fixed_point(cfg, args) -> RunRecord:
 
 def density(cfg, args) -> RunRecord:
     quad = QuadratureConfig().scaled(cfg.quad_scale)
-    cache: dict = {}
     rows = []
     for e in np.linspace(0.0, args.e_max, args.points):
-        val, err = spectral_density(float(e), cfg.alpha, cfg.eta_ladder,
-                                    quad=quad, cache=cache, with_error=True)
+        val, err = spectral_density(float(e), cfg.alpha, cfg.eta_ladder, quad=quad)
         rows.append((e, val, cfg.eta_ladder[-1], err))
     return RunRecord("density", cfg,
                      columns=("E", "f_star", "eta_used", "extrapolation_error"),

@@ -218,14 +218,12 @@ def run_local_law(cfg: ExperimentConfig) -> RunRecord:
     """Empirical window mass against the limiting measure, plus the
     second resolvent moment (1/n) sum |R_kk(E + i eta)|^2."""
     quad = QuadratureConfig().scaled(cfg.quad_scale)
-    cache: dict = {}
     mu_star = {}
     widths = {e: cfg.interval_width(max(cfg.n_list)) for e in cfg.energies}
     for e in cfg.energies:
         w = widths[e]
         mu_star[e] = stieltjes_mass(e - 0.5 * w, e + 0.5 * w, cfg.alpha,
-                                    eta_ladder=cfg.eta_ladder, quad=quad,
-                                    cache=cache)
+                                    eta_ladder=cfg.eta_ladder, quad=quad)
     rows = []
     skipped = []
     for n, seed, sd in _samples(cfg, skipped):

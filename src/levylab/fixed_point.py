@@ -536,75 +536,55 @@ def solve_tilde_gamma(z: complex, alpha: float, tol: float = 1e-12,
         f"scalar solve did not reach {tol:.1e} at z={z}: |F|={abs(fx):.3e}")
 
 
-def _tilde_gamma_continued(E: float, eta: float, alpha: float,
-                           cache: dict | None = None,
-                           quad: QuadratureConfig | None = None) -> complex:
-    """Scalar solution at E + i eta, continued downward in eta.
+def spectral_density(E: float, alpha: float,
+                     eta_ladder=(0.1, 0.05, 0.025),
+                     quad: QuadratureConfig | None = None) -> tuple[float, float]:
+    """Limiting spectral density at energy E by Stieltjes inversion.
+
+    Evaluates (1/pi) Im[i s_{1, E+i eta}(gamma~*_{E+i eta})] on a
+    decreasing eta ladder and removes the O(eta) smoothing bias by
+    first-order Richardson extrapolation.  Returns the extrapolated
+    value and the change of the last extrapolation step as its error.
 
     The consistency equation grows spurious attracting roots at moderate
     E and small eta; the physical branch (the one matching the
     population dynamics and a nonnegative density) is selected by
     starting high in the upper half-plane, where the map is a strong
     contraction with a unique root, and tracking the analytic branch
-    down in eta with warm-started Newton steps.
-    """
-    cache = cache if cache is not None else {}
-    key = (round(float(E), 12), round(float(eta), 12))
-    if key in cache:
-        return cache[key]
-    eta_start = max(4.0, 2.0 * abs(E))
-    x = solve_tilde_gamma(complex(E, eta_start), alpha, quad=quad)
-    h = eta_start
-    while h > eta:
-        h = max(eta, 0.75 * h)
-        x = solve_tilde_gamma(complex(E, h), alpha, x0=x, quad=quad)
-        cache[(key[0], round(float(h), 12))] = x
-    density_sign = (1j * s_p(complex(E, eta), x, 1.0, alpha, quad)).imag
-    if density_sign < -1e-9:
-        raise FixedPointError(
-            f"branch tracking lost the physical root at z={complex(E, eta)}")
-    return x
-
-
-def spectral_density(E: float, alpha: float,
-                     eta_ladder=(0.1, 0.05, 0.025),
-                     quad: QuadratureConfig | None = None,
-                     cache: dict | None = None,
-                     with_error: bool = False):
-    """Limiting spectral density at energy E by Stieltjes inversion.
-
-    Evaluates (1/pi) Im[i s_{1, E+i eta}(gamma~*_{E+i eta})] on a
-    decreasing eta ladder and removes the O(eta) smoothing bias by
-    first-order Richardson extrapolation.
+    down through every ladder eta with warm-started Newton steps, in one
+    continuation.  A negative density at a rung means the track jumped.
     """
     etas = tuple(float(e) for e in eta_ladder)
     if len(etas) < 2 or any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("eta ladder must strictly decrease, length >= 2")
     quad = quad or QuadratureConfig()
+    h = max(4.0, 2.0 * abs(E), etas[0])
+    x = solve_tilde_gamma(complex(E, h), alpha, quad=quad)
     f_eta = []
     for eta in etas:
-        x = _tilde_gamma_continued(E, eta, alpha, cache, quad)
+        while h > eta:
+            h = max(eta, 0.75 * h)
+            x = solve_tilde_gamma(complex(E, h), alpha, x0=x, quad=quad)
         m = 1j * s_p(complex(E, eta), x, 1.0, alpha, quad)
+        if m.imag < -1e-9:
+            raise FixedPointError(
+                f"branch tracking lost the physical root at z={complex(E, eta)}")
         f_eta.append(m.imag / np.pi)
     extrap = [(ea * fb - eb * fa) / (ea - eb)
               for (ea, fa), (eb, fb) in zip(zip(etas, f_eta), zip(etas[1:], f_eta[1:]))]
     value = extrap[-1]
     err = abs(extrap[-1] - extrap[-2]) if len(extrap) > 1 else abs(value - f_eta[-1])
-    if with_error:
-        return float(value), float(err)
-    return float(value)
+    return float(value), float(err)
 
 
 def stieltjes_mass(a: float, b: float, alpha: float, n_points: int = 33,
                    eta_ladder=(0.1, 0.05, 0.025),
-                   quad: QuadratureConfig | None = None,
-                   cache: dict | None = None) -> float:
+                   quad: QuadratureConfig | None = None) -> float:
     """Mass of the limiting measure on [a, b] by Simpson over the density."""
     if n_points % 2 == 0:
         n_points += 1
-    cache = cache if cache is not None else {}
     xs = np.linspace(a, b, n_points)
-    fs = np.array([spectral_density(x, alpha, eta_ladder, quad, cache) for x in xs])
+    fs = np.array([spectral_density(x, alpha, eta_ladder, quad)[0] for x in xs])
     from scipy.integrate import simpson
     return float(simpson(fs, x=xs))
 

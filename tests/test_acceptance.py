@@ -166,12 +166,11 @@ def test_08_local_law_desk_scale(alpha1_ensemble):
 
 def test_09_density_symmetry_and_mass():
     alpha = 0.8
-    cache = {}
-    sym = max(abs(fp.spectral_density(e, alpha, cache=cache)
-                  - fp.spectral_density(-e, alpha, cache=cache))
+    sym = max(abs(fp.spectral_density(e, alpha)[0]
+                  - fp.spectral_density(-e, alpha)[0])
               for e in (0.1, 0.2, 0.3))
     xs = np.linspace(0.0, 10.0, 81)
-    fs = np.array([fp.spectral_density(float(x), alpha, cache=cache) for x in xs])
+    fs = np.array([fp.spectral_density(float(x), alpha)[0] for x in xs])
     mass = 2.0 * simpson(fs, x=xs) + 10.0 ** -alpha  # analytic tail beyond the window
     ok = sym <= 1e-4 and abs(mass - 1.0) <= 0.02
     report(9, ok, f"symmetry defect {sym:.1e}; total mass {mass:.4f}")
@@ -186,7 +185,7 @@ def test_09_density_symmetry_and_mass():
     "20% window at E=5 cannot be met by a correct implementation"))
 def test_09_density_tail_at_five():
     alpha, E = 0.8, 5.0
-    val = E ** (alpha + 1.0) * fp.spectral_density(E, alpha)
+    val = E ** (alpha + 1.0) * fp.spectral_density(E, alpha)[0]
     report(9, abs(val - 0.5 * alpha) <= 0.2 * 0.5 * alpha,
            f"E^(a+1) f(E) = {val:.4f} vs alpha/2 = {0.5 * alpha}")
 

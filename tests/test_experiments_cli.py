@@ -252,6 +252,20 @@ def test_cli_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_density_lost_branch_exits_1(tmp_path, capsys, monkeypatch):
+    s_p = fp.s_p
+
+    def negative_density(z, x, p, alpha, quad=None):
+        val = s_p(z, x, p, alpha, quad)
+        return complex(-abs(val.real) - 1e-6, val.imag) if p == 1.0 else val
+    monkeypatch.setattr(fp, "s_p", negative_density)
+    rc = main(["density", "--points", "3", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "branch tracking" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("option", ["--K", "--sweeps", "--pool"])
 def test_population_dynamics_empty_size_exits_1(option, tmp_path, capsys):
     rc = main(["population-dynamics", option, "0", "--z-im", "0.2",

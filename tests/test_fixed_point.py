@@ -384,13 +384,49 @@ def test_r_p_uniform_bound_in_h():
 
 
 def test_density_symmetry_and_known_scale():
-    cache = {}
-    f0 = spectral_density(0.0, 1.0, cache=cache)
+    f0 = spectral_density(0.0, 1.0)[0]
     assert 0.25 < f0 < 0.4  # bounded density, same scale as the semicircle
-    assert abs(spectral_density(0.4, 1.0, cache=cache)
-               - spectral_density(-0.4, 1.0, cache=cache)) < 1e-6
+    assert abs(spectral_density(0.4, 1.0)[0]
+               - spectral_density(-0.4, 1.0)[0]) < 1e-6
     with pytest.raises(ValueError):
         spectral_density(0.0, 1.0, eta_ladder=(0.1,))
+
+
+def test_density_ladder_above_the_start():
+    # eta = 6 lies above max(4, 2|E|): its root must be solved at 6i, not 4i
+    etas = (6.0, 5.0)
+    f = []
+    for eta in etas:
+        x = solve_tilde_gamma(1j * eta, 1.0)
+        f.append((1j * fp.s_p(1j * eta, x, 1.0, 1.0)).imag / np.pi)
+    direct = (etas[0] * f[1] - etas[1] * f[0]) / (etas[0] - etas[1])
+    value, err = spectral_density(0.0, 1.0, eta_ladder=etas)
+    assert abs(value - direct) <= 1e-10 * abs(direct)
+    assert abs(err - abs(direct - f[1])) <= 1e-10 * abs(direct)
+
+
+def _flip_s1(monkeypatch, re_s1):
+    """Make every p = 1 call of s_p return real part ``re_s1``."""
+    s_p = fp.s_p
+
+    def flipped(z, x, p, alpha, quad=None):
+        val = s_p(z, x, p, alpha, quad)
+        return complex(re_s1, val.imag) if p == 1.0 else val
+    monkeypatch.setattr(fp, "s_p", flipped)
+
+
+@pytest.mark.parametrize("re_s1", [-2e-9, -1.0])
+def test_density_branch_guard_raises(re_s1, monkeypatch):
+    # Im(i s_1) = Re s_1 is pi times the density at that rung
+    _flip_s1(monkeypatch, re_s1)
+    with pytest.raises(FixedPointError, match="branch tracking"):
+        spectral_density(0.5, 1.0)
+
+
+def test_density_branch_guard_tolerates_round_off(monkeypatch):
+    _flip_s1(monkeypatch, -0.5e-9)
+    value, _ = spectral_density(0.5, 1.0)
+    assert abs(value) < 1e-9
 
 
 def test_density_matches_eigenvalue_histogram():

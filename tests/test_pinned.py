@@ -76,7 +76,7 @@ def _pool(z):
 
 def _density(alpha):
     """The f_star values on DENSITY_E, then their extrapolation errors."""
-    pairs = [fp.spectral_density(e, alpha, with_error=True) for e in DENSITY_E]
+    pairs = [fp.spectral_density(e, alpha) for e in DENSITY_E]
     return np.array([f for f, _ in pairs] + [err for _, err in pairs], dtype=complex)
 
 
