@@ -421,10 +421,16 @@ def alpha_scan(alpha_grid, n_nodes: int = 64, kappa: float = 0.5,
 
 
 def flag_minima(results) -> list[int]:
-    """Indices of strict interior local minima of |det_deflated|."""
+    """Indices of strict interior local minima of |det_deflated|.
+
+    Neighbours are compared within one band power m only: |det| jumps
+    where m switches, and that jump is not a minimum.
+    """
     mags = np.array([abs(r.det_deflated) for r in results])
+    bands = [r.m for r in results]
     return [i for i in range(1, len(mags) - 1)
-            if mags[i] < mags[i - 1] and mags[i] < mags[i + 1]]
+            if bands[i - 1] == bands[i] == bands[i + 1]
+            and mags[i] < mags[i - 1] and mags[i] < mags[i + 1]]
 
 
 # ---------------------------------------------------------------------------

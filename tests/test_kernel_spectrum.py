@@ -252,6 +252,19 @@ def test_alpha_scan_smoke():
     assert len(results) == 1 and len(failures) == 1
 
 
+def test_flag_minima_stays_within_one_band():
+    # |det| jumps down where m switches from 4 to 2 (alpha = 1); the first
+    # point of the new band is below both neighbours but no minimum
+    def result(alpha, m, mag):
+        return ks.FredholmResult(alpha=alpha, m=m, det_value=0j, det_deflated=mag,
+                                 n_structural=2, grid_size=48, refinement_delta=0.0)
+    scan = [result(0.9, 4, 0.90), result(0.95, 4, 0.93), result(0.975, 4, 0.966),
+            result(1.025, 2, 0.651), result(1.05, 2, 0.70), result(1.075, 2, 0.66),
+            result(1.1, 2, 0.72)]
+    assert ks.flag_minima(scan) == [5]
+    assert ks.flag_minima(scan[:5]) == []
+
+
 def test_alpha_scan_refinement_stable():
     grid = [1.15, 1.325, 1.5, 1.675, 1.85]
     results, failures = ks.alpha_scan(grid, n_nodes=48, refine=True)
