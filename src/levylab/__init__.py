@@ -30,7 +30,6 @@ from .stable_random import (
     PoissonWeights,
     StableLaw,
     poisson_weights,
-    sample_gaussian,
     sample_standard_stable,
     substream,
 )
@@ -42,7 +41,7 @@ __all__ = [
     "LevyMatrix", "ResolventDiagonal", "SpectralDecomposition",
     "build_levy_matrix", "eigendecompose", "empirical_gamma",
     "fractional_moment", "resolvent_diagonal",
-    "PoissonWeights", "StableLaw", "poisson_weights", "sample_gaussian",
+    "PoissonWeights", "StableLaw", "poisson_weights",
     "sample_standard_stable", "substream",
     "__version__",
 ]

@@ -1,5 +1,5 @@
-"""Seeded heavy-tailed randomness: symmetric stable draws, Gaussians and
-ordered Poisson-process weights.
+"""Seeded heavy-tailed randomness: symmetric stable draws and ordered
+Poisson-process weights.
 
 Every sampler is a pure function of an explicit ``numpy.random.Generator``
 so identical seeds give bit-identical output sequences.  Independent
@@ -104,13 +104,6 @@ def sample_standard_stable(law: StableLaw, rng: np.random.Generator, size=None):
              * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha))
     x = law.sigma * x
     return float(x[0]) if scalar else x
-
-
-def sample_gaussian(rng: np.random.Generator, size=None):
-    """Standard normal draw(s)."""
-    if size is None:
-        return float(rng.standard_normal())
-    return rng.standard_normal(size)
 
 
 def poisson_weights(alpha: float, K: int, rng: np.random.Generator) -> PoissonWeights:

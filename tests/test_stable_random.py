@@ -8,7 +8,6 @@ from levylab.stable_random import (
     levy_khintchine_rhs,
     poisson_weights,
     poisson_weights_matrix,
-    sample_gaussian,
     sample_standard_stable,
     substream,
     tail_one_sigma_alpha,
@@ -57,15 +56,6 @@ def test_characteristic_function(alpha):
     for t in (0.5, 1.0, 2.0):
         emp = np.mean(np.cos(t * x))
         assert abs(emp - np.exp(-law.sigma_alpha * t ** alpha)) < 4 / np.sqrt(n)
-
-
-def test_gaussian_moments():
-    g = sample_gaussian(substream(46), size=10 ** 6)
-    assert abs(np.mean(g)) < 3e-3
-    assert abs(np.var(g) - 1.0) < 0.01
-    # E|g| = sqrt(2/pi) for the half-normal
-    assert abs(np.mean(np.abs(g)) - np.sqrt(2 / np.pi)) < 0.01 * np.sqrt(2 / np.pi)
-    assert isinstance(sample_gaussian(substream(0)), float)
 
 
 def test_poisson_weights_contract():
