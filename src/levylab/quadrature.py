@@ -57,7 +57,8 @@ def tanh_sinh(a: float, b: float, n: int, endpoint_exponent: float = 0.0):
     """
     sp, sm, unit = _unit_tanh_sinh(n, endpoint_exponent)
     width = b - a
-    return a + width * sp, unit * width, width * sp, width * sm
+    dist_a = width * sp
+    return a + dist_a, unit * width, dist_a, width * sm
 
 
 def sin2_theta_rule(n: int, exponent):
