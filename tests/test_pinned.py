@@ -7,7 +7,9 @@ difference-integral core, Fredholm determinants recorded before the
 kernel was evaluated row by row with the mirror fill, pool members
 of ``population_dynamics`` recorded before its sweep ran on threads, and
 limiting densities and a Stieltjes mass recorded before each energy's
-eta ladder became one continuation.  Any later rewrite
+eta ladder became one continuation, and on-axis absolute moments,
+signed moments and scalar roots recorded before the two radial
+integrals became one.  Any later rewrite
 must reproduce them to ``RTOL`` (or the case's entry in ``CASE_RTOL``) in
 the sup norm.
 
@@ -48,6 +50,15 @@ FREDHOLM_NODES = 32
 POOL_Z = [0.2j, 0.3 + 0.2j]
 DENSITY_ALPHAS = [0.8, 1.0]
 DENSITY_E = [0.0, 0.5, 1.0, 2.5, 5.0]
+R_P_Z = [0.25j, 1j]
+R_P_ORDERS = [0.5, 1.0, 2.0]
+#: (z, x): |Re z| below and above half of Im z, where s_p used to switch
+#: from the plain to the rotated radial integral
+S_P_POINTS = [(0.1 + 0.4j, 0.9 + 0.1j), (-0.15 + 0.4j, 0.9 - 0.1j),
+              (0.3 + 0.4j, 0.9 + 0.1j), (-1.0 + 0.2j, 0.5 + 0.3j),
+              (3.0 + 0.05j, 0.4 + 0.6j)]
+S_P_ORDERS = [0.5, 1.0]
+TILDE_GAMMA_Z = [0.1j, 0.4 + 0.1j, 1.0 + 0.5j, -2.0 + 1.0j]
 
 
 def _eval_G(alpha, z, quad):
@@ -80,6 +91,19 @@ def _density(alpha):
     return np.array([f for f, _ in pairs] + [err for _, err in pairs], dtype=complex)
 
 
+def _r_p(z, quad):
+    g = fp.gamma_star_zero(1.0)
+    return np.array([fp.r_p(z, g, p, quad) for p in R_P_ORDERS])
+
+
+def _s_p(alpha):
+    return np.array([fp.s_p(z, x, p, alpha) for z, x in S_P_POINTS for p in S_P_ORDERS])
+
+
+def _tilde_gamma(alpha):
+    return np.array([fp.solve_tilde_gamma(z, alpha) for z in TILDE_GAMMA_Z])
+
+
 def _not_a_fixed_point():
     return from_callable(0.6, lambda t: 1.0 + 0.3 * np.cos(3 * t) + 0.2j * np.sin(t), 33)
 
@@ -109,6 +133,13 @@ def cases() -> dict:
         out[f"spectral_density alpha={a}"] = partial(_density, a)
     out["stieltjes_mass(-0.1, 0.1, 1.0, n_points=9)"] = \
         lambda: np.array([fp.stieltjes_mass(-0.1, 0.1, 1.0, n_points=9)], dtype=complex)
+    for z in R_P_Z:
+        for qname, quad in (("fast", fp.QuadratureConfig.fast()),
+                            ("default", fp.QuadratureConfig())):
+            out[f"r_p gamma_star_zero(1.0) z={z} {qname}"] = partial(_r_p, z, quad)
+    for a in (0.8, 1.0):
+        out[f"s_p alpha={a}"] = partial(_s_p, a)
+        out[f"solve_tilde_gamma alpha={a}"] = partial(_tilde_gamma, a)
     return out
 
 
