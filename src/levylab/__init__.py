@@ -26,13 +26,7 @@ from .matrix_model import (
     fractional_moment,
     resolvent_diagonal,
 )
-from .stable_random import (
-    PoissonWeights,
-    StableLaw,
-    poisson_weights,
-    sample_standard_stable,
-    substream,
-)
+from .stable_random import StableLaw, sample_standard_stable, substream
 
 __all__ = [
     "HomogeneousFn", "check_involution", "default_grid", "dot", "kappa_norm",
@@ -41,7 +35,6 @@ __all__ = [
     "LevyMatrix", "ResolventDiagonal", "SpectralDecomposition",
     "build_levy_matrix", "eigendecompose", "empirical_gamma",
     "fractional_moment", "resolvent_diagonal",
-    "PoissonWeights", "StableLaw", "poisson_weights",
-    "sample_standard_stable", "substream",
+    "StableLaw", "sample_standard_stable", "substream",
     "__version__",
 ]

@@ -119,13 +119,12 @@ def solve_fixed_point(cfg, args) -> RunRecord:
 
 def density(cfg, args) -> RunRecord:
     quad = QuadratureConfig().scaled(cfg.quad_scale)
-    rows = []
-    for e in np.linspace(0.0, args.e_max, args.points):
-        val, err = spectral_density(float(e), cfg.alpha, cfg.eta_ladder, quad=quad)
-        rows.append((e, val, cfg.eta_ladder[-1], err))
+    es = np.linspace(0.0, args.e_max, args.points)
+    vals, errs = spectral_density(es, cfg.alpha, cfg.eta_ladder, quad=quad)
     return RunRecord("density", cfg,
                      columns=("E", "f_star", "eta_used", "extrapolation_error"),
-                     rows=tuple(rows))
+                     rows=tuple((e, val, cfg.eta_ladder[-1], err)
+                                for e, val, err in zip(es, vals, errs)))
 
 
 def pool_run(cfg, args) -> RunRecord:

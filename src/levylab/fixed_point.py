@@ -125,75 +125,57 @@ class QuadratureConfig:
         return QuadratureConfig(n_theta=72, n_s=73, n_y=20, n_w=20)
 
 
-def _s_truncation(alpha: float, re_h: float, eps_g: float, budget: float) -> float:
+def _s_truncation(alpha: float, re_h, eps_g, budget: float):
     """Upper limit where the worst-case exponent reaches the decay budget.
 
     The exponent is re_h * s**(2/alpha) + eps_g * s with 2/alpha > 1, so
     a positive re_h guarantees decay even against a negative eps_g.
+    Elementwise over the broadcast re_h and eps_g.
     """
-    if re_h <= 0:
-        if eps_g <= 0:
-            raise QuadratureError(
-                "integrand does not decay: need Re(h) > 0 or Re(g) > 0 on the grid")
-        return budget / eps_g
-    s = (budget / re_h) ** (0.5 * alpha)
-    if eps_g >= 0:
-        return min(s, budget / eps_g) if eps_g > 0 else s
-    while re_h * s ** (2.0 / alpha) + eps_g * s < budget:
-        s *= 1.3
-    return s
+    re_h, eps_g = np.broadcast_arrays(np.asarray(re_h, dtype=float),
+                                      np.asarray(eps_g, dtype=float))
+    if np.any((re_h <= 0) & (eps_g <= 0)):
+        raise QuadratureError(
+            "integrand does not decay: need Re(h) > 0 or Re(g) > 0 on the grid")
+    with np.errstate(divide="ignore"):
+        s = np.where(re_h > 0, (budget / re_h) ** (0.5 * alpha), np.inf)
+        s = np.minimum(s, np.where(eps_g > 0, budget / eps_g, np.inf))
+    short = (eps_g < 0) & (re_h * s ** (2.0 / alpha) + eps_g * s < budget)
+    while np.any(short):
+        s = np.where(short, s * 1.3, s)
+        short &= re_h * s ** (2.0 / alpha) + eps_g * s < budget
+    return s[()]
 
 
-def radial_integral(beta: float, H, X, alpha: float, n_s: int = 97,
-                    budget: float = 40.0):
+def radial_integral_rotated(beta: float, H, X, alpha: float, n_s: int = 97,
+                            budget: float = 40.0):
     """``int_0^inf r**(beta-1) exp(-r H - r**(alpha/2) X) dr`` (elementwise).
 
-    H and X broadcast; requires min Re(X) > 0 or min Re(H) > 0.
+    H and X broadcast; each point needs Re(H) > 0, or Re(H) = 0 and
+    Re(X) > 0.  For H = -iz with small Im(z) and large |Re(z)| the
+    integrand oscillates hundreds of cycles under slow decay; rotating
+    r -> rho*exp(i phi) toward -arg(H) (capped so the stretched-power
+    term keeps a positive real part) makes it monotone-decaying, by
+    Cauchy's theorem without changing the value.  Each point has its own
+    angle (none where Re(H) <= 0 or H is real) and its own truncation.
     """
-    H = np.asarray(H, dtype=complex)
-    X = np.asarray(X, dtype=complex)
-    re_h = float(np.min(H.real)) if H.size else 0.0
-    re_x = float(np.min(X.real)) if X.size else 0.0
-    if re_h < -1e-12:
+    H, X = np.broadcast_arrays(np.asarray(H, dtype=complex), np.asarray(X, dtype=complex))
+    if np.any(H.real < -1e-12):
         raise QuadratureError("radial integral needs Re(H) >= 0")
-    s_star = _s_truncation(alpha, max(re_h, 0.0), re_x, budget)
+    a2 = 0.5 * alpha
+    phi = np.where((H.real > 0) & (H.imag != 0), -np.angle(H), 0.0)
+    sign = np.sign(phi)
+    cap = np.where(X != 0, (0.5 * np.pi - 0.15 - sign * np.angle(X)) / a2, np.inf)
+    phi = sign * np.minimum(np.minimum(np.abs(phi), np.maximum(cap, 0.0)),
+                            0.5 * np.pi - 0.05)
+    rot = np.exp(1j * phi)
+    H, X = H * rot, X * rot ** a2
+    s_star = _s_truncation(alpha, np.maximum(H.real, 0.0), X.real, budget)
     power = 2.0 * beta / alpha - 1.0
     s, ws, *_ = tanh_sinh(0.0, s_star, n_s, endpoint_exponent=power)
-    s2a = s ** (2.0 / alpha)
-    shape = np.broadcast_shapes(H.shape, X.shape)
-    Hb = np.broadcast_to(H, shape)[..., None]
-    Xb = np.broadcast_to(X, shape)[..., None]
-    return (2.0 / alpha) * np.exp(-Hb * s2a - Xb * s) @ (ws * s ** power)
-
-
-def radial_integral_rotated(beta: float, h: complex, x: complex, alpha: float,
-                            n_s: int = 97, budget: float = 40.0) -> complex:
-    """Scalar radial integral with the contour rotated into the decay sector.
-
-    For h = -iz with small Im(z) and large |Re(z)| the integrand
-    oscillates hundreds of cycles under slow decay; rotating
-    r -> rho*exp(i phi) toward -arg(h) (capped so the stretched-power
-    term keeps a positive real part) makes it monotone-decaying, by
-    Cauchy's theorem without changing the value.
-    """
-    h = complex(h)
-    x = complex(x)
-    if h.real <= 0:
-        raise QuadratureError("rotated radial integral needs Re(h) > 0")
-    phi = -np.angle(h)
-    margin = 0.15
-    a2 = 0.5 * alpha
-    if phi > 0:
-        cap = (0.5 * np.pi - margin - np.angle(x) if x != 0 else np.inf) / a2
-        phi = min(phi, max(cap, 0.0), 0.5 * np.pi - 0.05)
-    elif phi < 0:
-        cap = (0.5 * np.pi - margin + np.angle(x) if x != 0 else np.inf) / a2
-        phi = max(phi, -max(cap, 0.0), -0.5 * np.pi + 0.05)
-    rot = np.exp(1j * phi)
-    val = radial_integral(beta, np.asarray(h * rot),
-                          np.asarray(x * rot ** a2, dtype=complex),
-                          alpha, n_s, budget)
-    return complex(np.exp(1j * beta * phi) * val)
+    terms = np.exp(-H[..., None] * s ** (2.0 / alpha) - X[..., None] * s)
+    val = (2.0 / alpha) * np.einsum("...k,...k->...", terms, ws * s ** power)
+    return (np.exp(1j * beta * phi) * val)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -434,117 +416,112 @@ def r_p(z: complex, f: HomogeneousFn, p: float,
 
     Double integral (2^(1-p/2)/Gamma(p/2)^2) * int dtheta
     sin(2 theta)^(p/2-1) int dr r^(p-1) exp(-r h.e^{i theta}
-    - r^(alpha/2) f(e^{i theta})) with h = -iz; for Im z > 0 the radial
-    factor decays like exp(-r Im z), so no oscillatory quadrature is
-    needed.
-    """
-    if p <= 0:
-        raise ValueError("moment order must be positive")
-    quad = quad or QuadratureConfig()
-    z = complex(z)
-    h = -1j * z
-    alpha = 2.0 * f.beta
-    if h.real <= 0 and f.min_real_part() <= 0:
-        raise QuadratureError("need Im z > 0 or Re f > 0 on the grid")
-    th, weight = sin2_theta_rule(quad.n_theta, 0.5 * p - 1.0)
-    radial = radial_integral(p, dot(h, np.exp(1j * th)), f.values_at_angle(th),
-                             alpha, quad.n_s, quad.exp_budget)
-    const = 2.0 ** (1.0 - 0.5 * p) / gamma_fn(0.5 * p) ** 2
-    return complex(const * (weight @ radial))
-
-
-def s_p(z: complex, x: complex, p: float, alpha: float,
-        quad: QuadratureConfig | None = None) -> complex:
-    """Signed moment functional s_{p,z}(x) = E(-i R(z))^p at x = gamma*_z(1).
-
-    Single radial integral (1/Gamma(p)) int r^(p-1)
-    exp(-r(-iz) - r^(alpha/2) x) dr; with z = i eta and x = 0 this is
-    the Gamma integral eta^(-p).
+    - r^(alpha/2) f(e^{i theta})) with h = -iz; each angle's radial
+    integral is rotated into its own decay sector, so a small Im z under
+    a large |Re z| needs no oscillatory quadrature.
     """
     if p <= 0:
         raise ValueError("moment order must be positive")
     quad = quad or QuadratureConfig()
     h = -1j * complex(z)
-    x = complex(x)
-    if h.real <= 0 and x.real <= 0:
-        raise QuadratureError("need Im z > 0 or Re x > 0")
-    if h.real > 0 and abs(h.imag) > 0.5 * h.real:
-        val = radial_integral_rotated(p, h, x, alpha, quad.n_s, quad.exp_budget)
-    else:
-        val = radial_integral(p, np.asarray(h), np.asarray(x, dtype=complex),
-                              alpha, quad.n_s, quad.exp_budget)
-    return complex(val / gamma_fn(p))
+    th, weight = sin2_theta_rule(quad.n_theta, 0.5 * p - 1.0)
+    radial = radial_integral_rotated(p, dot(h, np.exp(1j * th)), f.values_at_angle(th),
+                                     2.0 * f.beta, quad.n_s, quad.exp_budget)
+    const = 2.0 ** (1.0 - 0.5 * p) / gamma_fn(0.5 * p) ** 2
+    return complex(const * (weight @ radial))
+
+
+def s_p(z, x, p: float, alpha: float, quad: QuadratureConfig | None = None):
+    """Signed moment functional s_{p,z}(x) = E(-i R(z))^p at x = gamma*_z(1).
+
+    Single radial integral (1/Gamma(p)) int r^(p-1)
+    exp(-r(-iz) - r^(alpha/2) x) dr; with z = i eta and x = 0 this is
+    the Gamma integral eta^(-p).  z and x broadcast; scalars give a
+    complex.
+    """
+    if p <= 0:
+        raise ValueError("moment order must be positive")
+    quad = quad or QuadratureConfig()
+    val = radial_integral_rotated(p, -1j * np.asarray(z, dtype=complex), x, alpha,
+                                  quad.n_s, quad.exp_budget) / gamma_fn(p)
+    return complex(val) if np.ndim(val) == 0 else val
 
 
 # ---------------------------------------------------------------------------
 # scalar reduction at u = 1 and the spectral density
 # ---------------------------------------------------------------------------
 
-def solve_tilde_gamma(z: complex, alpha: float, tol: float = 1e-12,
-                      x0: complex | None = None, max_iter: int = 200,
-                      quad: QuadratureConfig | None = None) -> complex:
+def solve_tilde_gamma(z, alpha: float, tol: float = 1e-12, x0=None,
+                      max_iter: int = 200, quad: QuadratureConfig | None = None):
     """Solve the scalar consistency x = Gamma(1-alpha/2) s_{alpha/2,z}(x).
 
     This is the value gamma*_z(1) of the functional fixed point; a
-    guarded Newton iteration on one complex unknown, usable far outside
-    the small-|z| disc where the functional solver is trusted.
+    guarded Newton iteration on one complex unknown per z, usable far
+    outside the small-|z| disc where the functional solver is trusted.
+    An array of z (with ``x0`` broadcast to it) is solved point by point
+    under masks: each point takes the steps of its own scalar solve.  A
+    scalar z returns a complex.
     """
     quad = quad or QuadratureConfig()
-    h = -1j * complex(z)
-    if h.real <= 0:
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()
+    if np.any(z.imag <= 0):
         raise ValueError("scalar solve needs Im z > 0")
     c1 = gamma_fn(1.0 - 0.5 * alpha)
-    x = complex(x0) if x0 is not None else complex(a_zero(alpha))
-    if x.real <= 0:
-        x = complex(a_zero(alpha))
+    x = np.broadcast_to(a_zero(alpha) if x0 is None else x0, shape).astype(complex).ravel()
+    x[x.real <= 0] = a_zero(alpha)
 
-    def rhs(v):
-        return c1 * s_p(z, v, 0.5 * alpha, alpha, quad)
+    def rhs(v, k):
+        return c1 * s_p(z[k], v, 0.5 * alpha, alpha, quad)
 
-    def F(v):
-        return v - rhs(v)
-
-    fx = F(x)
+    fx = x - rhs(x, slice(None))
     for _ in range(max_iter):
-        if abs(fx) <= tol:
-            return x
+        k = np.flatnonzero(~(np.abs(fx) <= tol))
+        if not k.size:
+            break
         # F'(x) = 1 + Gamma(1-a/2)/Gamma(a/2) * J(alpha; h, x)
         deriv = 1.0 + c1 / gamma_fn(0.5 * alpha) * radial_integral_rotated(
-            alpha, h, x, alpha, quad.n_s, quad.exp_budget)
-        step = fx / deriv
+            alpha, -1j * z[k], x[k], alpha, quad.n_s, quad.exp_budget)
+        step = fx[k] / deriv
         lam = 1.0
-        improved = False
         for _ in range(25):
-            cand = x - lam * step
-            f_cand = F(cand)
-            if abs(f_cand) < abs(fx):
-                x, fx = cand, f_cand
-                improved = True
+            cand = x[k] - lam * step
+            f_cand = cand - rhs(cand, k)
+            better = np.abs(f_cand) < np.abs(fx[k])
+            x[k[better]], fx[k[better]] = cand[better], f_cand[better]
+            k, step = k[~better], step[~better]
+            if not k.size:
                 break
             lam *= 0.5
-        if not improved:
+        if k.size:
             # damped Picard rescue through nearly neutral stretches
+            v = x[k]
             for _ in range(400):
-                x = 0.7 * x + 0.3 * rhs(x)
-            fx = F(x)
-            if not abs(fx) < np.inf:
+                v = 0.7 * v + 0.3 * rhs(v, k)
+            x[k], fx[k] = v, v - rhs(v, k)
+            diverged = k[~(np.abs(fx[k]) < np.inf)]
+            if diverged.size:
                 raise FixedPointError(
-                    f"scalar solve diverged at z={z}")
-    if abs(fx) <= tol:
-        return x
-    raise FixedPointError(
-        f"scalar solve did not reach {tol:.1e} at z={z}: |F|={abs(fx):.3e}")
+                    f"scalar solve diverged at z={complex(z[diverged[0]])}")
+    failed = np.flatnonzero(~(np.abs(fx) <= tol))
+    if failed.size:
+        i = failed[0]
+        raise FixedPointError(
+            f"scalar solve did not reach {tol:.1e} at z={complex(z[i])}: "
+            f"|F|={abs(fx[i]):.3e}")
+    x = x.reshape(shape)
+    return complex(x) if x.ndim == 0 else x
 
 
-def spectral_density(E: float, alpha: float,
-                     eta_ladder=(0.1, 0.05, 0.025),
-                     quad: QuadratureConfig | None = None) -> tuple[float, float]:
+def spectral_density(E, alpha: float, eta_ladder=(0.1, 0.05, 0.025),
+                     quad: QuadratureConfig | None = None):
     """Limiting spectral density at energy E by Stieltjes inversion.
 
     Evaluates (1/pi) Im[i s_{1, E+i eta}(gamma~*_{E+i eta})] on a
     decreasing eta ladder and removes the O(eta) smoothing bias by
     first-order Richardson extrapolation.  Returns the extrapolated
-    value and the change of the last extrapolation step as its error.
+    value and the change of the last extrapolation step as its error:
+    two floats for a scalar E, two arrays of E's shape otherwise.
 
     The consistency equation grows spurious attracting roots at moderate
     E and small eta; the physical branch (the one matching the
@@ -552,29 +529,38 @@ def spectral_density(E: float, alpha: float,
     starting high in the upper half-plane, where the map is a strong
     contraction with a unique root, and tracking the analytic branch
     down through every ladder eta with warm-started Newton steps, in one
-    continuation.  A negative density at a rung means the track jumped.
+    continuation per energy.  A negative density at a rung means the
+    track jumped.
     """
     etas = tuple(float(e) for e in eta_ladder)
     if len(etas) < 2 or any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("eta ladder must strictly decrease, length >= 2")
     quad = quad or QuadratureConfig()
-    h = max(4.0, 2.0 * abs(E), etas[0])
-    x = solve_tilde_gamma(complex(E, h), alpha, quad=quad)
+    shape = np.shape(E)
+    E = np.asarray(E, dtype=float).ravel()
+    h = np.maximum(max(4.0, etas[0]), 2.0 * np.abs(E))
+    x = solve_tilde_gamma(E + 1j * h, alpha, quad=quad)
     f_eta = []
     for eta in etas:
-        while h > eta:
-            h = max(eta, 0.75 * h)
-            x = solve_tilde_gamma(complex(E, h), alpha, x0=x, quad=quad)
-        m = 1j * s_p(complex(E, eta), x, 1.0, alpha, quad)
-        if m.imag < -1e-9:
+        # every energy starts at its own height; only those above eta step
+        while np.any(above := h > eta):
+            h[above] = np.maximum(eta, 0.75 * h[above])
+            x[above] = solve_tilde_gamma(E[above] + 1j * h[above], alpha,
+                                         x0=x[above], quad=quad)
+        z = E + 1j * eta
+        m = 1j * s_p(z, x, 1.0, alpha, quad)
+        lost = np.flatnonzero(m.imag < -1e-9)
+        if lost.size:
             raise FixedPointError(
-                f"branch tracking lost the physical root at z={complex(E, eta)}")
+                f"branch tracking lost the physical root at z={complex(z[lost[0]])}")
         f_eta.append(m.imag / np.pi)
     extrap = [(ea * fb - eb * fa) / (ea - eb)
               for (ea, fa), (eb, fb) in zip(zip(etas, f_eta), zip(etas[1:], f_eta[1:]))]
     value = extrap[-1]
-    err = abs(extrap[-1] - extrap[-2]) if len(extrap) > 1 else abs(value - f_eta[-1])
-    return float(value), float(err)
+    err = np.abs(extrap[-1] - extrap[-2]) if len(extrap) > 1 else np.abs(value - f_eta[-1])
+    if not shape:
+        return float(value[0]), float(err[0])
+    return value.reshape(shape), err.reshape(shape)
 
 
 def stieltjes_mass(a: float, b: float, alpha: float, n_points: int = 33,
@@ -584,7 +570,7 @@ def stieltjes_mass(a: float, b: float, alpha: float, n_points: int = 33,
     if n_points % 2 == 0:
         n_points += 1
     xs = np.linspace(a, b, n_points)
-    fs = np.array([spectral_density(x, alpha, eta_ladder, quad)[0] for x in xs])
+    fs = spectral_density(xs, alpha, eta_ladder, quad)[0]
     from scipy.integrate import simpson
     return float(simpson(fs, x=xs))
 

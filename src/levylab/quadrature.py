@@ -54,9 +54,15 @@ def tanh_sinh(a: float, b: float, n: int, endpoint_exponent: float = 0.0):
     Returns ``(nodes, weights, dist_a, dist_b)`` where the dist arrays
     are the node distances to each endpoint, computed without
     cancellation (needed to evaluate singular factors accurately).
+    Array endpoints give one rule per entry: the returned arrays have
+    shape ``(b - a).shape + (k,)``.  Scalar endpoints take the scalar
+    arithmetic unchanged.
     """
     sp, sm, unit = _unit_tanh_sinh(n, endpoint_exponent)
     width = b - a
+    if np.ndim(width):
+        a = np.asarray(a, dtype=float)[..., None]
+        width = np.asarray(width, dtype=float)[..., None]
     dist_a = width * sp
     return a + dist_a, unit * width, dist_a, width * sm
 

@@ -49,32 +49,6 @@ class StableLaw:
         return self.sigma_alpha ** (1.0 / self.alpha)
 
 
-@dataclass(frozen=True)
-class PoissonWeights:
-    """The K largest points xi_1 >= xi_2 >= ... of the weight process.
-
-    Constructor contract: xi_k = (E_1 + ... + E_k) ** (-2/alpha) with
-    i.i.d. unit exponentials E_i, so that #{k : xi_k >= u} is Poisson
-    with mean u^(-alpha/2).
-    """
-
-    alpha: float
-    xi: np.ndarray
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        xi = np.asarray(self.xi, dtype=float)
-        if xi.ndim != 1 or xi.size < 1:
-            raise ValueError("xi must be a non-empty vector")
-        if np.any(xi <= 0) or np.any(np.diff(xi) > 0):
-            raise ValueError("xi must be positive and nonincreasing")
-        object.__setattr__(self, "xi", xi)
-
-    @property
-    def truncation(self) -> int:
-        return int(self.xi.size)
-
-
 def substream(master_seed: int, *task_index: int) -> np.random.Generator:
     """Independent generator for (master seed, task index...)."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=task_index))
@@ -106,17 +80,14 @@ def sample_standard_stable(law: StableLaw, rng: np.random.Generator, size=None):
     return float(x[0]) if scalar else x
 
 
-def poisson_weights(alpha: float, K: int, rng: np.random.Generator) -> PoissonWeights:
-    """The K largest weights xi_k = Gamma_k^(-2/alpha) of one realization."""
-    _check_alpha(alpha)
-    if K < 1:
-        raise ValueError("truncation K must be at least 1")
-    return PoissonWeights(alpha, arrival_weights(alpha, rng.standard_exponential(K)))
-
-
 def poisson_weights_matrix(alpha: float, shape: tuple[int, int],
                            rng: np.random.Generator) -> np.ndarray:
-    """Rows of independent weight vectors; bulk variant of poisson_weights."""
+    """Rows of independent weight vectors xi_1 >= ... >= xi_K, one per row.
+
+    xi_k = (E_1 + ... + E_k) ** (-2/alpha) with i.i.d. unit exponentials
+    E_i, the K largest points of the weight process: #{k : xi_k >= u} is
+    Poisson with mean u^(-alpha/2).
+    """
     _check_alpha(alpha)
     return arrival_weights(alpha, rng.standard_exponential(shape))
 

@@ -257,7 +257,7 @@ def test_density_lost_branch_exits_1(tmp_path, capsys, monkeypatch):
 
     def negative_density(z, x, p, alpha, quad=None):
         val = s_p(z, x, p, alpha, quad)
-        return complex(-abs(val.real) - 1e-6, val.imag) if p == 1.0 else val
+        return -np.abs(np.real(val)) - 1e-6 + 1j * np.imag(val) if p == 1.0 else val
     monkeypatch.setattr(fp, "s_p", negative_density)
     rc = main(["density", "--points", "3", "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()

@@ -23,14 +23,15 @@ from levylab.fixed_point import (
     pool_moment,
     population_dynamics,
     r_p,
-    radial_integral,
     radial_integral_rotated,
     s_p,
     solve_gamma_star,
     solve_tilde_gamma,
     spectral_density,
 )
+from levylab.halfplane import dot
 from levylab.matrix_model import empirical_gamma
+from levylab.quadrature import sin2_theta_rule, tanh_sinh
 
 
 def test_constants():
@@ -38,18 +39,26 @@ def test_constants():
     assert abs(a_zero(1.0) - np.sqrt(2)) < 1e-14
 
 
+def _unrotated(beta, h, x, alpha, n_s=97, budget=40.0):
+    """The radial integral of one point on the real r axis (no rotation)."""
+    s_star = fp._s_truncation(alpha, max(h.real, 0.0), x.real, budget)
+    power = 2.0 * beta / alpha - 1.0
+    s, ws, *_ = tanh_sinh(0.0, s_star, n_s, endpoint_exponent=power)
+    return (2.0 / alpha) * complex(np.exp(-h * s ** (2.0 / alpha) - x * s) @ (ws * s ** power))
+
+
 def test_radial_integral_closed_forms():
     alpha = 1.2
     # pure exponential: int r^(b-1) e^{-rH} = Gamma(b) H^-b
-    v = radial_integral(1.7, np.asarray(0.8 + 0.3j), np.asarray(0.0j), alpha)
+    v = radial_integral_rotated(1.7, np.asarray(0.8 + 0.3j), np.asarray(0.0j), alpha)
     exact = gamma_fn(1.7) * (0.8 + 0.3j) ** -1.7
     assert abs(v - exact) < 1e-10
     # pure stretched exponential: (2/a) Gamma(2b/a) X^(-2b/a)
-    v = radial_integral(0.6, np.asarray(0.0j), np.asarray(1.5 + 0.0j), alpha)
+    v = radial_integral_rotated(0.6, np.asarray(0.0j), np.asarray(1.5 + 0.0j), alpha)
     exact = (2 / alpha) * gamma_fn(1.2 / alpha) * 1.5 ** (-1.2 / alpha)
     assert abs(v - exact) < 1e-10
     with pytest.raises(QuadratureError):
-        radial_integral(1.0, np.asarray(0.0j), np.asarray(0.0j), alpha)
+        radial_integral_rotated(1.0, np.asarray(0.0j), np.asarray(0.0j), alpha)
 
 
 def test_radial_envelope_debug_mode():
@@ -58,19 +67,31 @@ def test_radial_envelope_debug_mode():
     beta, alpha = 0.9, 1.3
     H = np.array([0.5 + 1.0j, 2.0 + 0.0j, 1e-3 + 0.0j])
     X = np.array([0.7 - 0.2j, 0.1 + 0.1j, 2.0 + 0.5j])
-    vals = radial_integral(beta, H, X, alpha)
+    vals = radial_integral_rotated(beta, H, X, alpha)
     env = np.minimum(
         (2.0 / alpha) * gamma_fn(2.0 * beta / alpha) * X.real ** (-2.0 * beta / alpha),
         gamma_fn(beta) * H.real ** (-beta))
     assert np.all(np.abs(vals) <= env * (1.0 + 1e-8))
 
 
+def test_radial_integral_array_is_per_point():
+    # each point gets its own angle and truncation: the batch equals the
+    # scalar calls, whatever else is in it
+    alpha = 0.9
+    H = np.array([[0.5 + 0.2j, 0.05 - 3.0j], [2.0, 1e-3 + 0.4j]])
+    X = np.array([1.0 + 0.0j, 0.3 + 0.3j])
+    got = radial_integral_rotated(1.3, H, X, alpha)
+    assert got.shape == H.shape
+    for i in np.ndindex(H.shape):
+        one = radial_integral_rotated(1.3, H[i], X[i[-1]], alpha)
+        assert abs(got[i] - one) <= 1e-14 * abs(one)
+
+
 def test_rotated_integral_matches_plain():
     alpha = 0.9
     for h, x in [(0.5 + 0.2j, 1.0 + 0.0j), (1.0 - 0.4j, 0.3 + 0.3j)]:
         a = radial_integral_rotated(1.0, h, x, alpha)
-        b = complex(radial_integral(1.0, np.asarray(h),
-                                    np.asarray(x, dtype=complex), alpha))
+        b = _unrotated(1.0, h, x, alpha)
         assert abs(a - b) < 1e-10 * (1 + abs(b))
 
 
@@ -83,13 +104,42 @@ def test_oscillatory_regime_rotation_consistency():
     got = radial_integral_rotated(1.0, h, x, alpha)
     phi2 = 0.6 * -np.angle(h)
     rot = np.exp(1j * phi2)
-    manual = np.exp(1j * phi2) * complex(radial_integral(
-        1.0, np.asarray(h * rot),
-        np.asarray(x * rot ** (alpha / 2), dtype=complex), alpha, n_s=193))
+    manual = np.exp(1j * phi2) * _unrotated(1.0, h * rot, x * rot ** (alpha / 2),
+                                            alpha, n_s=193)
     assert abs(got - manual) < 1e-7 * (1 + abs(manual))
-    aliased = complex(radial_integral(1.0, np.asarray(h),
-                                      np.asarray(x, dtype=complex), alpha))
+    aliased = _unrotated(1.0, h, x, alpha)
     assert abs(aliased - got) > 100 * abs(got - manual)
+
+
+def _radial_by_quad(beta, H, X, alpha):
+    """One point's radial integral by adaptive quadrature on the real axis,
+    the oscillation e^(-i r Im H) taken as a cos/sin weight."""
+    from scipy.integrate import quad
+
+    def f(r):
+        return r ** (beta - 1.0) * np.exp(-r * H.real - r ** (0.5 * alpha) * X)
+    kw = dict(limit=1000, epsrel=1e-11, epsabs=0.0, complex_func=True)
+    end = 45.0 / H.real
+    if H.imag == 0:
+        return quad(f, 0.0, end, **kw)[0]
+    cos = quad(f, 0.0, end, weight="cos", wvar=abs(H.imag), **kw)[0]
+    sin = quad(f, 0.0, end, weight="sin", wvar=abs(H.imag), **kw)[0]
+    return cos - 1j * np.sign(H.imag) * sin
+
+
+@pytest.mark.parametrize("z, p", [(3.0 + 0.05j, 1.0), (3.0 + 0.05j, 2.0), (1.0 + 0.1j, 1.0)])
+def test_r_p_off_axis_is_not_aliased(z, p):
+    # small Im z under large Re z: every angle's radial integral oscillates;
+    # the reference takes r_p's own angle rule and does each node's radial
+    # integral by adaptive quadrature
+    f = gamma_star_zero(1.0)
+    quad = QuadratureConfig()
+    th, weight = sin2_theta_rule(quad.n_theta, 0.5 * p - 1.0)
+    H = dot(-1j * z, np.exp(1j * th))
+    X = f.values_at_angle(th)
+    radial = np.array([_radial_by_quad(p, Hk, Xk, 1.0) for Hk, Xk in zip(H, X)])
+    ref = 2.0 ** (1.0 - 0.5 * p) / gamma_fn(0.5 * p) ** 2 * (weight @ radial)
+    assert abs(r_p(z, f, p, quad) - ref) <= 1e-9 * abs(ref)
 
 
 def test_s_p_gamma_integral():
@@ -405,13 +455,15 @@ def test_density_ladder_above_the_start():
     assert abs(err - abs(direct - f[1])) <= 1e-10 * abs(direct)
 
 
-def _flip_s1(monkeypatch, re_s1):
-    """Make every p = 1 call of s_p return real part ``re_s1``."""
+def _flip_s1(monkeypatch, re_s1, at=None):
+    """Make every p = 1 call of s_p return real part ``re_s1``, at every z
+    or only where Re z equals ``at``."""
     s_p = fp.s_p
 
     def flipped(z, x, p, alpha, quad=None):
         val = s_p(z, x, p, alpha, quad)
-        return complex(re_s1, val.imag) if p == 1.0 else val
+        hit = True if at is None else np.real(z) == at
+        return np.where(hit, re_s1 + 1j * np.imag(val), val) if p == 1.0 else val
     monkeypatch.setattr(fp, "s_p", flipped)
 
 
@@ -427,6 +479,24 @@ def test_density_branch_guard_tolerates_round_off(monkeypatch):
     _flip_s1(monkeypatch, -0.5e-9)
     value, _ = spectral_density(0.5, 1.0)
     assert abs(value) < 1e-9
+
+
+def test_density_branch_guard_names_the_failing_energy(monkeypatch):
+    _flip_s1(monkeypatch, -1.0, at=0.5)
+    with pytest.raises(FixedPointError, match=r"branch tracking .* z=\(0\.5\+0\.1j\)"):
+        spectral_density(np.array([0.0, 0.5, 3.0]), 1.0)
+
+
+def test_density_array_matches_scalar_calls():
+    # energies of different heights: their continuations differ in length
+    E = np.array([[0.0, 0.4, -1.3], [2.5, 5.0, 0.4]])
+    value, err = spectral_density(E, 0.8)
+    assert value.shape == err.shape == E.shape
+    for i in np.ndindex(E.shape):
+        v, e = spectral_density(float(E[i]), 0.8)
+        assert isinstance(v, float) and isinstance(e, float)
+        assert abs(value[i] - v) <= 1e-14 * abs(v)
+        assert abs(err[i] - e) <= 1e-14 * max(abs(v), abs(e))
 
 
 def test_density_matches_eigenvalue_histogram():

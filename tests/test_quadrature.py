@@ -43,6 +43,16 @@ def test_tanh_sinh_scales_one_cached_unit_rule():
         tanh_sinh(0.0, 1.0, 41, endpoint_exponent=-1.0)
 
 
+def test_tanh_sinh_array_endpoint_is_one_rule_per_entry():
+    a = np.array([0.0, -1.0, 2.5])
+    b = np.array([[1.0, 0.3, 7.0], [1e-3, 4.0, 2.75]])
+    got = tanh_sinh(a, b, 33, endpoint_exponent=-0.4)
+    assert all(g.shape == b.shape + got[0].shape[-1:] for g in got)
+    for i in np.ndindex(b.shape):
+        one = tanh_sinh(float(a[i[-1]]), float(b[i]), 33, endpoint_exponent=-0.4)
+        assert all(np.array_equal(g[i], o) for g, o in zip(got, one))
+
+
 def test_gauss_jacobi_left_weight():
     x, w = gauss_jacobi_left(16, -0.5, 0.0, 0.5)
     oracle = quad(lambda y: y ** -0.5 * np.cos(y), 0, 0.5)[0]

@@ -3,10 +3,8 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from levylab.stable_random import (
-    PoissonWeights,
     StableLaw,
     levy_khintchine_rhs,
-    poisson_weights,
     poisson_weights_matrix,
     sample_standard_stable,
     substream,
@@ -60,13 +58,11 @@ def test_characteristic_function(alpha):
 
 def test_poisson_weights_contract():
     rng = substream(47)
-    pw = poisson_weights(0.8, 50, rng)
-    assert pw.truncation == 50
-    assert np.all(np.diff(pw.xi) <= 0) and np.all(pw.xi > 0)
+    xi = poisson_weights_matrix(0.8, (20, 50), rng)
+    assert xi.shape == (20, 50)
+    assert np.all(np.diff(xi, axis=1) <= 0) and np.all(xi > 0)
     with pytest.raises(ValueError):
-        poisson_weights(0.8, 0, rng)
-    with pytest.raises(ValueError):
-        PoissonWeights(0.8, np.array([1.0, 2.0]))
+        poisson_weights_matrix(2.0, (20, 50), rng)
 
 
 def test_largest_weight_distribution():
