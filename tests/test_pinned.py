@@ -9,7 +9,8 @@ of ``population_dynamics`` recorded before its sweep ran on threads, and
 limiting densities and a Stieltjes mass recorded before each energy's
 eta ladder became one continuation, and on-axis absolute moments,
 signed moments and scalar roots recorded before the two radial
-integrals became one.  Any later rewrite
+integrals became one, and functional fixed points recorded before the
+damped solver took secant steps.  Any later rewrite
 must reproduce them to ``RTOL`` (or the case's entry in ``CASE_RTOL``) in
 the sup norm.
 
@@ -43,6 +44,9 @@ DENSITY_RTOL = 1e-10
 #: 3.5e-12 (z = 0.25i) and 7.5e-12 (z = 1i), well inside the fast rule's own
 #: error (4e-11 to 7e-11 against the default rule)
 R_P_FAST_RTOL = 2e-11
+#: functional fixed points solved to 1e-10: a different iteration stops at
+#: a different point inside the tolerance ball
+SOLVE_RTOL = 1e-9
 
 #: grid indices at which the eval_G values are kept (m = 33)
 G_ANGLES = [0, 5, 11, 16, 22, 27, 32]
@@ -64,6 +68,7 @@ S_P_POINTS = [(0.1 + 0.4j, 0.9 + 0.1j), (-0.15 + 0.4j, 0.9 - 0.1j),
               (3.0 + 0.05j, 0.4 + 0.6j)]
 S_P_ORDERS = [0.5, 1.0]
 TILDE_GAMMA_Z = [0.1j, 0.4 + 0.1j, 1.0 + 0.5j, -2.0 + 1.0j]
+SOLVE_Z = [0.2j, 0.2 + 0.2j]
 
 
 def _eval_G(alpha, z, quad):
@@ -109,6 +114,10 @@ def _tilde_gamma(alpha):
     return np.array([fp.solve_tilde_gamma(z, alpha) for z in TILDE_GAMMA_Z])
 
 
+def _solve(z):
+    return fp.solve_gamma_star(z, 1.0, tol=1e-10, quad=fp.QuadratureConfig.fast()).gamma.values
+
+
 def _not_a_fixed_point():
     return from_callable(0.6, lambda t: 1.0 + 0.3 * np.cos(3 * t) + 0.2j * np.sin(t), 33)
 
@@ -145,6 +154,8 @@ def cases() -> dict:
     for a in (0.8, 1.0):
         out[f"s_p alpha={a}"] = partial(_s_p, a)
         out[f"solve_tilde_gamma alpha={a}"] = partial(_tilde_gamma, a)
+    for z in SOLVE_Z:
+        out[f"solve_gamma_star alpha=1.0 z={z}"] = partial(_solve, z)
     return out
 
 
@@ -154,6 +165,7 @@ CASE_RTOL.update({name: DENSITY_RTOL for name in CASES
                   if name.startswith(("spectral_density", "stieltjes_mass"))})
 CASE_RTOL.update({name: R_P_FAST_RTOL for name in CASES
                   if name.startswith("r_p") and name.endswith("fast")})
+CASE_RTOL.update({name: SOLVE_RTOL for name in CASES if name.startswith("solve_gamma_star")})
 
 
 @pytest.fixture(scope="module")
