@@ -218,17 +218,15 @@ def run_local_law(cfg: ExperimentConfig) -> RunRecord:
     """Empirical window mass against the limiting measure, plus the
     second resolvent moment (1/n) sum |R_kk(E + i eta)|^2."""
     quad = QuadratureConfig().scaled(cfg.quad_scale)
-    mu_star = {}
-    widths = {e: cfg.interval_width(max(cfg.n_list)) for e in cfg.energies}
-    for e in cfg.energies:
-        w = widths[e]
-        mu_star[e] = stieltjes_mass(e - 0.5 * w, e + 0.5 * w, cfg.alpha,
-                                    eta_ladder=cfg.eta_ladder, quad=quad)
+    w = cfg.interval_width(max(cfg.n_list))
+    energies = np.array(cfg.energies, dtype=float)
+    mu_star = dict(zip(cfg.energies, stieltjes_mass(
+        energies - 0.5 * w, energies + 0.5 * w, cfg.alpha,
+        eta_ladder=cfg.eta_ladder, quad=quad).tolist()))
     rows = []
     skipped = []
     for n, seed, sd in _samples(cfg, skipped):
         for e in cfg.energies:
-            w = widths[e]
             a, b = e - 0.5 * w, e + 0.5 * w
             frac = eigenvalue_counting(sd, a, b) / n
             eta = cfg.eta if cfg.eta is not None else 0.5 * w

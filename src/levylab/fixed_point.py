@@ -312,7 +312,7 @@ def eval_G_error_estimate(z: complex, f: HomogeneousFn,
 
 
 # ---------------------------------------------------------------------------
-# damped fixed-point solver
+# fixed-point solver: damped iteration with secant steps
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -352,10 +352,13 @@ def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
                      initial: HomogeneousFn | None = None,
                      max_iter: int = 200,
                      z_guard: float = 0.5) -> FixedPointSolution:
-    """Damped iteration f <- (1-s) f + s G_z(f) started from gamma*_0.
+    """Damped iteration with secant steps for f = G_z(f), from gamma*_0.
 
-    Local uniqueness is only available near the origin, hence the |z|
-    guard; the damping is halved whenever the residual increases.
+    With r = G_z(f) - f and s = damping the first step is f + s r; later
+    steps add the depth-1 Anderson (secant) correction -gamma (df + s dr),
+    gamma = <dr, r> / <dr, dr>, from the changes df, dr since the previous
+    iterate.  Local uniqueness is only available near the origin, hence
+    the |z| guard; a rising residual halves s and drops the secant history.
     """
     z = complex(z)
     if abs(z) > z_guard:
@@ -370,22 +373,30 @@ def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
     s = damping
     history: list[float] = []
     prev_resid = np.inf
+    prev = None  # (f, r) at the previous iterate, for the secant step
     stall = 0
     for it in range(1, max_iter + 1):
-        G = eval_G(z, f, quad)
-        resid = float(np.max(np.abs(G.values - f.values)))
+        r = eval_G(z, f, quad).values - f.values
+        resid = float(np.max(np.abs(r)))
         history.append(resid)
         if resid <= tol:
             return FixedPointSolution(z, f, resid, it, s, tuple(history))
         if resid > prev_resid:
             s = max(0.05, 0.5 * s)
+            prev = None
         stall = stall + 1 if resid > 0.999 * prev_resid else 0
         if stall >= 8:
             raise FixedPointError(
                 f"residual stagnated near {resid:.3e} at iteration {it}")
         prev_resid = resid
 
-        f = HomogeneousFn(f.beta, f.thetas, (1.0 - s) * f.values + s * G.values)
+        step = s * r
+        if prev is not None:
+            df, dr = f.values - prev[0], r - prev[1]
+            if (den := np.vdot(dr, dr).real) > 0:
+                step -= np.vdot(dr, r) / den * (df + s * dr)
+        prev = (f.values, r)
+        f = HomogeneousFn(f.beta, f.thetas, f.values + step)
         if f.min_real_part() < 1e-6:
             raise FixedPointError(
                 "iterate left the positive-real-part cone (Re gamma < 1e-6)")
@@ -563,16 +574,18 @@ def spectral_density(E, alpha: float, eta_ladder=(0.1, 0.05, 0.025),
     return value.reshape(shape), err.reshape(shape)
 
 
-def stieltjes_mass(a: float, b: float, alpha: float, n_points: int = 33,
+def stieltjes_mass(a, b, alpha: float, n_points: int = 33,
                    eta_ladder=(0.1, 0.05, 0.025),
-                   quad: QuadratureConfig | None = None) -> float:
-    """Mass of the limiting measure on [a, b] by Simpson over the density."""
+                   quad: QuadratureConfig | None = None):
+    """Mass of the limiting measure on [a, b] by Simpson over the density;
+    a and b broadcast into one density call, scalars give a float."""
     if n_points % 2 == 0:
         n_points += 1
-    xs = np.linspace(a, b, n_points)
+    xs = np.linspace(a, b, n_points, axis=-1)
     fs = spectral_density(xs, alpha, eta_ladder, quad)[0]
     from scipy.integrate import simpson
-    return float(simpson(fs, x=xs))
+    mass = simpson(fs, x=xs, axis=-1)
+    return float(mass) if np.ndim(mass) == 0 else mass
 
 
 # ---------------------------------------------------------------------------

@@ -97,8 +97,7 @@ def _pool(z):
 
 def _density(alpha):
     """The f_star values on DENSITY_E, then their extrapolation errors."""
-    pairs = [fp.spectral_density(e, alpha) for e in DENSITY_E]
-    return np.array([f for f, _ in pairs] + [err for _, err in pairs], dtype=complex)
+    return np.concatenate(fp.spectral_density(np.array(DENSITY_E), alpha)).astype(complex)
 
 
 def _r_p(z, quad):
