@@ -247,6 +247,14 @@ def test_solver_secant_evaluations():
         assert len(sol.residual_history) == sol.iterations
 
 
+def test_solver_stagnation_guard_at_round_off():
+    # tol 0 is out of reach: once a step no longer changes f the residual
+    # repeats bit for bit, the secant difference is zero (no step from it)
+    # and the stagnation guard ends the solve
+    with pytest.raises(FixedPointError, match="stagnated"):
+        solve_gamma_star(0.2j, 1.0, tol=0.0, m=33, quad=QuadratureConfig.fast())
+
+
 def test_checkpoint_round_trip(tmp_path):
     sol = solve_gamma_star(0.0, 1.2, tol=1e-6, quad=QuadratureConfig.fast())
     text = json.dumps(sol.checkpoint(QuadratureConfig.fast()))
@@ -507,6 +515,18 @@ def test_density_array_matches_scalar_calls():
         assert isinstance(v, float) and isinstance(e, float)
         assert abs(value[i] - v) <= 1e-14 * abs(v)
         assert abs(err[i] - e) <= 1e-14 * max(abs(v), abs(e))
+
+
+def test_stieltjes_mass_array_matches_scalar_calls():
+    # endpoints broadcast (an array a against a scalar b); each interval's
+    # mass is that of its own scalar call, which returns a float
+    a = np.array([-0.1, 0.05, -2.0])
+    mass = fp.stieltjes_mass(a, 0.1, 1.0, n_points=9)
+    assert mass.shape == a.shape
+    for ai, m in zip(a, mass):
+        one = fp.stieltjes_mass(float(ai), 0.1, 1.0, n_points=9)
+        assert isinstance(one, float)
+        assert abs(m - one) <= 1e-14 * abs(one)
 
 
 def test_density_matches_eigenvalue_histogram():
