@@ -9,8 +9,9 @@ of ``population_dynamics`` recorded before its sweep ran on threads, and
 limiting densities and a Stieltjes mass recorded before each energy's
 eta ladder became one continuation, and on-axis absolute moments,
 signed moments and scalar roots recorded before the two radial
-integrals became one, and functional fixed points recorded before the
-damped solver took secant steps.  Any later rewrite
+integrals became one, functional fixed points recorded before the
+damped solver took secant steps, and eval_G at alpha = 1.95 recorded
+while F's near difference was formed through expm1.  Any later rewrite
 must reproduce them to ``RTOL`` (or the case's entry in ``CASE_RTOL``) in
 the sup norm.
 
@@ -47,6 +48,11 @@ R_P_FAST_RTOL = 2e-11
 #: functional fixed points solved to 1e-10: a different iteration stops at
 #: a different point inside the tolerance ball
 SOLVE_RTOL = 1e-9
+#: eval_G at alpha = 1.95, where the near difference of F's integrand
+#: cancels worst: recorded with the difference formed through expm1, and
+#: the plain phi(e) - phi(e + y u) moves them by up to 3.6e-12, far inside
+#: the rule's own error (1e-8 to 1e-7)
+NEAR_DIFFERENCE_RTOL = 1e-11
 
 #: grid indices at which the eval_G values are kept (m = 33)
 G_ANGLES = [0, 5, 11, 16, 22, 27, 32]
@@ -124,7 +130,7 @@ def _not_a_fixed_point():
 def cases() -> dict:
     """Case name -> function returning the pinned values."""
     out = {}
-    for a in (0.8, 1.0, 1.5):
+    for a in (0.8, 1.0, 1.5, 1.95):
         for z in (0.1j, 0.2 + 0.1j):
             for qname, quad in (("fast", fp.QuadratureConfig.fast()),
                                 ("default", fp.QuadratureConfig())):
@@ -165,6 +171,8 @@ CASE_RTOL.update({name: DENSITY_RTOL for name in CASES
 CASE_RTOL.update({name: R_P_FAST_RTOL for name in CASES
                   if name.startswith("r_p") and name.endswith("fast")})
 CASE_RTOL.update({name: SOLVE_RTOL for name in CASES if name.startswith("solve_gamma_star")})
+CASE_RTOL.update({name: NEAR_DIFFERENCE_RTOL for name in CASES
+                  if name.startswith("eval_G alpha=1.95")})
 
 
 @pytest.fixture(scope="module")
