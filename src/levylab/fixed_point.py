@@ -22,13 +22,16 @@ Quadrature layout (one shared design for every integral):
   function on [0, 2], again Gauss-Jacobi.
 * the theta-integral uses tanh-sinh to absorb the ``sin(2 theta)**
   (alpha/2 - 1)`` endpoint singularities.
-* ``difference_integral`` holds the (theta, y) part once; ``eval_F`` and
-  ``kernel_spectrum.apply_linearized`` differ only in the integrand.
+* ``difference_integral`` holds the (theta, y) part once, near
+  difference included; ``eval_F`` and ``kernel_spectrum.apply_linearized``
+  differ only in the integrand.
 
 Two loops run on one thread pool with a worker per available core: the
 output angles of ``difference_integral`` and the row blocks of a
 population sweep.  Each item is computed by the same arithmetic as in a
 serial loop, so results are bit for bit independent of the worker count.
+The items make no large BLAS call (BLAS threads would compete with the
+pool's), so the s-axis sums are einsums.
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ def radial_integral_rotated(beta: float, H, X, alpha: float, n_s: int = 97,
 # the map F_h and the fixed-point map G_z
 # ---------------------------------------------------------------------------
 
-def difference_integral(alpha: float, phi, drop, out_thetas, n_theta: int,
+def difference_integral(alpha: float, phi, out_thetas, n_theta: int,
                         n_y: int, n_w: int) -> np.ndarray:
     """The (theta, y) integral shared by F_h and its linearization.
 
@@ -194,26 +197,22 @@ def difference_integral(alpha: float, phi, drop, out_thetas, n_theta: int,
         - int int_0^2 w^(alpha-1) phi(w e + u) dw,
 
     the last piece being y >= 1/2 after y = 1/w.  ``phi`` maps an array
-    of points to values.  The near difference cancels as y -> 0; when the
-    plain ``phi(e) - phi(e + y u)`` loses digits, ``drop(e)`` returns a
-    function ``(y, u) -> phi(e) - phi(e + y u)`` on the (theta, y) grid
-    that avoids the cancellation (None means the plain difference).
+    of points to values.  The near difference is formed plainly.  It
+    cancels as y -> 0, more so as alpha -> 2: against a cancellation-free
+    form F moves by 1e-14 relative for alpha <= 1 and 4e-12 at alpha =
+    1.95, far inside the quadrature's own error.
     """
     th, wt = sin2_theta_rule(n_theta, 0.5 * alpha - 1.0)
     e_th = np.exp(1j * th)
     phi_e = phi(e_th)
     term_a = (2.0 / alpha) * 2.0 ** (0.5 * alpha) * complex(wt @ phi_e)
-    if drop is None:
-        def drop_at(y, u):
-            return phi_e[:, None] - phi(e_th[:, None] + y[None, :] * u)
-    else:
-        drop_at = drop(e_th)
     yj, wy = power_rule(-0.5 * alpha, 0.5, n_y)
     wj, ww = power_rule(alpha - 1.0, 2.0, n_w)
 
     def at_angle(tu):
         u = complex(np.cos(tu), np.sin(tu))
-        near = wt @ (drop_at(yj, u) / yj[None, :]) @ wy
+        diff = phi_e[:, None] - phi(e_th[:, None] + yj[None, :] * u)
+        near = wt @ (diff / yj[None, :]) @ wy
         far = wt @ phi(wj[None, :] * e_th[:, None] + u) @ ww
         return term_a - far + near
 
@@ -246,7 +245,7 @@ def eval_F(h: complex, g: HomogeneousFn,
     s_star = _s_truncation(alpha, max(h.real, 0.0), max(eps_g, 0.0),
                            quad.exp_budget)
     s, ws, *_ = tanh_sinh(0.0, s_star, quad.n_s, endpoint_exponent=0.0)
-    s2a = s ** (2.0 / alpha)
+    neg_s2a, neg_s = -s ** (2.0 / alpha), -s
 
     # the exponent tensors are a few MB per output angle; reusing them
     # avoids returning that memory to the OS and faulting it back in.
@@ -260,29 +259,15 @@ def eval_F(h: complex, g: HomogeneousFn,
         if shape not in work:
             work[shape] = np.empty((2,) + shape, dtype=complex)
         t, t2 = work[shape]
-        np.multiply(hw[..., None], s2a, out=t)
-        np.add(t, np.multiply(gw[..., None], s, out=t2), out=t)
-        return np.negative(t, out=t)
+        np.multiply(hw[..., None], neg_s2a, out=t)
+        return np.add(t, np.multiply(gw[..., None], neg_s, out=t2), out=t)
 
     def phi(w):
+        # einsum, not a BLAS product: the pool already keeps every core busy
         t = exponent(dot(h, w), g(w))
-        return (2.0 / alpha) * (np.exp(t, out=t) @ ws)
+        return (2.0 / alpha) * np.einsum("...s,s->...", np.exp(t, out=t), ws)
 
-    def drop(e_th):
-        # phi(e) - phi(e + y u) = -(2/alpha) int A (expm1(-delta)) ds with
-        # delta formed from y (h.u) and g(e + y u) - g(e): no cancellation
-        gE = g(e_th)
-        A = np.exp(exponent(dot(h, e_th), gE))
-
-        def drop_at(y, u):
-            hU = complex(dot(h, u))
-            gW = g(e_th[:, None] + y[None, :] * u)
-            t = exponent((y * hU)[None, :], gW - gE[:, None])
-            return -(2.0 / alpha) * np.einsum("ts,tys,s->ty", A, np.expm1(t, out=t), ws)
-        return drop_at
-
-    out = difference_integral(alpha, phi, drop, g.thetas, quad.n_theta,
-                              quad.n_y, quad.n_w)
+    out = difference_integral(alpha, phi, g.thetas, quad.n_theta, quad.n_y, quad.n_w)
     return HomogeneousFn(0.5 * alpha, g.thetas, out)
 
 
@@ -358,7 +343,9 @@ def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
     steps add the depth-1 Anderson (secant) correction -gamma (df + s dr),
     gamma = <dr, r> / <dr, dr>, from the changes df, dr since the previous
     iterate.  Local uniqueness is only available near the origin, hence
-    the |z| guard; a rising residual halves s and drops the secant history.
+    the |z| guard; a rising residual halves s and drops the secant history,
+    and 8 residuals in a row without a 0.1% gain on the best one end the
+    solve as stagnated.
     """
     z = complex(z)
     if abs(z) > z_guard:
@@ -372,7 +359,7 @@ def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
 
     s = damping
     history: list[float] = []
-    prev_resid = np.inf
+    prev_resid = best = np.inf
     prev = None  # (f, r) at the previous iterate, for the secant step
     stall = 0
     for it in range(1, max_iter + 1):
@@ -384,11 +371,13 @@ def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
         if resid > prev_resid:
             s = max(0.05, 0.5 * s)
             prev = None
-        stall = stall + 1 if resid > 0.999 * prev_resid else 0
+        # against the best residual so far: at round-off the residual
+        # wobbles instead of repeating, and never falls for good
+        stall = stall + 1 if resid > 0.999 * best else 0
         if stall >= 8:
             raise FixedPointError(
                 f"residual stagnated near {resid:.3e} at iteration {it}")
-        prev_resid = resid
+        prev_resid, best = resid, min(best, resid)
 
         step = s * r
         if prev is not None:

@@ -443,8 +443,7 @@ def apply_linearized(f: HomogeneousFn, out_thetas: np.ndarray | None = None,
 
     The operator acts as -c'_alpha times ``difference_integral`` of
     phi(w) = f(w-check) (1.w)^(-alpha), the core of the nonlinear map;
-    no radial integral is involved, so the near difference is formed
-    plainly.
+    no radial integral is involved.
     """
     alpha = 2.0 * f.beta
     out_thetas = f.thetas if out_thetas is None else np.asarray(out_thetas)
@@ -452,7 +451,7 @@ def apply_linearized(f: HomogeneousFn, out_thetas: np.ndarray | None = None,
     def phi(w):
         return f(check_involution(w)) * (w.real + w.imag) ** (-alpha)
 
-    out = difference_integral(alpha, phi, None, out_thetas, n_theta, n_y, n_y)
+    out = difference_integral(alpha, phi, out_thetas, n_theta, n_y, n_y)
     return HomogeneousFn(f.beta, out_thetas, -c_prime(alpha) * out)
 
 
