@@ -252,19 +252,18 @@ def eval_F(h: complex, g: HomogeneousFn,
     # Output angles run on several threads, so each keeps its own.
     local = threading.local()
 
-    def exponent(hw, gw):
-        """-(hw s^(2/alpha) + gw s) over a trailing s axis, in a work tensor."""
+    def phi(w):
+        # the exponent -(h.w s^(2/alpha) + g(w) s) over a trailing s axis,
+        # in a work tensor, summed over s by einsum: a BLAS product would
+        # compete with the pool for the cores
+        hw, gw = dot(h, w), g(w)
         shape = np.broadcast_shapes(hw.shape, gw.shape) + s.shape
         work = vars(local)
         if shape not in work:
             work[shape] = np.empty((2,) + shape, dtype=complex)
         t, t2 = work[shape]
         np.multiply(hw[..., None], neg_s2a, out=t)
-        return np.add(t, np.multiply(gw[..., None], neg_s, out=t2), out=t)
-
-    def phi(w):
-        # einsum, not a BLAS product: the pool already keeps every core busy
-        t = exponent(dot(h, w), g(w))
+        np.add(t, np.multiply(gw[..., None], neg_s, out=t2), out=t)
         return (2.0 / alpha) * np.einsum("...s,s->...", np.exp(t, out=t), ws)
 
     out = difference_integral(alpha, phi, g.thetas, quad.n_theta, quad.n_y, quad.n_w)

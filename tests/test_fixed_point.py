@@ -270,9 +270,9 @@ def test_solver_stagnation_guard_at_round_off():
 
 
 def test_solver_stagnation_guard_sees_an_alternating_floor(monkeypatch):
-    # noise of alternating sign keeps the residual from ever repeating or
-    # rising twice in a row; only the comparison with the best residual
-    # so far sees that it has stopped falling
+    # noise of alternating sign makes the residual at its floor rise and
+    # fall in turn: against the previous residual it never stalls 8 times
+    # in a row, and only the best one so far shows that it stopped falling
     calls = []
 
     def noisy_G(z, f, quad=None):
