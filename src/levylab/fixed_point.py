@@ -199,8 +199,8 @@ def difference_integral(alpha: float, phi, out_thetas, n_theta: int,
     the last piece being y >= 1/2 after y = 1/w.  ``phi`` maps an array
     of points to values.  The near difference is formed plainly.  It
     cancels as y -> 0, more so as alpha -> 2: against a cancellation-free
-    form F moves by 1e-14 relative for alpha <= 1 and 4e-12 at alpha =
-    1.95, far inside the quadrature's own error.
+    form F moves by 2e-14 relative for alpha <= 1 and 4e-12 at alpha =
+    1.95 (default rule), far inside the quadrature's own error.
     """
     th, wt = sin2_theta_rule(n_theta, 0.5 * alpha - 1.0)
     e_th = np.exp(1j * th)

@@ -50,8 +50,8 @@ R_P_FAST_RTOL = 2e-11
 SOLVE_RTOL = 1e-9
 #: eval_G at alpha = 1.95, where the near difference of F's integrand
 #: cancels worst: recorded with the difference formed through expm1, and
-#: the plain phi(e) - phi(e + y u) moves them by up to 3.6e-12, far inside
-#: the rule's own error (1e-8 to 1e-7)
+#: the plain phi(e) - phi(e + y u) moves them by up to 3.2e-12, far inside
+#: the rule's own error (eval_G_error_estimate: 1e-7 relative)
 NEAR_DIFFERENCE_RTOL = 1e-11
 
 #: grid indices at which the eval_G values are kept (m = 33)
