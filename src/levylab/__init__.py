@@ -9,13 +9,8 @@ cross-validation experiments tying the two together.
 
 __version__ = "0.1.0"
 
-from .halfplane import HomogeneousFn, check_involution, default_grid, dot, kappa_norm
-from .localization import (
-    IntervalStats,
-    interval_stats,
-    renyi_divergence_stat,
-    resolvent_upper_bound,
-)
+from .halfplane import HomogeneousFn, default_grid, dot
+from .localization import IntervalStats, interval_stats, resolvent_upper_bound
 from .matrix_model import (
     LevyMatrix,
     ResolventDiagonal,
@@ -23,18 +18,16 @@ from .matrix_model import (
     build_levy_matrix,
     eigendecompose,
     empirical_gamma,
-    fractional_moment,
     resolvent_diagonal,
 )
 from .stable_random import StableLaw, sample_standard_stable, substream
 
 __all__ = [
-    "HomogeneousFn", "check_involution", "default_grid", "dot", "kappa_norm",
-    "IntervalStats", "interval_stats", "renyi_divergence_stat",
-    "resolvent_upper_bound",
+    "HomogeneousFn", "default_grid", "dot",
+    "IntervalStats", "interval_stats", "resolvent_upper_bound",
     "LevyMatrix", "ResolventDiagonal", "SpectralDecomposition",
     "build_levy_matrix", "eigendecompose", "empirical_gamma",
-    "fractional_moment", "resolvent_diagonal",
+    "resolvent_diagonal",
     "StableLaw", "sample_standard_stable", "substream",
     "__version__",
 ]

@@ -23,8 +23,8 @@ Quadrature layout (one shared design for every integral):
 * the theta-integral uses tanh-sinh to absorb the ``sin(2 theta)**
   (alpha/2 - 1)`` endpoint singularities.
 * ``difference_integral`` holds the (theta, y) part once, near
-  difference included; ``eval_F`` and ``kernel_spectrum.apply_linearized``
-  differ only in the integrand.
+  difference included; ``eval_F`` and the linearized map that the tests
+  check the Nystrom operators against differ only in the integrand.
 
 Two loops run on one thread pool with a worker per available core: the
 output angles of ``difference_integral`` and the row blocks of a
@@ -238,10 +238,6 @@ def eval_F(h: complex, g: HomogeneousFn,
     if h.real < -1e-12:
         raise ValueError("h must lie in the closed right half-plane")
     eps_g = g.min_real_part()
-    if eps_g <= 0 and h.real <= 0:
-        raise QuadratureError(
-            "integrand does not decay: need Re(h) > 0 or Re(g) > 0 on the grid")
-
     s_star = _s_truncation(alpha, max(h.real, 0.0), max(eps_g, 0.0),
                            quad.exp_budget)
     s, ws, *_ = tanh_sinh(0.0, s_star, quad.n_s, endpoint_exponent=0.0)
@@ -330,12 +326,16 @@ class FixedPointSolution:
             damping=obj["damping"])
 
 
+#: |z| beyond which the functional solve is refused (local uniqueness)
+Z_GUARD = 0.5
+#: iteration cap of the functional and of the scalar solve
+MAX_ITER = 200
+
+
 def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
                      damping: float = 0.5, *, m: int = 65,
                      quad: QuadratureConfig | None = None,
-                     initial: HomogeneousFn | None = None,
-                     max_iter: int = 200,
-                     z_guard: float = 0.5) -> FixedPointSolution:
+                     initial: HomogeneousFn | None = None) -> FixedPointSolution:
     """Damped iteration with secant steps for f = G_z(f), from gamma*_0.
 
     With r = G_z(f) - f and s = damping the first step is f + s r; later
@@ -347,8 +347,8 @@ def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
     solve as stagnated.
     """
     z = complex(z)
-    if abs(z) > z_guard:
-        raise ValueError(f"|z| = {abs(z):.3f} outside the small-z guard {z_guard}")
+    if abs(z) > Z_GUARD:
+        raise ValueError(f"|z| = {abs(z):.3f} outside the small-z guard {Z_GUARD}")
     if z != 0 and z.imag <= 0:
         raise ValueError("need Im z > 0 or z = 0")
     quad = quad or QuadratureConfig.fast()
@@ -361,7 +361,7 @@ def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
     prev_resid = best = np.inf
     prev = None  # (f, r) at the previous iterate, for the secant step
     stall = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         r = eval_G(z, f, quad).values - f.values
         resid = float(np.max(np.abs(r)))
         history.append(resid)
@@ -389,25 +389,34 @@ def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
             raise FixedPointError(
                 "iterate left the positive-real-part cone (Re gamma < 1e-6)")
     raise FixedPointError(
-        f"no convergence to {tol:.1e} within {max_iter} iterations "
+        f"no convergence to {tol:.1e} within {MAX_ITER} iterations "
         f"(last residual {history[-1]:.3e})")
-
-
-def solve_gamma_path(z_targets, alpha: float, tol: float = 1e-7,
-                     **kwargs) -> list[FixedPointSolution]:
-    """Continuation: solve along a z path, warm-starting each step."""
-    sols = []
-    warm = kwargs.pop("initial", None)
-    for z in z_targets:
-        sol = solve_gamma_star(z, alpha, tol, initial=warm, **kwargs)
-        sols.append(sol)
-        warm = sol.gamma
-    return sols
 
 
 # ---------------------------------------------------------------------------
 # fractional moments of the limiting resolvent entry
 # ---------------------------------------------------------------------------
+
+def r_p_angle_rule(z: complex, p: float, n: int):
+    """The theta rule of ``r_p``: angles and weights with sin(2 theta)^(p/2-1)
+    folded in.
+
+    Im(h.e^{i theta}) = (cos theta - sin theta) Im h vanishes at pi/4, so
+    off the imaginary axis the radial integral peaks there, sharply for a
+    small Im z under a large |Re z|.  Two tanh-sinh halves of about n/2
+    nodes each meet at the peak.  On the axis h.e^{i theta} is real and
+    one n-node rule over (0, pi/2) is kept.
+    """
+    expo = 0.5 * p - 1.0
+    if complex(z).real == 0.0:
+        return sin2_theta_rule(n, expo)
+    quarter = 0.25 * np.pi
+    th, wt, d0, d1 = tanh_sinh(np.array([0.0, quarter]), np.array([quarter, HALF_PI]),
+                               (n + 1) // 2, endpoint_exponent=min(expo, 0.0))
+    # sin(2 theta) from the distance to the nearer end of (0, pi/2)
+    wt = wt * np.sin(2.0 * np.stack([d0[0], d1[1]])) ** expo
+    return th.ravel(), wt.ravel()
+
 
 def r_p(z: complex, f: HomogeneousFn, p: float,
         quad: QuadratureConfig | None = None) -> complex:
@@ -415,15 +424,16 @@ def r_p(z: complex, f: HomogeneousFn, p: float,
 
     Double integral (2^(1-p/2)/Gamma(p/2)^2) * int dtheta
     sin(2 theta)^(p/2-1) int dr r^(p-1) exp(-r h.e^{i theta}
-    - r^(alpha/2) f(e^{i theta})) with h = -iz; each angle's radial
-    integral is rotated into its own decay sector, so a small Im z under
-    a large |Re z| needs no oscillatory quadrature.
+    - r^(alpha/2) f(e^{i theta})) with h = -iz, over the angles of
+    ``r_p_angle_rule``; each angle's radial integral is rotated into its
+    own decay sector, so a small Im z under a large |Re z| needs no
+    oscillatory quadrature.
     """
     if p <= 0:
         raise ValueError("moment order must be positive")
     quad = quad or QuadratureConfig()
     h = -1j * complex(z)
-    th, weight = sin2_theta_rule(quad.n_theta, 0.5 * p - 1.0)
+    th, weight = r_p_angle_rule(z, p, quad.n_theta)
     radial = radial_integral_rotated(p, dot(h, np.exp(1j * th)), f.values_at_angle(th),
                                      2.0 * f.beta, quad.n_s, quad.exp_budget)
     const = 2.0 ** (1.0 - 0.5 * p) / gamma_fn(0.5 * p) ** 2
@@ -451,7 +461,7 @@ def s_p(z, x, p: float, alpha: float, quad: QuadratureConfig | None = None):
 # ---------------------------------------------------------------------------
 
 def solve_tilde_gamma(z, alpha: float, tol: float = 1e-12, x0=None,
-                      max_iter: int = 200, quad: QuadratureConfig | None = None):
+                      quad: QuadratureConfig | None = None):
     """Solve the scalar consistency x = Gamma(1-alpha/2) s_{alpha/2,z}(x).
 
     This is the value gamma*_z(1) of the functional fixed point; a
@@ -474,7 +484,7 @@ def solve_tilde_gamma(z, alpha: float, tol: float = 1e-12, x0=None,
         return c1 * s_p(z[k], v, 0.5 * alpha, alpha, quad)
 
     fx = x - rhs(x, slice(None))
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         k = np.flatnonzero(~(np.abs(fx) <= tol))
         if not k.size:
             break

@@ -3,8 +3,8 @@
 The central object is a degree-beta homogeneous complex function on the
 closed cone ``K1+ = {arg u in [0, pi/2]}``, stored through its values on
 an angular grid of the unit quarter-circle.  The module also provides
-the skewed product ``h.u``, the quarter-turn involution ``u -> i*conj(u)``
-and the weighted C^1 norms used by the fixed-point machinery.
+the skewed product ``h.u`` that the fixed-point machinery pairs with
+those functions.
 """
 
 from __future__ import annotations
@@ -17,9 +17,6 @@ from scipy.interpolate import CubicSpline
 
 HALF_PI = 0.5 * np.pi
 
-#: tolerance below which a real part is still considered non-negative
-_NEG_TOL = 1e-10
-
 
 def dot(h, u):
     """Skewed product ``h.u = Re(u) h + Im(u) conj(h)``.
@@ -31,12 +28,6 @@ def dot(h, u):
     h = np.asarray(h)
     u = np.asarray(u)
     return u.real * h + u.imag * np.conj(h)
-
-
-def check_involution(u):
-    """Quarter-turn involution ``u -> i * conj(u) = Im(u) + i Re(u)``."""
-    u = np.asarray(u)
-    return u.imag + 1j * u.real
 
 
 def default_grid(m: int = 65) -> np.ndarray:
@@ -85,7 +76,6 @@ class HomogeneousFn:
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_spline", CubicSpline(thetas, values))
-        object.__setattr__(self, "_dspline", self._spline.derivative())
 
     # -- evaluation --------------------------------------------------
 
@@ -107,10 +97,6 @@ class HomogeneousFn:
             vals[hit] = self.values[idx[hit]]
         return vals
 
-    def angular_derivative(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self._dspline(np.clip(theta, 0.0, HALF_PI))
-
     def __call__(self, u):
         """Evaluate g at points of the closed first quadrant (u != 0)."""
         u = np.asarray(u, dtype=complex)
@@ -126,26 +112,6 @@ class HomogeneousFn:
 
     def min_real_part(self) -> float:
         return float(np.min(self.values.real))
-
-    def in_nonnegative_cone(self, tol: float = _NEG_TOL) -> bool:
-        """Re g >= -tol at every grid point (closure of the cone H^0)."""
-        return self.min_real_part() >= -tol
-
-    # -- gradient in Cartesian coordinates ---------------------------
-
-    def partials_on_circle(self, theta):
-        """(d1 g, di g) at e^{i theta} from the polar chain rule.
-
-        On the unit circle a degree-beta function g = G(theta) has
-        ``d1 g = beta G cos(theta) - G'(theta) sin(theta)`` and
-        ``di g = beta G sin(theta) + G'(theta) cos(theta)``.
-        """
-        theta = np.asarray(theta, dtype=float)
-        g = self.values_at_angle(theta)
-        gp = self.angular_derivative(theta)
-        c = np.cos(theta)
-        s = np.sin(theta)
-        return self.beta * g * c - gp * s, self.beta * g * s + gp * c
 
     # -- serialization ------------------------------------------------
 
@@ -173,36 +139,3 @@ def from_callable(beta: float, fn, m: int = 65) -> HomogeneousFn:
 def power_of_one_dot(beta: float, scale: complex = 1.0, m: int = 65) -> HomogeneousFn:
     """The function ``u -> scale * (1.u)**beta = scale*(cos+sin)**beta``."""
     return from_callable(beta, lambda t: scale * (np.cos(t) + np.sin(t)) ** beta, m)
-
-
-@dataclass(frozen=True)
-class KappaNorm:
-    kappa: float
-    value_inf: float
-    value_kappa: float
-
-
-def kappa_norm(f: HomogeneousFn, kappa: float, oversample: int = 3) -> KappaNorm:
-    """Sup norm plus the |i.u|^kappa weighted gradient sup on S1+.
-
-    Both suprema are taken over an ``oversample``-fold refinement of the
-    grid (plain grid sups systematically under-estimate).
-    """
-    if not 0.0 <= kappa < 1.0:
-        raise ValueError("kappa must lie in [0, 1)")
-    base = f.thetas
-    fill = (base[:-1, None] + (base[1:] - base[:-1])[:, None]
-            * (np.arange(1, oversample)[None, :] / oversample)).ravel()
-    theta = np.sort(np.concatenate([base, fill]))
-    g = f.values_at_angle(theta)
-    d1, di = f.partials_on_circle(theta)
-    weight = np.abs(np.cos(theta) - np.sin(theta)) ** kappa
-    value_inf = float(np.max(np.abs(g)))
-    grad = np.sqrt(np.abs(d1) ** 2 + np.abs(di) ** 2)
-    return KappaNorm(kappa, value_inf, value_inf + float(np.max(weight * grad)))
-
-
-def sup_distance(f: HomogeneousFn, g: HomogeneousFn) -> float:
-    """Sup of |f - g| over the (union) grid on the quarter circle."""
-    theta = np.union1d(f.thetas, g.thetas)
-    return float(np.max(np.abs(f.values_at_angle(theta) - g.values_at_angle(theta))))

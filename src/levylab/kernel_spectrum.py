@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .fixed_point import SAMPLE_ERRORS, c_alpha, difference_integral
-from .halfplane import HALF_PI, HomogeneousFn, check_involution
+from .fixed_point import SAMPLE_ERRORS, c_alpha
+from .halfplane import HALF_PI
 from .quadrature import gauss_legendre_panels, power_rule, sin2_theta_rule
 
 
@@ -207,24 +207,27 @@ class NystromOperator:
         return int(self.nodes.size)
 
 
-def graded_mesh(n_nodes: int, re_alpha: float, gl_order: int = 8):
+#: Gauss-Legendre order of the Nystrom mesh panels
+MESH_ORDER = 8
+
+
+def graded_mesh(n_nodes: int, re_alpha: float):
     """Symmetric mesh on (0, pi/2), graded toward both endpoints.
 
     Panel breakpoints on [0, pi/4] follow (i/P)^(2/Re alpha), mirrored
     about pi/4 so the quarter-turn reflection permutes the nodes exactly.
     """
-    panels = max(2, n_nodes // (2 * gl_order))
+    panels = max(2, n_nodes // (2 * MESH_ORDER))
     grad = max(1.0, 2.0 / re_alpha)
     left = 0.25 * np.pi * (np.arange(panels + 1) / panels) ** grad
     breaks = np.concatenate([left, (HALF_PI - left[:-1])[::-1]])
-    nodes, weights = gauss_legendre_panels(breaks, order=gl_order)
+    nodes, weights = gauss_legendre_panels(breaks, order=MESH_ORDER)
     if np.min(np.abs(nodes - 0.25 * np.pi)) < 1e-12:
         raise RuntimeError("mesh node collided with pi/4")
     return nodes, weights
 
 
-def assemble_P(alpha, n_nodes: int = 64, kappa: float = 0.5,
-               gl_order: int = 8) -> NystromOperator:
+def assemble_P(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
     """Nystrom matrix for the scalar kernel operator on the quarter circle.
 
     Off-diagonal entries are plain weighted kernel values; each diagonal
@@ -239,7 +242,7 @@ def assemble_P(alpha, n_nodes: int = 64, kappa: float = 0.5,
         raise ValueError("Re(alpha) must lie in (0, 2)")
     if n_nodes < 16:
         raise ValueError("need at least 16 nodes")
-    nodes, weights = graded_mesh(n_nodes, alpha.real, gl_order)
+    nodes, weights = graded_mesh(n_nodes, alpha.real)
     n = nodes.size
     # the mesh is mirror-symmetric about pi/4 with an even node count, and
     # k(omega, psi) = k(pi/2-omega, pi/2-psi): rows below the middle are
@@ -265,8 +268,7 @@ def assemble_P(alpha, n_nodes: int = 64, kappa: float = 0.5,
                                      "(exact on locally constant densities)")
 
 
-def assemble_H(alpha, n_nodes: int = 64, kappa: float = 0.5,
-               gl_order: int = 8) -> NystromOperator:
+def assemble_H(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
     """3x3-block operator coupling (f, d1 f, di f) built from one P block.
 
     Structure: H = c'_alpha * Mblock . diag(P, P, P) . diag(N0, N1, Ni) . J
@@ -281,7 +283,7 @@ def assemble_H(alpha, n_nodes: int = 64, kappa: float = 0.5,
     derivative components (the reflection u -> i*conj(u) exchanges the
     roles of d1 and di in the chain rule).
     """
-    P = assemble_P(alpha, n_nodes, kappa=0.0, gl_order=gl_order)
+    P = assemble_P(alpha, n_nodes, kappa=0.0)
     alpha = complex(alpha)
     nodes = P.nodes
     n = nodes.size
@@ -399,8 +401,9 @@ def fredholm_det(H: NystromOperator, m: int,
 
 
 def alpha_scan(alpha_grid, n_nodes: int = 64, kappa: float = 0.5,
-               m_rule=band_power, refine: bool = True):
-    """Determinant sweep over real alpha; returns (results, failures).
+               refine: bool = True):
+    """Determinant sweep over real alpha at the band power; returns
+    (results, failures).
 
     ``failures`` holds ``(alpha, "<ExceptionType>: alpha=...: <message>")``
     for each alpha whose determinant raised one of ``SAMPLE_ERRORS``.
@@ -411,7 +414,7 @@ def alpha_scan(alpha_grid, n_nodes: int = 64, kappa: float = 0.5,
     failures: list[tuple[float, str]] = []
     for a in alpha_grid:
         try:
-            m = m_rule(float(np.real(a)))
+            m = band_power(float(np.real(a)))
             H = assemble_H(a, n_nodes, kappa)
             results.append(fredholm_det(H, m, refine=refine))
         except SAMPLE_ERRORS as exc:
@@ -431,50 +434,3 @@ def flag_minima(results) -> list[int]:
     return [i for i in range(1, len(mags) - 1)
             if bands[i - 1] == bands[i] == bands[i + 1]
             and mags[i] < mags[i - 1] and mags[i] < mags[i + 1]]
-
-
-# ---------------------------------------------------------------------------
-# action of the linearization on homogeneous functions and the lift
-# ---------------------------------------------------------------------------
-
-def apply_linearized(f: HomogeneousFn, out_thetas: np.ndarray | None = None,
-                     n_theta: int = 96, n_y: int = 24) -> HomogeneousFn:
-    """Apply the linearized fixed-point map to f on the angular grid.
-
-    The operator acts as -c'_alpha times ``difference_integral`` of
-    phi(w) = f(w-check) (1.w)^(-alpha), the core of the nonlinear map;
-    no radial integral is involved.
-    """
-    alpha = 2.0 * f.beta
-    out_thetas = f.thetas if out_thetas is None else np.asarray(out_thetas)
-
-    def phi(w):
-        return f(check_involution(w)) * (w.real + w.imag) ** (-alpha)
-
-    out = difference_integral(alpha, phi, out_thetas, n_theta, n_y, n_y)
-    return HomogeneousFn(f.beta, out_thetas, -c_prime(alpha) * out)
-
-
-def linearization_matrix(alpha: float, m: int = 65, n_theta: int = 96,
-                         n_y: int = 24) -> tuple[np.ndarray, np.ndarray]:
-    """Dense matrix of the linearized map on spline cardinal functions.
-
-    Returns (thetas, matrix); column j is the image of the cardinal
-    interpolant through e_j on the angular grid.
-    """
-    from .halfplane import default_grid
-    thetas = default_grid(m)
-    mat = np.empty((m, m), dtype=complex)
-    for j in range(m):
-        e = np.zeros(m)
-        e[j] = 1.0
-        basis = HomogeneousFn(0.5 * alpha, thetas, e.astype(complex))
-        mat[:, j] = apply_linearized(basis, thetas, n_theta, n_y).values
-    return thetas, mat
-
-
-def lift_eigenvector(f: HomogeneousFn, nodes: np.ndarray) -> np.ndarray:
-    """Stack (f, d1 f, di f) at the Nystrom nodes of an H operator."""
-    g = f.values_at_angle(nodes)
-    d1, di = f.partials_on_circle(nodes)
-    return np.concatenate([g, d1, di])

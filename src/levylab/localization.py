@@ -2,8 +2,9 @@
 
 For a window I and the set of eigenvectors with eigenvalues in I, the
 module computes the averaged coordinate profile P_I, the concentration
-scalar Q_I = n * sum_k P_I(k)^2, the inverse participation ratio Pi_I
-and the fractional Renyi-type statistic n^(p-1) sum_k P_I(k)^p.
+scalar Q_I = n * sum_k P_I(k)^2, the inverse participation ratio Pi_I,
+the fractional Renyi-type statistic n^(p-1) sum_k P_I(k)^p at p = alpha/2,
+and the resolvent bound on Q_I.
 """
 
 from __future__ import annotations
@@ -74,15 +75,6 @@ def interval_stats(sd: SpectralDecomposition, interval: tuple[float, float],
     return IntervalStats(a, b, alpha, n, count, P, Q, Pi, renyi_half)
 
 
-def renyi_divergence_stat(stats: IntervalStats, p: float) -> float:
-    """n^(p-1) * sum_k P_I(k)^p; equals Q_I at p = 2 and 1 at p = 1."""
-    if p <= 0:
-        raise ValueError("order p must be positive")
-    if stats.is_empty:
-        raise EmptyWindowError("no eigenvalues in the window")
-    return float(stats.n ** (p - 1.0) * np.sum(stats.P ** p))
-
-
 def resolvent_upper_bound(rd: ResolventDiagonal,
                           stats: IntervalStats) -> tuple[float, float]:
     """Q_I and its resolvent bound (n|I| / |Lambda_I|)^2 * mean (Im R_kk)^2.
@@ -101,17 +93,3 @@ def resolvent_upper_bound(rd: ResolventDiagonal,
     lhs = stats.Q
     rhs = (n * width / stats.count) ** 2 * float(np.mean(rd.values.imag ** 2))
     return lhs, rhs
-
-
-def holder_lower_bound(stats: IntervalStats) -> float:
-    """Duality lower bound on Q_I from the alpha/2 statistic.
-
-    With p = 2 - alpha/2 and q its conjugate, splitting each P_I(k) into
-    fractional powers gives 1 <= R^(1/p) Q^(1/q), hence
-    Q_I >= R^(-q/p) where R is the alpha/2 Renyi statistic.
-    """
-    if stats.is_empty:
-        raise EmptyWindowError("no eigenvalues in the window")
-    p = 2.0 - 0.5 * stats.alpha
-    q = p / (p - 1.0)
-    return float(stats.renyi_half ** (-q / p))

@@ -112,13 +112,6 @@ def resolvent_diagonal(sd: SpectralDecomposition, z: complex) -> ResolventDiagon
     return ResolventDiagonal(z=z, values=values)
 
 
-def fractional_moment(rd: ResolventDiagonal, beta: float) -> float:
-    """(1/n) sum_k (Im R_kk)^beta."""
-    if beta <= 0:
-        raise ValueError("moment order must be positive")
-    return float(np.mean(rd.values.imag ** beta))
-
-
 def empirical_gamma(samples: np.ndarray, alpha: float,
                     grid: np.ndarray | int = 65) -> HomogeneousFn:
     """Order parameter estimated from resolvent samples R (an array).

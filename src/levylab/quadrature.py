@@ -117,20 +117,21 @@ def power_rule(expo, delta, n: int):
 
 
 @lru_cache(maxsize=128)
-def _log_power_unit_rule(expo: complex, order: int, budget: float):
+def _log_power_unit_rule(expo: complex):
+    # the substituted integrand decays like exp(-(1 + Re expo) v); the rule
+    # stops where that reaches exp(-38), in order-8 panels
     re = expo.real
     freq = abs(expo.imag)
-    span = budget / (1.0 + re)
+    span = 38.0 / (1.0 + re)
     step = 3.0 / (1.0 + re + freq)
     panels = max(4, int(np.ceil(span / step)))
-    v, gw = gauss_legendre_panels(np.linspace(0.0, span, panels + 1), order)
+    v, gw = gauss_legendre_panels(np.linspace(0.0, span, panels + 1), 8)
     x = np.exp(-v)
     w = np.exp(-(1.0 + expo) * v) * gw
     return x, w
 
 
-def log_power_rule(expo: complex, delta: float, order: int = 8,
-                   budget: float = 38.0):
+def log_power_rule(expo: complex, delta: float):
     """Rule for ``int_0^delta x**expo phi(x) dx`` with complex expo.
 
     Substituting x = delta*exp(-v) turns the complex power into a
@@ -142,7 +143,7 @@ def log_power_rule(expo: complex, delta: float, order: int = 8,
     expo = complex(expo)
     if expo.real <= -1:
         raise ValueError("need Re(expo) > -1")
-    x1, w1 = _log_power_unit_rule(expo, order, budget)
+    x1, w1 = _log_power_unit_rule(expo)
     return delta * x1, delta ** (1.0 + expo) * w1
 
 

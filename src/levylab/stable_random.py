@@ -32,17 +32,16 @@ def _check_alpha(alpha: float) -> None:
 
 @dataclass(frozen=True)
 class StableLaw:
-    """Symmetric alpha-stable law with scale given through sigma^alpha."""
+    """Symmetric alpha-stable law with the tail normalized to t^(-alpha)."""
 
     alpha: float
-    sigma_alpha: float | None = None
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if self.sigma_alpha is None:
-            object.__setattr__(self, "sigma_alpha", tail_one_sigma_alpha(self.alpha))
-        if self.sigma_alpha <= 0:
-            raise ValueError("sigma_alpha must be positive")
+
+    @property
+    def sigma_alpha(self) -> float:
+        return tail_one_sigma_alpha(self.alpha)
 
     @property
     def sigma(self) -> float:
@@ -115,9 +114,3 @@ def truncated_weight_tail_mean(alpha: float, K: int, terms: int = 200_000) -> fl
     head = np.exp(gammaln(k - s) - gammaln(k)).sum()
     tail = (K + terms) ** (1.0 - s) / (s - 1.0)
     return float(head + tail)
-
-
-def levy_khintchine_rhs(alpha: float, w) -> np.ndarray:
-    """exp(-Gamma(1 - alpha/2) * w**(alpha/2)) for Re w > 0."""
-    w = np.asarray(w, dtype=complex)
-    return np.exp(-gamma_fn(1.0 - 0.5 * alpha) * w ** (0.5 * alpha))

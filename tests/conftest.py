@@ -13,6 +13,7 @@ from levylab.matrix_model import (
     empirical_gamma,
     resolvent_diagonal,
 )
+from oracles import solve_gamma_path
 
 MASTER_SEED = 7
 
@@ -45,7 +46,7 @@ def alpha1_ensemble():
 @pytest.fixture(scope="session")
 def gamma_star_02i():
     """Continuation solve of the order-parameter fixed point to z = 0.2i."""
-    sols = fp.solve_gamma_path([0.05j, 0.1j, 0.15j, 0.2j], 1.0, tol=1e-8,
+    sols = solve_gamma_path([0.05j, 0.1j, 0.15j, 0.2j], 1.0, tol=1e-8,
                                m=65, quad=fp.QuadratureConfig.fast())
     return sols
 

@@ -14,7 +14,7 @@ from scipy.special import gamma as gamma_fn
 import levylab.fixed_point as fp
 import levylab.kernel_spectrum as ks
 from levylab.experiments import ExperimentConfig, derived_seed, run_transition_sweep
-from levylab.halfplane import HALF_PI, HomogeneousFn, default_grid, sup_distance
+from levylab.halfplane import HALF_PI, HomogeneousFn, default_grid
 from levylab.localization import interval_stats, resolvent_upper_bound
 from levylab.matrix_model import (
     build_levy_matrix,
@@ -24,11 +24,11 @@ from levylab.matrix_model import (
 )
 from levylab.stable_random import (
     StableLaw,
-    levy_khintchine_rhs,
     poisson_weights_matrix,
     sample_standard_stable,
     substream,
 )
+from oracles import levy_khintchine_rhs, sup_distance
 
 
 def report(num, ok, detail):

