@@ -100,7 +100,6 @@ class RunRecord:
     rows: tuple[tuple, ...] = ()
     fields: dict = field(default_factory=dict)
     skipped: tuple[str, ...] = ()
-    version: str = __version__
 
     @property
     def config_hash(self) -> str:
@@ -117,12 +116,15 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(se)
 
 
-def _samples(cfg: ExperimentConfig, skipped: list):
-    """Yield (n, seed, eigendecomposition) for every sample of the run.
+def _batch(kind: str, cfg: ExperimentConfig, columns, row, aggregate) -> RunRecord:
+    """The record of ``row(n, seed, sd, E)`` in (n, seed, E) order, with
+    aggregates ``aggregate(rows)``.
 
     A sample whose build or eigensolve raises one of ``SAMPLE_ERRORS`` is
     noted in ``skipped``; more than 10% skipped fails the run.
     """
+    rows = []
+    skipped = []
     for n in cfg.n_list:
         for k in range(cfg.n_seeds):
             seed = derived_seed(cfg.master_seed, n, k)
@@ -131,10 +133,22 @@ def _samples(cfg: ExperimentConfig, skipped: list):
             except SAMPLE_ERRORS as exc:
                 skipped.append(f"{type(exc).__name__}: n={n} seed={seed}: {exc}")
                 continue
-            yield n, seed, sd
+            rows.extend(row(n, seed, sd, e) for e in cfg.energies)
     total = len(cfg.n_list) * cfg.n_seeds
     if len(skipped) > 0.1 * total:
         raise RuntimeError(f"{len(skipped)}/{total} samples failed")
+    return RunRecord(kind, cfg, columns=columns, rows=tuple(rows),
+                     fields={"aggregates": aggregate(rows)},
+                     skipped=tuple(skipped))
+
+
+def _cells(rows, columns) -> list:
+    """``((n, E), rows)`` per cell, sorted by (n, E), rows kept in order."""
+    i_n, i_e = columns.index("n"), columns.index("E")
+    cells = {}
+    for r in rows:
+        cells.setdefault((r[i_n], r[i_e]), []).append(r)
+    return sorted(cells.items())
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +161,15 @@ SWEEP_COLUMNS = ("alpha", "n", "seed", "E", "half_width",
 
 def aggregate_sweep(rows, columns=SWEEP_COLUMNS) -> dict:
     """Per-(n, E) mean/SE of Q over non-empty windows; bit-reproducible."""
-    i_n, i_e = columns.index("n"), columns.index("E")
     i_c, i_q = columns.index("count"), columns.index("Q")
     out = {}
-    keys = sorted({(r[i_n], r[i_e]) for r in rows})
-    for n, e in keys:
-        qs = [r[i_q] for r in rows
-              if r[i_n] == n and r[i_e] == e and r[i_c] > 0]
-        counts = [r[i_c] for r in rows if r[i_n] == n and r[i_e] == e]
+    for (n, e), cell in _cells(rows, columns):
+        qs = [r[i_q] for r in cell if r[i_c] > 0]
         mean_q, se_q = _mean_se(qs)
         out[f"n={n},E={e}"] = {
             "mean_Q": mean_q, "se_Q": se_q,
-            "mean_count": float(np.mean(counts)),
-            "samples": len(counts), "empty": len(counts) - len(qs),
+            "mean_count": float(np.mean([r[i_c] for r in cell])),
+            "samples": len(cell), "empty": len(cell) - len(qs),
         }
     return out
 
@@ -170,21 +180,13 @@ def run_transition_sweep(cfg: ExperimentConfig) -> RunRecord:
     Per-sample failures (``SAMPLE_ERRORS``) are recorded and skipped; the
     run fails only if more than 10% of the samples fail.
     """
-    rows = []
-    skipped = []
-    for n, seed, sd in _samples(cfg, skipped):
+    def row(n, seed, sd, e):
         w = cfg.interval_width(n)
-        for e in cfg.energies:
-            st = interval_stats(sd, (e - 0.5 * w, e + 0.5 * w), cfg.alpha)
-            if st.is_empty:
-                rows.append((cfg.alpha, n, seed, e, 0.5 * w, 0, "", "", ""))
-            else:
-                rows.append((cfg.alpha, n, seed, e, 0.5 * w, st.count,
-                             st.Q, st.Pi, st.renyi_half))
-    return RunRecord("localization-sweep", cfg, columns=SWEEP_COLUMNS,
-                     rows=tuple(rows),
-                     fields={"aggregates": aggregate_sweep(rows)},
-                     skipped=tuple(skipped))
+        st = interval_stats(sd, (e - 0.5 * w, e + 0.5 * w), cfg.alpha)
+        stats = ("", "", "") if st.is_empty else (st.Q, st.Pi, st.renyi_half)
+        return (cfg.alpha, n, seed, e, 0.5 * w, st.count) + stats
+
+    return _batch("localization-sweep", cfg, SWEEP_COLUMNS, row, aggregate_sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +199,16 @@ LOCAL_LAW_COLUMNS = ("alpha", "n", "seed", "E", "a", "b",
 
 def aggregate_local_law(rows, mu_star: dict,
                         columns=LOCAL_LAW_COLUMNS) -> dict:
-    i_n, i_e = columns.index("n"), columns.index("E")
     i_f, i_r = columns.index("count_frac"), columns.index("mean_abs_R2")
     out = {}
-    for n, e in sorted({(r[i_n], r[i_e]) for r in rows}):
-        fr = [r[i_f] for r in rows if r[i_n] == n and r[i_e] == e]
-        r2 = [r[i_r] for r in rows if r[i_n] == n and r[i_e] == e]
-        mean_f, se_f = _mean_se(fr)
-        mean_r, _ = _mean_se(r2)
+    for (n, e), cell in _cells(rows, columns):
+        mean_f, se_f = _mean_se([r[i_f] for r in cell])
+        mean_r, _ = _mean_se([r[i_r] for r in cell])
         mu = mu_star[e]
         out[f"n={n},E={e}"] = {
             "mean_count_frac": mean_f, "se_count_frac": se_f,
             "mu_star": mu, "abs_error": abs(mean_f - mu),
-            "mean_abs_R2": mean_r, "samples": len(fr),
+            "mean_abs_R2": mean_r, "samples": len(cell),
         }
     return out
 
@@ -219,24 +218,21 @@ def run_local_law(cfg: ExperimentConfig) -> RunRecord:
     second resolvent moment (1/n) sum |R_kk(E + i eta)|^2."""
     quad = QuadratureConfig().scaled(cfg.quad_scale)
     w = cfg.interval_width(max(cfg.n_list))
+    eta = cfg.eta if cfg.eta is not None else 0.5 * w
     energies = np.array(cfg.energies, dtype=float)
     mu_star = dict(zip(cfg.energies, stieltjes_mass(
         energies - 0.5 * w, energies + 0.5 * w, cfg.alpha,
         eta_ladder=cfg.eta_ladder, quad=quad).tolist()))
-    rows = []
-    skipped = []
-    for n, seed, sd in _samples(cfg, skipped):
-        for e in cfg.energies:
-            a, b = e - 0.5 * w, e + 0.5 * w
-            frac = eigenvalue_counting(sd, a, b) / n
-            eta = cfg.eta if cfg.eta is not None else 0.5 * w
-            rd = resolvent_diagonal(sd, complex(e, eta))
-            rows.append((cfg.alpha, n, seed, e, a, b, frac,
-                         float(np.mean(np.abs(rd.values) ** 2))))
-    return RunRecord("local-law", cfg, columns=LOCAL_LAW_COLUMNS,
-                     rows=tuple(rows),
-                     fields={"aggregates": aggregate_local_law(rows, mu_star)},
-                     skipped=tuple(skipped))
+
+    def row(n, seed, sd, e):
+        a, b = e - 0.5 * w, e + 0.5 * w
+        frac = eigenvalue_counting(sd, a, b) / n
+        rd = resolvent_diagonal(sd, complex(e, eta))
+        return (cfg.alpha, n, seed, e, a, b, frac,
+                float(np.mean(np.abs(rd.values) ** 2)))
+
+    return _batch("local-law", cfg, LOCAL_LAW_COLUMNS, row,
+                  lambda rows: aggregate_local_law(rows, mu_star))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +262,7 @@ def emit(record: RunRecord, output_dir: str | Path) -> list[Path]:
         "config": asdict(record.config) if record.config else None,
         "args": record.args,
         "config_hash": record.config_hash,
-        "version": record.version,
+        "version": __version__,
         "seed_scheme": SEED_SCHEME,
         "skipped": list(record.skipped),
         **record.fields,

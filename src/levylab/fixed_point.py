@@ -61,29 +61,18 @@ class FixedPointError(RuntimeError):
 #: the failures a batch records and skips per sample; anything else is a bug
 SAMPLE_ERRORS = (ValueError, np.linalg.LinAlgError, QuadratureError, FixedPointError)
 
-# started on first use; its tasks never submit to it, so they cannot
-# wait on one another
-_EXECUTOR: ThreadPoolExecutor | None = None
-_EXECUTOR_LOCK = threading.Lock()
 
-
-def _executor() -> ThreadPoolExecutor:
-    """The module's thread pool, one worker per core this process may use."""
+def _start_executor() -> None:
+    # one worker per core this process may use, none started until a task
+    # comes; tasks never submit to the pool, so none waits on another.  A
+    # forked child inherits the pool object but none of its threads.
     global _EXECUTOR
-    with _EXECUTOR_LOCK:
-        if _EXECUTOR is None:
-            _EXECUTOR = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
-                                           thread_name_prefix="levylab")
-        return _EXECUTOR
+    _EXECUTOR = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
+                                   thread_name_prefix="levylab")
 
 
-def _forget_executor() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _EXECUTOR, _EXECUTOR_LOCK
-    _EXECUTOR, _EXECUTOR_LOCK = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_executor)
+_start_executor()
+os.register_at_fork(after_in_child=_start_executor)
 
 
 def c_alpha(alpha) -> complex:
@@ -218,7 +207,7 @@ def difference_integral(alpha: float, phi, out_thetas, n_theta: int,
 
     # output angles are independent: one pool task each
     angles = np.asarray(out_thetas, dtype=float)
-    return np.array(list(_executor().map(at_angle, angles)), dtype=complex)
+    return np.array(list(_EXECUTOR.map(at_angle, angles)), dtype=complex)
 
 
 def eval_F(h: complex, g: HomogeneousFn,
@@ -594,10 +583,8 @@ def stieltjes_mass(a, b, alpha: float, n_points: int = 33,
 class PopulationPool:
     """Equilibrated sample pool approximating the law of R*(z)."""
 
-    z: complex
     pool: np.ndarray
     iterations: int
-    K: int
     m_history: tuple[float, ...]
     converged: bool
 
@@ -635,7 +622,6 @@ def population_dynamics(z: complex, alpha: float, pool_size: int = 100_000,
         raise ValueError("pool_size, sweeps, K and chunk must all be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    executor = _executor()
     chunks = [(lo, min(lo + chunk, pool_size)) for lo in range(0, pool_size, chunk)]
     draws = ((rng.integers(0, pool_size, size=(hi - lo, K), dtype=np.int32),
               rng.standard_exponential((hi - lo, K)))
@@ -653,7 +639,7 @@ def population_dynamics(z: complex, alpha: float, pool_size: int = 100_000,
         for lo, hi in chunks:
             idx, exps = ahead
             blocks = [slice(a, a + SWEEP_BLOCK) for a in range(0, hi - lo, SWEEP_BLOCK)]
-            tasks = [executor.submit(update, pool, idx[b], exps[b], new[lo:hi][b])
+            tasks = [_EXECUTOR.submit(update, pool, idx[b], exps[b], new[lo:hi][b])
                      for b in blocks]
             ahead = next(draws, None)
             for task in tasks:
@@ -667,7 +653,7 @@ def population_dynamics(z: complex, alpha: float, pool_size: int = 100_000,
         rel = float(np.max(np.abs(np.diff(tail)) / np.abs(tail[1:])))
     else:
         rel = np.inf
-    return PopulationPool(z=z, pool=pool, iterations=sweeps, K=K,
+    return PopulationPool(pool=pool, iterations=sweeps,
                           m_history=tuple(history), converged=bool(rel <= 0.01))
 
 

@@ -23,12 +23,6 @@ from .halfplane import HALF_PI
 from .quadrature import gauss_legendre_panels, power_rule, sin2_theta_rule
 
 
-def a_zero_sq(alpha) -> complex:
-    """Gamma(1 - alpha/2) / Gamma(1 + alpha/2), analytic in alpha."""
-    alpha = complex(alpha)
-    return gamma_fn(1.0 - 0.5 * alpha) / gamma_fn(1.0 + 0.5 * alpha)
-
-
 def c_prime(alpha) -> complex:
     """Block-operator coupling c'_alpha = c_alpha * 2/(alpha * a0^2).
 
@@ -36,7 +30,8 @@ def c_prime(alpha) -> complex:
     formula; kept in the Gamma form to mirror the construction.
     """
     alpha = complex(alpha)
-    return c_alpha(alpha) * 2.0 / (alpha * a_zero_sq(alpha))
+    a0_sq = gamma_fn(1.0 - 0.5 * alpha) / gamma_fn(1.0 + 0.5 * alpha)
+    return c_alpha(alpha) * 2.0 / (alpha * a0_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +191,6 @@ def kernel_row_integrals(alpha, omegas: np.ndarray, n_theta: int = 96,
 class NystromOperator:
     alpha: complex
     nodes: np.ndarray
-    weights: np.ndarray
     matrix: np.ndarray
     kappa: float
     kind: str
@@ -262,8 +256,7 @@ def assemble_P(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
         mat = d[:, None] * mat / d[None, :]
     if alpha.imag == 0:
         mat = mat.real.astype(complex)
-    return NystromOperator(alpha=alpha, nodes=nodes, weights=weights,
-                           matrix=mat, kappa=kappa, kind="P",
+    return NystromOperator(alpha=alpha, nodes=nodes, matrix=mat, kappa=kappa, kind="P",
                            diag_rule="row-sum singularity subtraction "
                                      "(exact on locally constant densities)")
 
@@ -309,8 +302,7 @@ def assemble_H(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
         d = np.abs(c - s) ** kappa
         dd = np.concatenate([np.ones(n), d, d])
         H = dd[:, None] * H / dd[None, :]
-    return NystromOperator(alpha=alpha, nodes=nodes,
-                           weights=P.weights, matrix=H, kappa=kappa,
+    return NystromOperator(alpha=alpha, nodes=nodes, matrix=H, kappa=kappa,
                            kind="H", diag_rule=P.diag_rule)
 
 

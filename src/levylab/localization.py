@@ -30,7 +30,6 @@ class IntervalStats:
 
     a: float
     b: float
-    alpha: float
     n: int
     count: int
     P: np.ndarray | None
@@ -65,14 +64,14 @@ def interval_stats(sd: SpectralDecomposition, interval: tuple[float, float],
     mask = (sd.eigenvalues >= a) & (sd.eigenvalues <= b)
     count = int(np.count_nonzero(mask))
     if count == 0:
-        return IntervalStats(a, b, alpha, n, 0, None, None, None, None)
+        return IntervalStats(a, b, n, 0, None, None, None, None)
     cols = sd.eigenvectors[:, mask]
     sq = cols ** 2
     P = sq.mean(axis=1)
     Q = float(n * np.sum(P ** 2))
     Pi = float(n * np.mean(np.sum(sq ** 2, axis=0)))
     renyi_half = float(n ** (0.5 * alpha - 1.0) * np.sum(P ** (0.5 * alpha)))
-    return IntervalStats(a, b, alpha, n, count, P, Q, Pi, renyi_half)
+    return IntervalStats(a, b, n, count, P, Q, Pi, renyi_half)
 
 
 def resolvent_upper_bound(rd: ResolventDiagonal,

@@ -48,14 +48,6 @@ class ResolventDiagonal:
     z: complex
     values: np.ndarray
 
-    def __post_init__(self):
-        if self.z.imag <= 0:
-            raise ValueError("resolvent diagonal requires Im z > 0")
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
 
 def build_levy_matrix(n: int, alpha: float, seed: int) -> LevyMatrix:
     """Heavy-tailed symmetric matrix, a deterministic function of (n, alpha, seed).

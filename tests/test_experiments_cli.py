@@ -101,6 +101,25 @@ def test_empty_windows_are_blank_not_zero(tmp_path):
     assert agg["empty"] >= 1
 
 
+def test_empty_windows_round_trip_as_blanks(tmp_path):
+    rec = run_transition_sweep(small_cfg(energies=(0.0, 50.0)))
+    rows = read_rows(emit(rec, tmp_path)[0], rec.columns)
+    assert tuple(rows) == rec.rows
+    i_c = rec.columns.index("count")
+    empty = [r for r in rows if r[i_c] == 0]
+    assert len(empty) == 6  # every sample at E = 50
+    assert all(r[i_c + 1:] == ("", "", "") for r in empty)
+    # NaN means and SEs of the empty cells compare equal as JSON text
+    assert (json.dumps(aggregate_sweep(rows), sort_keys=True)
+            == json.dumps(rec.fields["aggregates"], sort_keys=True))
+
+
+def test_read_rows_rejects_a_wrong_header(tmp_path):
+    rec = run_transition_sweep(small_cfg(n_list=(50,), n_seeds=1))
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        read_rows(emit(rec, tmp_path)[0], experiments.LOCAL_LAW_COLUMNS)
+
+
 def test_local_law_record(tmp_path):
     cfg = small_cfg(alpha=1.0, n_list=(80,), n_seeds=3, fixed_width=0.4)
     rec = run_local_law(cfg)

@@ -282,6 +282,63 @@ def test_solver_stagnation_guard_sees_an_alternating_floor(monkeypatch):
     assert len(calls) <= 40
 
 
+def test_solver_cone_guard(monkeypatch):
+    # a map that pushes every value left drives the iterate out of the cone
+    def left_G(z, f, quad=None):
+        return HomogeneousFn(f.beta, f.thetas, f.values - 10.0)
+
+    monkeypatch.setattr(fp, "eval_G", left_G)
+    with pytest.raises(FixedPointError, match="positive-real-part cone"):
+        solve_gamma_star(0.2j, 1.0, m=33, quad=QuadratureConfig.fast())
+
+
+def test_solver_iteration_cap(monkeypatch):
+    monkeypatch.setattr(fp, "MAX_ITER", 3)
+    with pytest.raises(FixedPointError, match="no convergence .* within 3 iterations"):
+        solve_gamma_star(0.2j, 1.0, tol=0.0, m=33, quad=QuadratureConfig.fast())
+
+
+@pytest.mark.parametrize("z, alpha", [(0.5 + 0.5j, 1.0), (0.2j, 1.0), (1 + 0.3j, 0.8)])
+def test_scalar_solve_rescue_reaches_the_root(z, alpha, monkeypatch):
+    # a NaN Newton derivative fails all 25 halvings of the line search;
+    # the damped Picard rescue must still reach the root
+    expected = solve_tilde_gamma(z, alpha)
+    radial = fp.radial_integral_rotated
+
+    def nan_derivative(beta, H, X, alpha, *args):
+        val = radial(beta, H, X, alpha, *args)
+        return val * np.nan if beta == alpha else val
+
+    monkeypatch.setattr(fp, "radial_integral_rotated", nan_derivative)
+    with np.errstate(invalid="ignore"):
+        got = solve_tilde_gamma(z, alpha)
+    assert abs(got - expected) <= 1e-14
+
+
+def test_scalar_solve_divergence_guard(monkeypatch):
+    def infinite(z, x, p, alpha, quad=None):
+        return np.full(np.shape(z), np.inf, dtype=complex)
+
+    monkeypatch.setattr(fp, "s_p", infinite)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FixedPointError, match=r"diverged at z=0\.2j"):
+            solve_tilde_gamma(0.2j, 1.0)
+
+
+def test_scalar_solve_iteration_cap(monkeypatch):
+    monkeypatch.setattr(fp, "MAX_ITER", 0)
+    with pytest.raises(FixedPointError, match="did not reach"):
+        solve_tilde_gamma(0.2j, 1.0)
+
+
+def test_s_truncation_grows_against_a_negative_eps_g():
+    # re_h s^2 + eps_g s at alpha = 1: the first guess sqrt(40) falls
+    # short of the budget, so the 1.3x growth loop must run
+    s = fp._s_truncation(1.0, 1.0, -1.0, 40.0)
+    assert s > np.sqrt(40.0)
+    assert s * s - s >= 40.0
+
+
 def test_checkpoint_round_trip(tmp_path):
     sol = solve_gamma_star(0.0, 1.2, tol=1e-6, quad=QuadratureConfig.fast())
     text = json.dumps(sol.checkpoint(QuadratureConfig.fast()))
