@@ -11,10 +11,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import platform
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .fixed_point import SAMPLE_ERRORS, QuadratureConfig, stieltjes_mass
@@ -247,12 +250,29 @@ def _format_cell(x) -> str:
     return _FMT % x
 
 
+def numeric_environment() -> dict:
+    """The builds and BLAS thread settings that the numbers depend on
+    (eigenvalues move in the last digits between BLAS thread counts);
+    an unset thread variable is None."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        **{var: os.environ.get(var)
+           for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 def emit(record: RunRecord, output_dir: str | Path) -> list[Path]:
     """Write the record's artifacts; returns the created paths.
 
     ``<kind>-<hash>.csv`` holds the rows (documented header, full float
     precision, LF) when the record is tabular; ``<kind>-<hash>.meta.json``
-    holds the config, its hash, the provenance and the result fields.
+    holds the config, its hash, the provenance (``numeric_environment``
+    among it) and the result fields.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -264,6 +284,7 @@ def emit(record: RunRecord, output_dir: str | Path) -> list[Path]:
         "config_hash": record.config_hash,
         "version": __version__,
         "seed_scheme": SEED_SCHEME,
+        "environment": numeric_environment(),
         "skipped": list(record.skipped),
         **record.fields,
     }

@@ -47,7 +47,7 @@ from scipy.special import gamma as gamma_fn
 
 from . import halfplane
 from .halfplane import HALF_PI, HomogeneousFn, dot
-from .quadrature import power_rule, sin2_theta_rule, tanh_sinh
+from .quadrature import power_rule, simpson, sin2_theta_rule, tanh_sinh
 from .stable_random import _check_alpha, arrival_weights
 
 class QuadratureError(RuntimeError):
@@ -570,8 +570,7 @@ def stieltjes_mass(a, b, alpha: float, n_points: int = 33,
         n_points += 1
     xs = np.linspace(a, b, n_points, axis=-1)
     fs = spectral_density(xs, alpha, eta_ladder, quad)[0]
-    from scipy.integrate import simpson
-    mass = simpson(fs, x=xs, axis=-1)
+    mass = simpson(fs, xs)
     return float(mass) if np.ndim(mass) == 0 else mass
 
 

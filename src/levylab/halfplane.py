@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 HALF_PI = 0.5 * np.pi
 
@@ -49,13 +48,42 @@ def default_grid(m: int = 65) -> np.ndarray:
     return theta
 
 
+def not_a_knot_coefficients(x, y):
+    """Horner coefficients of the not-a-knot cubic spline through (x, y).
+
+    Row k, entry j is the coefficient of ``(t - x[j])**(3 - k)`` on
+    ``[x[j], x[j+1]]``.  The slopes solve the (n x n) system of
+    ``scipy.interpolate.CubicSpline``'s not-a-knot condition: the third
+    derivative is continuous at x[1] and x[-2].
+    """
+    n = x.size
+    h = np.diff(x)
+    d = np.diff(y) / h
+    a = np.zeros((n, n))
+    b = np.empty(n, dtype=y.dtype)
+    i = np.arange(1, n - 1)
+    a[i, i - 1] = h[1:]
+    a[i, i] = 2.0 * (h[:-1] + h[1:])
+    a[i, i + 1] = h[:-1]
+    b[1:-1] = 3.0 * (h[1:] * d[:-1] + h[:-1] * d[1:])
+    w0, w1 = x[2] - x[0], x[-1] - x[-3]
+    a[0, :2] = h[1], w0
+    b[0] = ((h[0] + 2.0 * w0) * h[1] * d[0] + h[0] ** 2 * d[1]) / w0
+    a[-1, -2:] = w1, h[-2]
+    b[-1] = (h[-1] ** 2 * d[-2] + (2.0 * w1 + h[-1]) * h[-2] * d[-1]) / w1
+    s = np.linalg.solve(a, b)
+    t = (s[:-1] + s[1:] - 2.0 * d) / h
+    return np.array([t / h, (d - s[:-1]) / h - t, s[:-1], y[:-1]])
+
+
 @dataclass(frozen=True)
 class HomogeneousFn:
     """Degree-beta homogeneous function sampled on an angular grid.
 
-    Off-grid evaluation uses a piecewise-cubic interpolant in the angle;
-    homogeneity ``g(lam*u) = lam**beta * g(u)`` is exact by construction
-    of the evaluator.
+    Off-grid evaluation uses the not-a-knot cubic spline in the angle
+    through the grid values (``not_a_knot_coefficients``); homogeneity
+    ``g(lam*u) = lam**beta * g(u)`` is exact by construction of the
+    evaluator.
     """
 
     beta: float
@@ -75,9 +103,24 @@ class HomogeneousFn:
             raise ValueError("grid must strictly increase from 0 to pi/2")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_spline", CubicSpline(thetas, values))
+        object.__setattr__(self, "_coef", not_a_knot_coefficients(thetas, values))
 
     # -- evaluation --------------------------------------------------
+
+    def _spline(self, theta):
+        """The spline at the angles theta, by Horner's rule; a knot gives
+        its value exactly (except the last), and the end cubics extend
+        past the grid."""
+        j = np.searchsorted(self.thetas[1:-1], theta, "right")
+        dx = theta - self.thetas[j]
+        c3, c2, c1, c0 = self._coef
+        out = c3[j] * dx
+        out += c2[j]
+        out *= dx
+        out += c1[j]
+        out *= dx
+        out += c0[j]
+        return out
 
     def values_at_angle(self, theta):
         """Values g(e^{i theta}) for angles in [0, pi/2].

@@ -7,6 +7,8 @@ Three families cover every integral in this package:
 * ``power_rule`` for an exact endpoint weight ``x^expo``: Gauss-Jacobi
   for real expo, a log-substituted rule with complex weights otherwise,
 * composite Gauss-Legendre panels for smooth integrands.
+
+``simpson`` integrates values already sampled on a grid.
 """
 
 from __future__ import annotations
@@ -164,3 +166,29 @@ def gauss_legendre_panels(breaks, order: int = 12):
     weights = (half * w).reshape(rows)
     return nodes, weights
 
+
+def _ratio(a, b):
+    """a / b, and 0 where b is 0."""
+    return np.divide(a, b, out=np.zeros(np.shape(b)), where=b != 0)
+
+
+def simpson(y, x):
+    """Composite Simpson rule over the last axis, for an odd number of
+    ordered, possibly unevenly spaced points ``x``; an interval of zero
+    width has zero integral.
+
+    The arithmetic is that of ``scipy.integrate.simpson`` for an odd
+    number of points, operation for operation, so the two agree bit for
+    bit.
+    """
+    if np.shape(y)[-1] % 2 == 0:
+        raise ValueError("Simpson's rule needs an odd number of points")
+    h = np.diff(x, axis=-1)
+    h0, h1 = h[..., 0::2], h[..., 1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = _ratio(h0, h1)
+    tmp = hsum / 6.0 * (y[..., 0:-2:2] * (2.0 - _ratio(1.0, h0divh1))
+                        + y[..., 1::2] * (hsum * _ratio(hsum, hprod))
+                        + y[..., 2::2] * (2.0 - h0divh1))
+    return np.sum(tmp, axis=-1)

@@ -83,6 +83,28 @@ def test_emitted_schema(tmp_path):
     assert "seed_scheme" in meta
 
 
+def test_metadata_names_the_numeric_environment(tmp_path, monkeypatch):
+    import platform
+
+    import scipy
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    rec = RunRecord("k", small_cfg(), args={"n": 40})
+    meta = json.loads(emit(rec, tmp_path)[0].read_text())
+    env = meta["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    assert env["blas"] and env["blas_version"]
+    assert env["OPENBLAS_NUM_THREADS"] == "1" and env["OMP_NUM_THREADS"] is None
+    assert set(env) == {"python", "numpy", "scipy", "blas", "blas_version",
+                        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+    # another environment changes the metadata's contents, not its name
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    (other,) = emit(rec, tmp_path / "other")
+    assert other.name == emit(rec, tmp_path)[0].name
+    assert json.loads(other.read_text())["environment"]["OPENBLAS_NUM_THREADS"] == "2"
+
+
 def test_hash_covers_config_and_arguments():
     cfg = small_cfg()
     base = RunRecord("k", cfg, args={"n": 40})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from levylab.halfplane import (
     HALF_PI,
@@ -91,6 +92,40 @@ def test_offgrid_interpolation_error():
     theta = np.linspace(0.0, HALF_PI, 1111)
     exact = (np.cos(theta) + np.sin(theta)) ** (0.5 * alpha)
     assert np.max(np.abs(f.values_at_angle(theta) - exact)) < 1e-6
+
+
+def _spline_grids():
+    # random grids whose gaps vary fourfold; as the ratio of the largest
+    # gap to the smallest grows, both solves lose digits with it
+    rng = np.random.default_rng(13)
+    grids = [default_grid(33), default_grid(65)]
+    for m in (33, 40, 65, 97):
+        gaps = rng.uniform(0.25, 1.0, m - 1)
+        grids.append(HALF_PI * np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum())
+        grids[-1][-1] = HALF_PI
+    return grids
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_spline_matches_scipy_not_a_knot(k):
+    # old == new: the numpy spline against scipy's CubicSpline, complex
+    # values, at random angles, at every knot and just outside both ends;
+    # the tolerance is relative to the pointwise value or to the largest
+    # value, since a value near 0 keeps only the absolute accuracy
+    rng = np.random.default_rng(k)
+    thetas = _spline_grids()[k]
+    values = rng.standard_normal(thetas.size) + 1j * rng.standard_normal(thetas.size)
+    f = HomogeneousFn(0.5, thetas, values)
+    ref = CubicSpline(thetas, values)
+    inside = np.concatenate([rng.uniform(0.0, HALF_PI, 20000), thetas])
+    outside = np.array([-1e-3, -1e-9, HALF_PI + 1e-9, HALF_PI + 1e-3])
+    for theta in (inside, outside):
+        np.testing.assert_allclose(f._spline(theta), ref(theta), rtol=1e-14,
+                                   atol=1e-14 * np.max(np.abs(values)))
+    assert np.array_equal(f._spline(thetas[:-1]), values[:-1])
+    u = 2.0 * np.exp(1j * inside)
+    np.testing.assert_allclose(f(u), 2.0 ** 0.5 * ref(np.angle(u)), rtol=1e-14,
+                               atol=1e-14 * np.max(np.abs(values)))
 
 
 def test_weight_vanishes_at_central_angle():

@@ -1,4 +1,5 @@
-"""Every module-level function and class in ``src/levylab`` has a caller.
+"""What ``src/levylab`` may hold: every module-level function and class
+has a caller, and importing the package loads no heavy scipy subpackage.
 
 A definition counts as used when its name appears in ``src/levylab`` or in
 ``perfbench/`` outside its own definition and outside ``__init__.py``
@@ -8,6 +9,9 @@ strings).  Code that only tests call belongs in ``tests/oracles.py``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,3 +75,15 @@ def test_allowlist_names_live_definitions():
     defined = {node.name for tree in _modules().values() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert set(ALLOWED) <= defined
+
+
+def test_cli_import_loads_only_scipy_special():
+    # scipy.interpolate (with scipy.optimize behind it) and scipy.integrate
+    # cost about 0.3 s of every cold start; the package does without them
+    code = ("import sys, levylab.cli; print(' '.join(m for m in "
+            "('scipy.interpolate', 'scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=ROOT,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=120)
+    assert out.stdout.split() == []

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson as scipy_simpson
 from scipy.special import gamma as gamma_fn
 
 from levylab.quadrature import (
@@ -8,6 +8,7 @@ from levylab.quadrature import (
     gauss_legendre_panels,
     log_power_rule,
     power_rule,
+    simpson,
     sin2_theta_rule,
     tanh_sinh,
 )
@@ -110,3 +111,23 @@ def test_log_power_rule_complex_exponent():
     assert abs(w @ x - 0.8 ** (2 + e) / (2 + e)) < 1e-12
     with pytest.raises(ValueError):
         log_power_rule(-1.2, 1.0)
+
+
+@pytest.mark.parametrize("n_points", [3, 9, 33])
+def test_simpson_is_scipy_simpson_bit_for_bit(n_points):
+    # old == new on stieltjes_mass's grids: np.linspace(a, b, n, axis=-1)
+    # with scalar endpoints and with arrays of endpoints
+    rng = np.random.default_rng(n_points)
+    for _ in range(200):
+        a, b = np.sort(rng.uniform(-5.0, 5.0, 2))
+        xs = np.linspace(a, b, n_points, axis=-1)
+        ys = rng.standard_normal(n_points)
+        assert simpson(ys, xs) == scipy_simpson(ys, x=xs, axis=-1)
+        a = rng.uniform(-5.0, 0.0, 7)
+        b = a + rng.uniform(0.01, 3.0, 7)
+        b[3] = a[3]  # an empty interval has zero mass
+        xs = np.linspace(a, b, n_points, axis=-1)
+        ys = rng.standard_normal(xs.shape)
+        assert np.array_equal(simpson(ys, xs), scipy_simpson(ys, x=xs, axis=-1))
+    with pytest.raises(ValueError):
+        simpson(np.ones(4), np.arange(4.0))
