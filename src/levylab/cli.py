@@ -33,6 +33,7 @@ from .fixed_point import (
 )
 from .kernel_spectrum import alpha_scan, flag_minima
 from .matrix_model import build_levy_matrix, eigenvalues
+from .stable_random import substream
 
 #: options that locate inputs and outputs or override the config; they
 #: never enter a record's own arguments (and so never its hash)
@@ -118,6 +119,8 @@ def solve_fixed_point(cfg, args) -> RunRecord:
 
 
 def density(cfg, args) -> RunRecord:
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     quad = QuadratureConfig().scaled(cfg.quad_scale)
     es = np.linspace(0.0, args.e_max, args.points)
     vals, errs = spectral_density(es, cfg.alpha, cfg.eta_ladder, quad=quad)
@@ -129,9 +132,8 @@ def density(cfg, args) -> RunRecord:
 
 def pool_run(cfg, args) -> RunRecord:
     z = complex(args.z_re, args.z_im)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.master_seed, spawn_key=(0xB0D,)))
-    pool = population_dynamics(z, cfg.alpha, args.pool, args.sweeps, args.K, rng)
+    pool = population_dynamics(z, cfg.alpha, args.pool, args.sweeps, args.K,
+                               substream(cfg.master_seed, 0xB0D))
     m1, se1 = pool_moment(pool, 1.0, "abs")
     m2, se2 = pool_moment(pool, 2.0, "abs")
     return RunRecord("population-dynamics", cfg, fields={
@@ -144,6 +146,11 @@ def pool_run(cfg, args) -> RunRecord:
 
 
 def kernel_scan(cfg, args) -> RunRecord:
+    if not args.step > 0:
+        raise ValueError(f"--step must be positive, got {args.step}")
+    if not args.alpha_min <= args.alpha_max:
+        raise ValueError(f"--alpha-min {args.alpha_min} exceeds "
+                         f"--alpha-max {args.alpha_max}")
     grid = np.arange(args.alpha_min, args.alpha_max + 0.5 * args.step, args.step)
     results, failures = alpha_scan(grid, n_nodes=args.nodes, kappa=args.kappa,
                                    refine=not args.no_refine)

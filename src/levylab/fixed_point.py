@@ -211,7 +211,7 @@ def difference_integral(alpha: float, phi, out_thetas, n_theta: int,
 
 
 def eval_F(h: complex, g: HomogeneousFn,
-           quad: QuadratureConfig | None = None) -> HomogeneousFn:
+           quad: QuadratureConfig = QuadratureConfig()) -> HomogeneousFn:
     """The degree-alpha/2 image F_h(g) on g's angular grid.
 
     Well-defined when Re(h) > 0 (then Re g >= 0 suffices) or when
@@ -219,7 +219,6 @@ def eval_F(h: complex, g: HomogeneousFn,
     ``difference_integral`` is the radial integral
     phi(w) = (2/alpha) int_0^inf exp(-s^(2/alpha) h.w - s g(w)) ds.
     """
-    quad = quad or QuadratureConfig()
     h = complex(h)
     alpha = 2.0 * g.beta
     if not 0.0 < alpha < 2.0:
@@ -256,7 +255,7 @@ def eval_F(h: complex, g: HomogeneousFn,
 
 
 def eval_G(z: complex, f: HomogeneousFn,
-           quad: QuadratureConfig | None = None) -> HomogeneousFn:
+           quad: QuadratureConfig = QuadratureConfig()) -> HomogeneousFn:
     """G_z(f)(u) = c_alpha * F_{-iz}(f)(u-check) on f's own grid.
 
     The grid is symmetric about pi/4, so the quarter-turn pullback is a
@@ -272,9 +271,8 @@ def eval_G(z: complex, f: HomogeneousFn,
 
 
 def eval_G_error_estimate(z: complex, f: HomogeneousFn,
-                          quad: QuadratureConfig | None = None) -> float:
+                          quad: QuadratureConfig = QuadratureConfig()) -> float:
     """Sup-norm change of G_z(f) under a ~30% coarser rule."""
-    quad = quad or QuadratureConfig()
     fine = eval_G(z, f, quad)
     coarse = eval_G(z, f, quad.scaled(0.7))
     return float(np.max(np.abs(fine.values - coarse.values)))
@@ -293,22 +291,28 @@ class FixedPointSolution:
     damping: float
     residual_history: tuple[float, ...] = field(default=())
 
-    def checkpoint(self, quad: QuadratureConfig | None = None) -> dict:
-        """The fields ``from_checkpoint`` reads, plus alpha and quadrature."""
+    def checkpoint(self, quad: QuadratureConfig) -> dict:
+        """The fields ``from_checkpoint`` reads, plus alpha and quadrature;
+        ``gamma`` holds beta, the grid and the values' two parts as lists."""
+        g = self.gamma
         return {
             "z_re": self.z.real, "z_im": self.z.imag,
-            "alpha": 2.0 * self.gamma.beta,
+            "alpha": 2.0 * g.beta,
             "residual": self.residual,
             "iterations": self.iterations,
             "damping": self.damping,
-            "quadrature": vars(quad) if quad else None,
-            "gamma": json.loads(self.gamma.to_json()),
+            "quadrature": vars(quad),
+            "gamma": {"beta": g.beta, "thetas": g.thetas.tolist(),
+                      "values_re": g.values.real.tolist(),
+                      "values_im": g.values.imag.tolist()},
         }
 
     @staticmethod
     def from_checkpoint(text: str) -> "FixedPointSolution":
         obj = json.loads(text)
-        gamma = HomogeneousFn.from_json(json.dumps(obj["gamma"]))
+        g = obj["gamma"]
+        gamma = HomogeneousFn(g["beta"], np.asarray(g["thetas"]),
+                              np.asarray(g["values_re"]) + 1j * np.asarray(g["values_im"]))
         return FixedPointSolution(
             z=complex(obj["z_re"], obj["z_im"]), gamma=gamma,
             residual=obj["residual"], iterations=obj["iterations"],
@@ -319,15 +323,18 @@ class FixedPointSolution:
 Z_GUARD = 0.5
 #: iteration cap of the functional and of the scalar solve
 MAX_ITER = 200
+#: first damping s of the functional solve; a rising residual halves it
+DAMPING = 0.5
+#: |F(x)| at which the scalar solve stops
+TILDE_GAMMA_TOL = 1e-12
 
 
-def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
-                     damping: float = 0.5, *, m: int = 65,
-                     quad: QuadratureConfig | None = None,
+def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7, *, m: int = 65,
+                     quad: QuadratureConfig = QuadratureConfig.fast(),
                      initial: HomogeneousFn | None = None) -> FixedPointSolution:
     """Damped iteration with secant steps for f = G_z(f), from gamma*_0.
 
-    With r = G_z(f) - f and s = damping the first step is f + s r; later
+    With r = G_z(f) - f and s = ``DAMPING`` the first step is f + s r; later
     steps add the depth-1 Anderson (secant) correction -gamma (df + s dr),
     gamma = <dr, r> / <dr, dr>, from the changes df, dr since the previous
     iterate.  Local uniqueness is only available near the origin, hence
@@ -340,12 +347,11 @@ def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7,
         raise ValueError(f"|z| = {abs(z):.3f} outside the small-z guard {Z_GUARD}")
     if z != 0 and z.imag <= 0:
         raise ValueError("need Im z > 0 or z = 0")
-    quad = quad or QuadratureConfig.fast()
     f = initial if initial is not None else gamma_star_zero(alpha, m)
     if initial is not None and abs(2.0 * f.beta - alpha) > 1e-12:
         raise ValueError("initial guess has the wrong homogeneity degree")
 
-    s = damping
+    s = DAMPING
     history: list[float] = []
     prev_resid = best = np.inf
     prev = None  # (f, r) at the previous iterate, for the secant step
@@ -408,7 +414,7 @@ def r_p_angle_rule(z: complex, p: float, n: int):
 
 
 def r_p(z: complex, f: HomogeneousFn, p: float,
-        quad: QuadratureConfig | None = None) -> complex:
+        quad: QuadratureConfig = QuadratureConfig()) -> complex:
     """Absolute moment functional r_{p,z}(f) = E|R(z)|^p at f = gamma*_z.
 
     Double integral (2^(1-p/2)/Gamma(p/2)^2) * int dtheta
@@ -420,7 +426,6 @@ def r_p(z: complex, f: HomogeneousFn, p: float,
     """
     if p <= 0:
         raise ValueError("moment order must be positive")
-    quad = quad or QuadratureConfig()
     h = -1j * complex(z)
     th, weight = r_p_angle_rule(z, p, quad.n_theta)
     radial = radial_integral_rotated(p, dot(h, np.exp(1j * th)), f.values_at_angle(th),
@@ -429,7 +434,7 @@ def r_p(z: complex, f: HomogeneousFn, p: float,
     return complex(const * (weight @ radial))
 
 
-def s_p(z, x, p: float, alpha: float, quad: QuadratureConfig | None = None):
+def s_p(z, x, p: float, alpha: float, quad: QuadratureConfig = QuadratureConfig()):
     """Signed moment functional s_{p,z}(x) = E(-i R(z))^p at x = gamma*_z(1).
 
     Single radial integral (1/Gamma(p)) int r^(p-1)
@@ -439,7 +444,6 @@ def s_p(z, x, p: float, alpha: float, quad: QuadratureConfig | None = None):
     """
     if p <= 0:
         raise ValueError("moment order must be positive")
-    quad = quad or QuadratureConfig()
     val = radial_integral_rotated(p, -1j * np.asarray(z, dtype=complex), x, alpha,
                                   quad.n_s, quad.exp_budget) / gamma_fn(p)
     return complex(val) if np.ndim(val) == 0 else val
@@ -449,18 +453,18 @@ def s_p(z, x, p: float, alpha: float, quad: QuadratureConfig | None = None):
 # scalar reduction at u = 1 and the spectral density
 # ---------------------------------------------------------------------------
 
-def solve_tilde_gamma(z, alpha: float, tol: float = 1e-12, x0=None,
-                      quad: QuadratureConfig | None = None):
+def solve_tilde_gamma(z, alpha: float, x0=None,
+                      quad: QuadratureConfig = QuadratureConfig()):
     """Solve the scalar consistency x = Gamma(1-alpha/2) s_{alpha/2,z}(x).
 
     This is the value gamma*_z(1) of the functional fixed point; a
-    guarded Newton iteration on one complex unknown per z, usable far
-    outside the small-|z| disc where the functional solver is trusted.
+    guarded Newton iteration on one complex unknown per z, stopped at
+    |F(x)| <= ``TILDE_GAMMA_TOL``, usable far outside the small-|z| disc
+    where the functional solver is trusted.
     An array of z (with ``x0`` broadcast to it) is solved point by point
     under masks: each point takes the steps of its own scalar solve.  A
     scalar z returns a complex.
     """
-    quad = quad or QuadratureConfig()
     shape = np.shape(z)
     z = np.asarray(z, dtype=complex).ravel()
     if np.any(z.imag <= 0):
@@ -474,7 +478,7 @@ def solve_tilde_gamma(z, alpha: float, tol: float = 1e-12, x0=None,
 
     fx = x - rhs(x, slice(None))
     for _ in range(MAX_ITER):
-        k = np.flatnonzero(~(np.abs(fx) <= tol))
+        k = np.flatnonzero(~(np.abs(fx) <= TILDE_GAMMA_TOL))
         if not k.size:
             break
         # F'(x) = 1 + Gamma(1-a/2)/Gamma(a/2) * J(alpha; h, x)
@@ -501,18 +505,18 @@ def solve_tilde_gamma(z, alpha: float, tol: float = 1e-12, x0=None,
             if diverged.size:
                 raise FixedPointError(
                     f"scalar solve diverged at z={complex(z[diverged[0]])}")
-    failed = np.flatnonzero(~(np.abs(fx) <= tol))
+    failed = np.flatnonzero(~(np.abs(fx) <= TILDE_GAMMA_TOL))
     if failed.size:
         i = failed[0]
         raise FixedPointError(
-            f"scalar solve did not reach {tol:.1e} at z={complex(z[i])}: "
-            f"|F|={abs(fx[i]):.3e}")
+            f"scalar solve did not reach {TILDE_GAMMA_TOL:.1e} at "
+            f"z={complex(z[i])}: |F|={abs(fx[i]):.3e}")
     x = x.reshape(shape)
     return complex(x) if x.ndim == 0 else x
 
 
 def spectral_density(E, alpha: float, eta_ladder=(0.1, 0.05, 0.025),
-                     quad: QuadratureConfig | None = None):
+                     quad: QuadratureConfig = QuadratureConfig()):
     """Limiting spectral density at energy E by Stieltjes inversion.
 
     Evaluates (1/pi) Im[i s_{1, E+i eta}(gamma~*_{E+i eta})] on a
@@ -533,7 +537,6 @@ def spectral_density(E, alpha: float, eta_ladder=(0.1, 0.05, 0.025),
     etas = tuple(float(e) for e in eta_ladder)
     if len(etas) < 2 or any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("eta ladder must strictly decrease, length >= 2")
-    quad = quad or QuadratureConfig()
     shape = np.shape(E)
     E = np.asarray(E, dtype=float).ravel()
     h = np.maximum(max(4.0, etas[0]), 2.0 * np.abs(E))
@@ -563,7 +566,7 @@ def spectral_density(E, alpha: float, eta_ladder=(0.1, 0.05, 0.025),
 
 def stieltjes_mass(a, b, alpha: float, n_points: int = 33,
                    eta_ladder=(0.1, 0.05, 0.025),
-                   quad: QuadratureConfig | None = None):
+                   quad: QuadratureConfig = QuadratureConfig()):
     """Mass of the limiting measure on [a, b] by Simpson over the density;
     a and b broadcast into one density call, scalars give a float."""
     if n_points % 2 == 0:
@@ -597,9 +600,8 @@ class PopulationPool:
 SWEEP_BLOCK = 1024
 
 
-def population_dynamics(z: complex, alpha: float, pool_size: int = 100_000,
-                        sweeps: int = 30, K: int = 200,
-                        rng: np.random.Generator | None = None,
+def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
+                        K: int, rng: np.random.Generator,
                         chunk: int = 16384) -> PopulationPool:
     """Monte Carlo solution of R* =d -(z + sum_k xi_k R_k)^(-1).
 
@@ -619,8 +621,6 @@ def population_dynamics(z: complex, alpha: float, pool_size: int = 100_000,
     _check_alpha(alpha)
     if min(pool_size, sweeps, K, chunk) < 1:
         raise ValueError("pool_size, sweeps, K and chunk must all be at least 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     chunks = [(lo, min(lo + chunk, pool_size)) for lo in range(0, pool_size, chunk)]
     draws = ((rng.integers(0, pool_size, size=(hi - lo, K), dtype=np.int32),
               rng.standard_exponential((hi - lo, K)))

@@ -9,7 +9,6 @@ those functions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,22 +154,6 @@ class HomogeneousFn:
 
     def min_real_part(self) -> float:
         return float(np.min(self.values.real))
-
-    # -- serialization ------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "beta": self.beta,
-            "thetas": self.thetas.tolist(),
-            "values_re": self.values.real.tolist(),
-            "values_im": self.values.imag.tolist(),
-        })
-
-    @staticmethod
-    def from_json(text: str) -> "HomogeneousFn":
-        obj = json.loads(text)
-        values = np.asarray(obj["values_re"]) + 1j * np.asarray(obj["values_im"])
-        return HomogeneousFn(obj["beta"], np.asarray(obj["thetas"]), values)
 
 
 def from_callable(beta: float, fn, m: int = 65) -> HomogeneousFn:

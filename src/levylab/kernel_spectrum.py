@@ -147,10 +147,11 @@ def kernel_bound(alpha, omega: float, psi: float) -> tuple[float, str]:
 #: bytes of one complex (theta, y, omega) tensor in kernel_row_integrals;
 #: the omegas are taken in blocks that stay under it
 ROW_INTEGRAL_BYTES = 64 << 20
+#: Gauss-Jacobi nodes of each y piece in kernel_row_integrals
+ROW_N_Y = 32
 
 
-def kernel_row_integrals(alpha, omegas: np.ndarray, n_theta: int = 96,
-                         n_y: int = 32) -> np.ndarray:
+def kernel_row_integrals(alpha, omegas: np.ndarray, n_theta: int = 96) -> np.ndarray:
     """int_0^(pi/2) k(omega, psi) dpsi through the original (theta, y) form.
 
     Identity: the row integral equals
@@ -164,7 +165,7 @@ def kernel_row_integrals(alpha, omegas: np.ndarray, n_theta: int = 96,
     th, wsin = sin2_theta_rule(n_theta, 0.5 * a - 1.0)
     omegas = np.asarray(omegas, dtype=float)
     # near piece: weight y^(-alpha/2); far piece: y = 1/w, weight w^(alpha - 1)
-    pieces = (power_rule(-0.5 * a, 1.0, n_y), power_rule(a - 1.0, 1.0, n_y))
+    pieces = (power_rule(-0.5 * a, 1.0, ROW_N_Y), power_rule(a - 1.0, 1.0, ROW_N_Y))
 
     def piece(cos_gap, y, wy):
         # |e^(i theta) + y e^(i omega)|^2 = 1 + y^2 + 2 y cos(theta - omega) >= 1
@@ -193,8 +194,6 @@ class NystromOperator:
     nodes: np.ndarray
     matrix: np.ndarray
     kappa: float
-    kind: str
-    diag_rule: str
 
     @property
     def n_nodes(self) -> int:
@@ -221,15 +220,14 @@ def graded_mesh(n_nodes: int, re_alpha: float):
     return nodes, weights
 
 
-def assemble_P(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
+def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
     """Nystrom matrix for the scalar kernel operator on the quarter circle.
 
     Off-diagonal entries are plain weighted kernel values; each diagonal
     entry is set so the row acts exactly on constants (the accurate row
     integral minus the off-diagonal quadrature), which integrates the
     weak |psi-omega|^(alpha-1) singularity against a locally constant
-    density.  kappa enters as the exact diagonal similarity
-    |i.e^(i omega)|^kappa, leaving the spectrum untouched.
+    density.
     """
     alpha = complex(alpha)
     if not 0.0 < alpha.real < 2.0:
@@ -251,14 +249,9 @@ def assemble_P(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
         mat[i, off] = weights[off] * kernel_k(alpha, nodes[i], nodes[off])
         mat[i, i] = rowints[i] - mat[i].sum()
     mat[half:] = mat[half - 1::-1, ::-1]
-    if kappa != 0.0:
-        d = np.abs(np.cos(nodes) - np.sin(nodes)) ** kappa
-        mat = d[:, None] * mat / d[None, :]
     if alpha.imag == 0:
         mat = mat.real.astype(complex)
-    return NystromOperator(alpha=alpha, nodes=nodes, matrix=mat, kappa=kappa, kind="P",
-                           diag_rule="row-sum singularity subtraction "
-                                     "(exact on locally constant densities)")
+    return NystromOperator(alpha=alpha, nodes=nodes, matrix=mat, kappa=0.0)
 
 
 def assemble_H(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
@@ -274,9 +267,11 @@ def assemble_H(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
     weights N0 = (1.u)^(-alpha-1), N1 = Ni = (1.u)^(-alpha), and the
     quarter-turn pullback J which reflects the angle and swaps the two
     derivative components (the reflection u -> i*conj(u) exchanges the
-    roles of d1 and di in the chain rule).
+    roles of d1 and di in the chain rule).  kappa enters as the exact
+    diagonal similarity |cos omega - sin omega|^kappa on the two
+    derivative components, leaving the spectrum untouched.
     """
-    P = assemble_P(alpha, n_nodes, kappa=0.0)
+    P = assemble_P(alpha, n_nodes)
     alpha = complex(alpha)
     nodes = P.nodes
     n = nodes.size
@@ -302,8 +297,7 @@ def assemble_H(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
         d = np.abs(c - s) ** kappa
         dd = np.concatenate([np.ones(n), d, d])
         H = dd[:, None] * H / dd[None, :]
-    return NystromOperator(alpha=alpha, nodes=nodes, matrix=H, kappa=kappa,
-                           kind="H", diag_rule=P.diag_rule)
+    return NystromOperator(alpha=alpha, nodes=nodes, matrix=H, kappa=kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +329,15 @@ class FredholmResult:
     refinement_delta: float
 
 
-def band_power(re_alpha: float, margin: float = 0.02) -> int:
+#: distance from a dyadic band boundary inside which band_power refuses
+BAND_MARGIN = 0.02
+
+
+def band_power(re_alpha: float) -> int:
     """Smallest admissible even power for det(I - H^m) at this Re(alpha).
 
     Dyadic bands (2^-l, 2^-l+1) prescribe m = 2^(l+1); band boundaries
-    (..., 1/4, 1/2, 1) are rejected within the given margin since no
+    (..., 1/4, 1/2, 1) are rejected within ``BAND_MARGIN`` since no
     power prescription covers them.
     """
     if not 0.0 < re_alpha < 2.0:
@@ -347,7 +345,7 @@ def band_power(re_alpha: float, margin: float = 0.02) -> int:
     level = -np.log2(re_alpha)
     nearest = np.round(level)
     if abs(level - nearest) < 1e-12 or \
-            abs(re_alpha - 2.0 ** (-nearest)) < margin:
+            abs(re_alpha - 2.0 ** (-nearest)) < BAND_MARGIN:
         raise ValueError(
             f"Re(alpha)={re_alpha} too close to a dyadic band boundary")
     ell = int(np.floor(level)) + 1
@@ -371,9 +369,11 @@ def fredholm_det(H: NystromOperator, m: int,
                  refine: bool = True) -> FredholmResult:
     """det(I - H^m) from the Nystrom eigenvalues, with a doubling check.
 
-    m must be even and at least the band prescription for Re(alpha); the
-    continuum determinant is undefined below that power.  See
-    FredholmResult for the literal/deflated distinction.
+    ``H`` is an ``assemble_H`` operator; the check reassembles it on twice
+    the nodes at the same kappa.  m must be even and at least the band
+    prescription for Re(alpha); the continuum determinant is undefined
+    below that power.  See FredholmResult for the literal/deflated
+    distinction.
     """
     if m < 1 or m % 2 != 0:
         raise ValueError("power m must be a positive even integer")
@@ -383,8 +383,7 @@ def fredholm_det(H: NystromOperator, m: int,
     det, det_defl, n_struct = _dets_from_matrix(H.matrix, m)
     delta = np.nan
     if refine:
-        assemble = assemble_H if H.kind == "H" else assemble_P
-        H2 = assemble(H.alpha, 2 * H.n_nodes, H.kappa)
+        H2 = assemble_H(H.alpha, 2 * H.n_nodes, H.kappa)
         _, det_defl2, _ = _dets_from_matrix(H2.matrix, m)
         delta = abs(det_defl - det_defl2) / max(abs(det_defl2), 1e-300)
     return FredholmResult(alpha=H.alpha, m=m, det_value=det,

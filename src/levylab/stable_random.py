@@ -53,8 +53,8 @@ def substream(master_seed: int, *task_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=task_index))
 
 
-def sample_standard_stable(law: StableLaw, rng: np.random.Generator, size=None):
-    """Symmetric stable draw(s) with cf exp(-sigma^alpha |t|^alpha).
+def sample_standard_stable(law: StableLaw, rng: np.random.Generator, size):
+    """Symmetric stable draws with cf exp(-sigma^alpha |t|^alpha).
 
     Chambers-Mallows-Stuck construction: with U uniform on
     (-pi/2, pi/2) and E a unit exponential,
@@ -66,17 +66,14 @@ def sample_standard_stable(law: StableLaw, rng: np.random.Generator, size=None):
     X = sigma * tan(U).
     """
     alpha = law.alpha
-    scalar = size is None
-    n = 1 if scalar else size
-    u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, n)
+    u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
     if alpha == 1.0:
         x = np.tan(u)
     else:
-        e = rng.standard_exponential(n)
+        e = rng.standard_exponential(size)
         x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
              * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha))
-    x = law.sigma * x
-    return float(x[0]) if scalar else x
+    return law.sigma * x
 
 
 def poisson_weights_matrix(alpha: float, shape: tuple[int, int],

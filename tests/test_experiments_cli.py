@@ -317,6 +317,20 @@ def test_population_dynamics_empty_size_exits_1(option, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["kernel-scan", "--step", "0"], "--step must be positive"),
+    (["kernel-scan", "--step", "-0.1"], "--step must be positive"),
+    (["kernel-scan", "--alpha-min", "1.5", "--alpha-max", "1.4"], "exceeds --alpha-max"),
+    (["density", "--points", "0"], "--points must be at least 1"),
+])
+def test_empty_grid_exits_1(argv, reason, tmp_path, capsys):
+    rc = main(argv + ["--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert reason in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_with_unknown_key_exits_1(tmp_path, capsys):
     # a config written when ExperimentConfig still had output_dir
     cfg_path = tmp_path / "old.json"

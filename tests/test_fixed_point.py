@@ -240,8 +240,7 @@ def test_solver_guards():
 def test_solver_monotone_residuals_small_z():
     # empirical contraction under damping 0.5 for small |z|
     for alpha in (0.5, 1.0, 1.5):
-        sol = solve_gamma_star(0.1j, alpha, tol=1e-8, damping=0.5,
-                               quad=QuadratureConfig.fast())
+        sol = solve_gamma_star(0.1j, alpha, tol=1e-8, quad=QuadratureConfig.fast())
         resid = np.array(sol.residual_history)
         assert np.all(np.diff(resid) < 1e-12)
 
@@ -344,8 +343,12 @@ def test_checkpoint_round_trip(tmp_path):
     text = json.dumps(sol.checkpoint(QuadratureConfig.fast()))
     back = fp.FixedPointSolution.from_checkpoint(text)
     assert back.z == sol.z
+    assert back.gamma.beta == sol.gamma.beta
+    assert np.array_equal(back.gamma.thetas, sol.gamma.thetas)
     assert np.array_equal(back.gamma.values, sol.gamma.values)
     assert back.residual == sol.residual
+    keys = {"beta", "thetas", "values_re", "values_im"}
+    assert set(json.loads(text)["gamma"]) == keys
 
 
 def test_scalar_solver_matches_functional_at_one():

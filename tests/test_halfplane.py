@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +12,7 @@ from levylab.halfplane import (
     from_callable,
     power_of_one_dot,
 )
-from oracles import check_involution, partials_on_circle, sup_distance
+from oracles import check_involution, partials_on_circle
 
 finite = st.floats(-10, 10, allow_nan=False)
 cplx = st.builds(complex, finite, finite)
@@ -147,14 +145,3 @@ def test_partials_match_finite_differences():
         fdi = (f(u + 1j * h) - f(u - 1j * h)) / (2 * h)
         assert abs(fd1 - d1[k]) < 1e-4 * max(1.0, abs(d1[k]))
         assert abs(fdi - di[k]) < 1e-4 * max(1.0, abs(di[k]))
-
-
-def test_json_round_trip():
-    f = power_of_one_dot(0.55, scale=1.0 + 0.5j, m=65)
-    g = HomogeneousFn.from_json(f.to_json())
-    assert g.beta == f.beta
-    assert np.array_equal(g.values, f.values)
-    assert np.array_equal(g.thetas, f.thetas)
-    assert sup_distance(f, g) == 0.0
-    obj = json.loads(f.to_json())
-    assert set(obj) == {"beta", "thetas", "values_re", "values_im"}

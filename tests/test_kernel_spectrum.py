@@ -93,10 +93,9 @@ def test_kernel_three_regime_bound(alpha):
 
 
 def test_assemble_P_contract():
-    P = ks.assemble_P(1.5, n_nodes=48, kappa=0.5)
+    P = ks.assemble_P(1.5, n_nodes=48)
     n = P.n_nodes
     assert P.matrix.shape == (n, n)
-    assert "singularity subtraction" in P.diag_rule
     off = P.matrix[~np.eye(n, dtype=bool)]
     assert np.all(off.imag == 0) and np.all(off.real >= 0)
     with pytest.raises(ValueError):
@@ -115,13 +114,13 @@ def test_graded_mesh_mirror_symmetry(n, re_alpha):
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5 + 5j])
 def test_assemble_P_mirror_is_exact(alpha):
-    M = ks.assemble_P(alpha, 32, kappa=0.0).matrix
+    M = ks.assemble_P(alpha, 32).matrix
     assert np.array_equal(M, M[::-1, ::-1])
 
 
 def test_assemble_P_spectrum_stability_and_decay():
-    P1 = ks.assemble_P(1.5, n_nodes=64, kappa=0.5)
-    P2 = ks.assemble_P(1.5, n_nodes=128, kappa=0.5)
+    P1 = ks.assemble_P(1.5, n_nodes=64)
+    P2 = ks.assemble_P(1.5, n_nodes=128)
     mu1 = np.sort(np.abs(np.linalg.eigvals(P1.matrix)))[::-1]
     mu2 = np.sort(np.abs(np.linalg.eigvals(P2.matrix)))[::-1]
     assert abs(mu1[0] - mu2[0]) < 0.01 * mu2[0]
@@ -130,12 +129,11 @@ def test_assemble_P_spectrum_stability_and_decay():
 
 
 def test_kappa_is_exact_similarity():
-    for kind, assemble in (("P", ks.assemble_P), ("H", ks.assemble_H)):
-        a = assemble(1.4, 48, kappa=0.0)
-        b = assemble(1.4, 48, kappa=0.6)
-        ea = np.sort_complex(np.linalg.eigvals(a.matrix))
-        eb = np.sort_complex(np.linalg.eigvals(b.matrix))
-        assert np.max(np.abs(ea - eb)) < 1e-8, kind
+    a = ks.assemble_H(1.4, 48, kappa=0.0)
+    b = ks.assemble_H(1.4, 48, kappa=0.6)
+    ea = np.sort_complex(np.linalg.eigvals(a.matrix))
+    eb = np.sort_complex(np.linalg.eigvals(b.matrix))
+    assert np.max(np.abs(ea - eb)) < 1e-8
 
 
 def test_H_block_sparsity():
@@ -157,7 +155,7 @@ def test_H_block_sparsity():
 def test_H_pullback_by_column_indexing(alpha):
     # the pullback J applied by indexing the columns of S is bitwise the
     # explicit product with the permutation matrix
-    P = ks.assemble_P(alpha, 32, kappa=0.0)
+    P = ks.assemble_P(alpha, 32)
     a = complex(alpha)
     n = P.n_nodes
     c, s = np.cos(P.nodes), np.sin(P.nodes)
@@ -239,6 +237,16 @@ def test_fredholm_finite_dimensional_identity():
         ks.fredholm_det(H, 3)
     with pytest.raises(ValueError):
         ks.fredholm_det(ks.assemble_H(0.7, 48), 2)  # below band power 4
+
+
+@pytest.mark.parametrize("alpha", [1.3, 1.5 + 5j])
+def test_refinement_delta_against_the_doubled_grid(alpha):
+    # the refinement reassembles H on twice the nodes at the same kappa
+    m = ks.band_power(complex(alpha).real)
+    res = ks.fredholm_det(ks.assemble_H(alpha, 32, kappa=0.5), m, refine=True)
+    d2 = ks.fredholm_det(ks.assemble_H(alpha, 64, kappa=0.5), m,
+                         refine=False).det_deflated
+    assert res.refinement_delta == abs(res.det_deflated - d2) / abs(d2)
 
 
 def test_alpha_scan_smoke():
