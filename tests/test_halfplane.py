@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
+from levylab.fixed_point import FixedPointSolution, QuadratureConfig
 from levylab.halfplane import (
     HALF_PI,
     HomogeneousFn,
@@ -12,7 +15,7 @@ from levylab.halfplane import (
     from_callable,
     power_of_one_dot,
 )
-from oracles import check_involution, partials_on_circle
+from oracles import check_involution, partials_on_circle, sup_distance
 
 finite = st.floats(-10, 10, allow_nan=False)
 cplx = st.builds(complex, finite, finite)
@@ -145,3 +148,17 @@ def test_partials_match_finite_differences():
         fdi = (f(u + 1j * h) - f(u - 1j * h)) / (2 * h)
         assert abs(fd1 - d1[k]) < 1e-4 * max(1.0, abs(d1[k]))
         assert abs(fdi - di[k]) < 1e-4 * max(1.0, abs(di[k]))
+
+
+def test_json_round_trip():
+    # a homogeneous function is stored as the checkpoint's "gamma" entry
+    f = power_of_one_dot(0.55, scale=1.0 + 0.5j, m=65)
+    sol = FixedPointSolution(z=0.1j, gamma=f, residual=0.0, iterations=0, damping=0.5)
+    text = json.dumps(sol.checkpoint(QuadratureConfig.fast()))
+    g = FixedPointSolution.from_checkpoint(text).gamma
+    assert g.beta == f.beta
+    assert np.array_equal(g.values, f.values)
+    assert np.array_equal(g.thetas, f.thetas)
+    assert sup_distance(f, g) == 0.0
+    obj = json.loads(text)["gamma"]
+    assert set(obj) == {"beta", "thetas", "values_re", "values_im"}
