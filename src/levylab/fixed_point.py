@@ -23,24 +23,25 @@ Quadrature layout (one shared design for every integral):
 * the theta-integral uses tanh-sinh to absorb the ``sin(2 theta)**
   (alpha/2 - 1)`` endpoint singularities.
 * ``difference_integral`` holds the (theta, y) part once, near
-  difference included; ``eval_F`` and the linearized map that the tests
-  check the Nystrom operators against differ only in the integrand.
+  difference included, as a real matrix on Chebyshev samples of the
+  angular profile: the integrands of ``eval_F`` and of the linearized
+  map are both |w|^(-alpha/2) times a function of arg w.
 
 Two loops run on one thread pool with a worker per available core: the
-output angles of ``difference_integral`` and the row blocks of a
+output-angle rows of ``difference_integral`` and the row blocks of a
 population sweep.  Each item is computed by the same arithmetic as in a
 serial loop, so results are bit for bit independent of the worker count.
 The items make no large BLAS call (BLAS threads would compete with the
-pool's), so the s-axis sums are einsums.
+pool's).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -174,40 +175,83 @@ def radial_integral_rotated(beta: float, H, X, alpha: float, n_s: int = 97,
 # the map F_h and the fixed-point map G_z
 # ---------------------------------------------------------------------------
 
-def difference_integral(alpha: float, phi, out_thetas, n_theta: int,
-                        n_y: int, n_w: int) -> np.ndarray:
-    """The (theta, y) integral shared by F_h and its linearization.
+#: Chebyshev samples of an angular profile per interval between its knots
+NC = 10
+#: first-kind Chebyshev points on [-1, 1], increasing, and their weights
+_CHEB = -np.cos((np.arange(NC) + 0.5) * np.pi / NC)
+_CHEB_W = (-1.0) ** np.arange(NC) * np.sqrt(1.0 - _CHEB ** 2)
 
-    For each output angle u (with e = e^(i theta) and the measure
-    sin(2 theta)^(alpha/2-1) dtheta on (0, pi/2)) it returns
+
+def profile_angles(knots) -> np.ndarray:
+    """The NC Chebyshev angles in each interval of ``knots``, in order:
+    the samples of a profile that ``difference_integral`` acts on."""
+    knots = np.asarray(knots, dtype=float)
+    mid, half = 0.5 * (knots[1:] + knots[:-1]), 0.5 * (knots[1:] - knots[:-1])
+    return (mid[:, None] + half[:, None] * _CHEB).ravel()
+
+
+def profile_interpolation(knots, theta):
+    """Columns and weights of the barycentric interpolant at angles theta.
+
+    The value at theta of the profile sampled at ``profile_angles(knots)``
+    is ``sum(weights * samples[columns])`` over the last axis: the
+    degree-(NC-1) interpolant on theta's knot interval (Berrut &
+    Trefethen, SIAM Rev. 46 (2004) 501).
+    """
+    knots = np.asarray(knots, dtype=float)
+    k = np.clip(np.searchsorted(knots, theta, "right") - 1, 0, knots.size - 2)
+    t = (2.0 * theta - knots[k] - knots[k + 1]) / (knots[k + 1] - knots[k])
+    d = t[..., None] - _CHEB
+    d[d == 0.0] = 1e-300  # a point on a sample takes that sample's value
+    q = _CHEB_W / d
+    return k[..., None] * NC + np.arange(NC), q / q.sum(axis=-1, keepdims=True)
+
+
+@lru_cache(maxsize=16)
+def difference_integral(alpha: float, knots: tuple, out_thetas: tuple,
+                        n_theta: int, n_y: int, n_w: int) -> np.ndarray:
+    """The (theta, y) integral shared by F_h and its linearization, as a
+    real matrix D on the samples of an angular profile.
+
+    The integrands are homogeneous of degree -alpha/2, phi(w) =
+    |w|^(-alpha/2) Phi(arg w), with Phi analytic between ``knots``.  Row
+    u of ``D @ Phi(profile_angles(knots))`` is (with e = e^(i theta) and
+    the measure sin(2 theta)^(alpha/2-1) dtheta on (0, pi/2))
 
         (2/alpha) 2^(alpha/2) int phi(e)
         + int int_0^(1/2) y^(-alpha/2) (phi(e) - phi(e + y u)) / y dy
         - int int_0^2 w^(alpha-1) phi(w e + u) dw,
 
-    the last piece being y >= 1/2 after y = 1/w.  ``phi`` maps an array
-    of points to values.  The near difference is formed plainly.  It
-    cancels as y -> 0, more so as alpha -> 2: against a cancellation-free
-    form F moves by 2e-14 relative for alpha <= 1 and 4e-12 at alpha =
-    1.95 (default rule), far inside the quadrature's own error.
+    the last piece being y >= 1/2 after y = 1/w.  Phi is interpolated by
+    ``profile_interpolation`` (to about 1e-15 relative), and the near
+    difference cancels in D's entries as y -> 0: against phi at every
+    node F differs by 3e-14 relative at alpha = 1 and 1e-11 at alpha =
+    1.95, far inside the quadrature's error.  Rows are built on the
+    pool, one task per output angle; D is read-only and cached.
     """
     th, wt = sin2_theta_rule(n_theta, 0.5 * alpha - 1.0)
     e_th = np.exp(1j * th)
-    phi_e = phi(e_th)
-    term_a = (2.0 / alpha) * 2.0 ** (0.5 * alpha) * complex(wt @ phi_e)
     yj, wy = power_rule(-0.5 * alpha, 0.5, n_y)
     wj, ww = power_rule(alpha - 1.0, 2.0, n_w)
+    size = NC * (len(knots) - 1)
 
-    def at_angle(tu):
+    def spread(w, weight):
+        # sum(weight * phi(w)) as a row against the profile samples
+        cols, coef = profile_interpolation(knots, np.angle(w))
+        coef *= (weight * np.abs(w) ** (-0.5 * alpha))[..., None]
+        return np.bincount(cols.ravel(), coef.ravel(), size)
+
+    near = wt[:, None] * (wy / yj)
+    at_e = spread(e_th, (2.0 / alpha) * 2.0 ** (0.5 * alpha) * wt + near.sum(axis=1))
+
+    def row(tu):
         u = complex(np.cos(tu), np.sin(tu))
-        diff = phi_e[:, None] - phi(e_th[:, None] + yj[None, :] * u)
-        near = wt @ (diff / yj[None, :]) @ wy
-        far = wt @ phi(wj[None, :] * e_th[:, None] + u) @ ww
-        return term_a - far + near
+        return (at_e - spread(e_th[:, None] + yj * u, near)
+                - spread(wj * e_th[:, None] + u, wt[:, None] * ww))
 
-    # output angles are independent: one pool task each
-    angles = np.asarray(out_thetas, dtype=float)
-    return np.array(list(_EXECUTOR.map(at_angle, angles)), dtype=complex)
+    D = np.array(list(_EXECUTOR.map(row, out_thetas)))
+    D.flags.writeable = False
+    return D
 
 
 def eval_F(h: complex, g: HomogeneousFn,
@@ -217,7 +261,9 @@ def eval_F(h: complex, g: HomogeneousFn,
     Well-defined when Re(h) > 0 (then Re g >= 0 suffices) or when
     Re g > 0 uniformly on the grid.  The integrand of
     ``difference_integral`` is the radial integral
-    phi(w) = (2/alpha) int_0^inf exp(-s^(2/alpha) h.w - s g(w)) ds.
+    phi(w) = (2/alpha) int_0^inf exp(-s^(2/alpha) h.w - s g(w)) ds, of
+    degree -alpha/2 (h.w is real-linear in w, g of degree alpha/2): one
+    s-rule at each of ``profile_angles(g.thetas)`` gives its profile.
     """
     h = complex(h)
     alpha = 2.0 * g.beta
@@ -229,29 +275,15 @@ def eval_F(h: complex, g: HomogeneousFn,
     s_star = _s_truncation(alpha, max(h.real, 0.0), max(eps_g, 0.0),
                            quad.exp_budget)
     s, ws, *_ = tanh_sinh(0.0, s_star, quad.n_s, endpoint_exponent=0.0)
-    neg_s2a, neg_s = -s ** (2.0 / alpha), -s
-
-    # the exponent tensors are a few MB per output angle; reusing them
-    # avoids returning that memory to the OS and faulting it back in.
-    # Output angles run on several threads, so each keeps its own.
-    local = threading.local()
-
-    def phi(w):
-        # the exponent -(h.w s^(2/alpha) + g(w) s) over a trailing s axis,
-        # in a work tensor, summed over s by einsum: a BLAS product would
-        # compete with the pool for the cores
-        hw, gw = dot(h, w), g(w)
-        shape = np.broadcast_shapes(hw.shape, gw.shape) + s.shape
-        work = vars(local)
-        if shape not in work:
-            work[shape] = np.empty((2,) + shape, dtype=complex)
-        t, t2 = work[shape]
-        np.multiply(hw[..., None], neg_s2a, out=t)
-        np.add(t, np.multiply(gw[..., None], neg_s, out=t2), out=t)
-        return (2.0 / alpha) * np.einsum("...s,s->...", np.exp(t, out=t), ws)
-
-    out = difference_integral(alpha, phi, g.thetas, quad.n_theta, quad.n_y, quad.n_w)
-    return HomogeneousFn(0.5 * alpha, g.thetas, out)
+    grid = tuple(g.thetas)
+    angles = profile_angles(grid)
+    expo = (dot(h, np.exp(1j * angles))[:, None] * s ** (2.0 / alpha)
+            + g.values_at_angle(angles)[:, None] * s)
+    # complex weights and a real D split in two: numpy's mixed real and
+    # complex products bypass BLAS and take ~400 times as long
+    profile = (2.0 / alpha) * (np.exp(-expo) @ ws.astype(complex))
+    D = difference_integral(alpha, grid, grid, quad.n_theta, quad.n_y, quad.n_w)
+    return HomogeneousFn(0.5 * alpha, g.thetas, D @ profile.real + 1j * (D @ profile.imag))
 
 
 def eval_G(z: complex, f: HomogeneousFn,

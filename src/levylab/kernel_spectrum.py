@@ -220,6 +220,10 @@ def graded_mesh(n_nodes: int, re_alpha: float):
     return nodes, weights
 
 
+#: fewest Nystrom nodes an operator is assembled on
+MIN_NODES = 16
+
+
 def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
     """Nystrom matrix for the scalar kernel operator on the quarter circle.
 
@@ -232,8 +236,8 @@ def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
     alpha = complex(alpha)
     if not 0.0 < alpha.real < 2.0:
         raise ValueError("Re(alpha) must lie in (0, 2)")
-    if n_nodes < 16:
-        raise ValueError("need at least 16 nodes")
+    if n_nodes < MIN_NODES:
+        raise ValueError(f"need at least {MIN_NODES} nodes")
     nodes, weights = graded_mesh(n_nodes, alpha.real)
     n = nodes.size
     # the mesh is mirror-symmetric about pi/4 with an even node count, and

@@ -10,7 +10,12 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
 
-from levylab.fixed_point import FixedPointSolution, difference_integral, solve_gamma_star
+from levylab.fixed_point import (
+    FixedPointSolution,
+    difference_integral,
+    profile_angles,
+    solve_gamma_star,
+)
 from levylab.halfplane import HALF_PI, HomogeneousFn, default_grid
 from levylab.kernel_spectrum import c_prime
 from levylab.matrix_model import ResolventDiagonal
@@ -59,15 +64,18 @@ def apply_linearized(f: HomogeneousFn, out_thetas: np.ndarray | None = None,
 
     The operator acts as -c'_alpha times ``difference_integral`` of
     phi(w) = f(w-check) (1.w)^(-alpha), the core of the nonlinear map;
-    no radial integral is involved.
+    no radial integral is involved.  phi has degree -alpha/2, and its
+    profile f(e^(i(pi/2 - theta))) (cos theta + sin theta)^(-alpha) has
+    the knots of f reflected about pi/4.
     """
     alpha = 2.0 * f.beta
     out_thetas = f.thetas if out_thetas is None else np.asarray(out_thetas)
-
-    def phi(w):
-        return f(check_involution(w)) * (w.real + w.imag) ** (-alpha)
-
-    out = difference_integral(alpha, phi, out_thetas, n_theta, n_y, n_y)
+    knots = tuple(HALF_PI - f.thetas[::-1])
+    angles = profile_angles(knots)
+    profile = (f.values_at_angle(HALF_PI - angles)
+               * (np.cos(angles) + np.sin(angles)) ** (-alpha))
+    D = difference_integral(alpha, knots, tuple(out_thetas), n_theta, n_y, n_y)
+    out = D @ profile.real + 1j * (D @ profile.imag)
     return HomogeneousFn(f.beta, out_thetas, -c_prime(alpha) * out)
 
 

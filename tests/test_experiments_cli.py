@@ -331,6 +331,16 @@ def test_empty_grid_exits_1(argv, reason, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_kernel_scan_too_few_nodes_exits_1(tmp_path, capsys):
+    # no alpha can be assembled on 8 nodes: one argument error before the
+    # scan, not a partial run of 17 identical skips
+    rc = main(["kernel-scan", "--nodes", "8", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "--nodes must be at least 16, got 8" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_with_unknown_key_exits_1(tmp_path, capsys):
     # a config written when ExperimentConfig still had output_dir
     cfg_path = tmp_path / "old.json"

@@ -31,7 +31,7 @@ from levylab.fixed_point import (
 )
 from levylab.halfplane import dot
 from levylab.matrix_model import empirical_gamma
-from levylab.quadrature import tanh_sinh
+from levylab.quadrature import power_rule, sin2_theta_rule, tanh_sinh
 from oracles import apply_linearized, solve_gamma_path, sup_distance
 
 
@@ -176,6 +176,75 @@ def test_scaling_identity():
         right = eval_F(h / t, g, quad)
         gap = np.max(np.abs(left.values - t ** (-alpha / 2) * right.values))
         assert gap < 1e-6
+
+
+def _rescaled_phi(h, g, quad):
+    """eval_F's radial integral phi at any points w, with its s-rule
+    rescaled to |w| (s -> |w|^(-alpha/2) s), so that by homogeneity
+    phi(w) = |w|^(-alpha/2) phi(w/|w|) holds rule for rule."""
+    alpha = 2.0 * g.beta
+    s_star = fp._s_truncation(alpha, max(h.real, 0.0), max(g.min_real_part(), 0.0),
+                              quad.exp_budget)
+    s, ws, *_ = tanh_sinh(0.0, s_star, quad.n_s)
+
+    def phi(w):
+        r = np.abs(w)[..., None] ** (-0.5 * alpha)
+        expo = dot(h, w)[..., None] * (r * s) ** (2.0 / alpha) + g(w)[..., None] * r * s
+        return (2.0 / alpha) * np.sum(r * ws * np.exp(-expo), axis=-1)
+    return phi
+
+
+def _two_profiles(alpha, m):
+    """Two functions on one grid: the fixed point at z = 0 and one with
+    no symmetry about pi/4."""
+    th = default_grid(m)
+    return (gamma_star_zero(alpha, m),
+            HomogeneousFn(alpha / 2, th, 1.0 + 0.3 * np.cos(3 * th) + 0.2j * np.sin(th)))
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
+def test_profile_interpolant_matches_the_radial_integral(alpha):
+    # |w|^(-alpha/2) Phi(arg w), Phi interpolated from its samples at
+    # profile_angles, against the radial integral at w itself
+    rng = np.random.default_rng(12)
+    w = rng.uniform(0.2, 3.0, 1000) * np.exp(0.5j * np.pi * rng.uniform(size=1000))
+    h, quad = 0.3 + 0.2j, QuadratureConfig.fast()
+    for g in _two_profiles(alpha, 65):
+        phi = _rescaled_phi(h, g, quad)
+        samples = phi(np.exp(1j * fp.profile_angles(g.thetas)))
+        cols, weights = fp.profile_interpolation(g.thetas, np.angle(w))
+        got = np.abs(w) ** (-0.5 * alpha) * np.sum(weights * samples[cols], axis=-1)
+        direct = phi(w)
+        assert np.max(np.abs(got - direct) / np.abs(direct)) <= 1e-13
+
+
+def _pointwise_difference_integral(alpha, phi, out_thetas, quad):
+    """The (theta, y) integral of ``difference_integral`` with phi called
+    at every quadrature point, one output angle at a time."""
+    th, wt = sin2_theta_rule(quad.n_theta, 0.5 * alpha - 1.0)
+    e = np.exp(1j * th)
+    y, wy = power_rule(-0.5 * alpha, 0.5, quad.n_y)
+    v, wv = power_rule(alpha - 1.0, 2.0, quad.n_w)
+    out = []
+    for u in np.exp(1j * np.asarray(out_thetas)):
+        near = wt @ ((phi(e)[:, None] - phi(e[:, None] + y * u)) / y) @ wy
+        far = wt @ phi(v * e[:, None] + u) @ wv
+        out.append((2.0 / alpha) * 2.0 ** (0.5 * alpha) * (wt @ phi(e)) + near - far)
+    return np.array(out)
+
+
+def test_one_difference_matrix_serves_two_profiles():
+    # D is built once for the grid and rule, and applied to either
+    # profile it gives the pointwise quadrature of that profile's phi
+    alpha, h, quad = 1.0, 0.3 + 0.2j, QuadratureConfig.fast()
+    gs = _two_profiles(alpha, 33)
+    fp.difference_integral.cache_clear()
+    got = [eval_F(h, g, quad).values for g in gs]
+    info = fp.difference_integral.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for g, F in zip(gs, got):
+        ref = _pointwise_difference_integral(alpha, _rescaled_phi(h, g, quad), g.thetas, quad)
+        assert np.max(np.abs(F - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_F_norm_bound_shape():
@@ -429,6 +498,7 @@ THREADED = {
 def _run_with_workers(monkeypatch, workers, fn):
     executor = ThreadPoolExecutor(workers)
     monkeypatch.setattr(fp, "_EXECUTOR", executor)
+    fp.difference_integral.cache_clear()  # so that D is built on this pool
     try:
         return fn()
     finally:
@@ -464,8 +534,8 @@ def test_forked_child_starts_its_own_pool():
 
 
 def test_threaded_eval_F_keeps_scratch_per_thread(monkeypatch):
-    # more threads than cores and a short switch interval: a tensor shared
-    # between threads would be overwritten mid-angle and change the values
+    # more threads than cores and a short switch interval: D's rows, built
+    # on four threads with their own temporaries, equal those of one thread
     g = gamma_star_zero(1.0, 33)
     quad = QuadratureConfig(n_theta=24, n_s=25, n_y=9, n_w=9)
     ref = _run_with_workers(monkeypatch, 1, lambda: eval_F(0.2 + 0.3j, g, quad).values)

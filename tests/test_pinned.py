@@ -15,6 +15,14 @@ while F's near difference was formed through expm1.  Any later rewrite
 must reproduce them to ``RTOL`` (or the case's entry in ``CASE_RTOL``) in
 the sup norm.
 
+The eval_G and solve_gamma_star cases that moved beyond their tolerance
+when F came to integrate the angular profile of its radial integral
+(``REPINNED``) are re-recorded in the file under their names plus
+``PROFILE``.  Their earlier values stay there under the plain names,
+with eval_G at the bench's setting and at -0.3+0.05i, as the values
+from before that change: the refinement test below requires the
+profile form to be at least as close to a finer rule as they were.
+
 Record the cases missing from the file (existing entries are never
 rewritten; to re-record one on purpose, delete its entry first):
 
@@ -55,6 +63,9 @@ SOLVE_RTOL = 1e-9
 #: the rule's own error (eval_G_error_estimate: 1e-7 relative)
 NEAR_DIFFERENCE_RTOL = 1e-11
 
+RULES = (("fast", fp.QuadratureConfig.fast()), ("default", fp.QuadratureConfig()))
+G_ALPHAS = [0.8, 1.0, 1.5, 1.95]
+G_Z = [0.1j, 0.2 + 0.1j]
 #: grid indices at which the eval_G values are kept (m = 33)
 G_ANGLES = [0, 5, 11, 16, 22, 27, 32]
 KERNEL_PAIRS = [(0.2, 0.9), (0.05, 0.3), (1.3, 0.4), (0.7, 0.71), (0.01, 1.5)]
@@ -76,6 +87,16 @@ S_P_POINTS = [(0.1 + 0.4j, 0.9 + 0.1j), (-0.15 + 0.4j, 0.9 - 0.1j),
 S_P_ORDERS = [0.5, 1.0]
 TILDE_GAMMA_Z = [0.1j, 0.4 + 0.1j, 1.0 + 0.5j, -2.0 + 1.0j]
 SOLVE_Z = [0.2j, 0.2 + 0.2j]
+#: suffix of the keys of the cases re-recorded when F came to integrate
+#: the profile
+PROFILE = ", angular profile"
+REPINNED = {
+    "eval_G alpha=0.8 z=0.1j fast", "eval_G alpha=0.8 z=(0.2+0.1j) fast",
+    "eval_G alpha=0.8 z=(0.2+0.1j) default", "eval_G alpha=1.0 z=0.1j fast",
+    "eval_G alpha=1.0 z=(0.2+0.1j) fast", "eval_G alpha=1.0 z=(0.2+0.1j) default",
+    "eval_G alpha=1.5 z=0.1j fast", "eval_G alpha=1.5 z=(0.2+0.1j) fast",
+    "solve_gamma_star alpha=1.0 z=(0.2+0.2j)",
+}
 
 
 def _eval_G(alpha, z, quad):
@@ -131,10 +152,9 @@ def _not_a_fixed_point():
 def cases() -> dict:
     """Case name -> function returning the pinned values."""
     out = {}
-    for a in (0.8, 1.0, 1.5, 1.95):
-        for z in (0.1j, 0.2 + 0.1j):
-            for qname, quad in (("fast", fp.QuadratureConfig.fast()),
-                                ("default", fp.QuadratureConfig())):
+    for a in G_ALPHAS:
+        for z in G_Z:
+            for qname, quad in RULES:
                 out[f"eval_G alpha={a} z={z} {qname}"] = partial(_eval_G, a, z, quad)
     out["apply_linearized gamma_star_zero(1.2)"] = \
         lambda: apply_linearized(fp.gamma_star_zero(1.2)).values
@@ -154,8 +174,7 @@ def cases() -> dict:
     out["stieltjes_mass(-0.1, 0.1, 1.0, n_points=9)"] = \
         lambda: np.array([fp.stieltjes_mass(-0.1, 0.1, 1.0, n_points=9)], dtype=complex)
     for z in R_P_Z:
-        for qname, quad in (("fast", fp.QuadratureConfig.fast()),
-                            ("default", fp.QuadratureConfig())):
+        for qname, quad in RULES:
             out[f"r_p gamma_star_zero(1.0) z={z} {qname}"] = partial(_r_p, z, quad)
     for a in (0.8, 1.0):
         out[f"s_p alpha={a}"] = partial(_s_p, a)
@@ -176,6 +195,26 @@ CASE_RTOL.update({name: NEAR_DIFFERENCE_RTOL for name in CASES
                   if name.startswith("eval_G alpha=1.95")})
 
 
+#: eval_G cases held against a 4x finer rule: the pinned ones, the bench's
+#: fixed-point setting (alpha = 1, z = 0.2i, quad_scale 0.75, m = 65) and
+#: -0.3+0.05i; name -> (values under a rule, the rule)
+REFINED = {f"eval_G alpha={a} z={z} {qname}": (partial(_eval_G, a, z), quad)
+           for a in G_ALPHAS for z in G_Z for qname, quad in RULES}
+REFINED["eval_G alpha=1.0 z=0.2j m=65 bench"] = (
+    lambda quad: fp.eval_G(0.2j, fp.gamma_star_zero(1.0, 65), quad).values,
+    fp.QuadratureConfig().scaled(0.75))
+REFINED["eval_G alpha=1.0 z=(-0.3+0.05j) default"] = (
+    partial(_eval_G, 1.0, -0.3 + 0.05j), fp.QuadratureConfig())
+#: round-off allowance of the comparison, relative: the interpolated
+#: profile and the near difference move eval_G by up to 3.7e-12
+REFINED_SLACK = 1e-11
+
+
+def key(name: str) -> str:
+    """The case's entry in the file."""
+    return name + PROFILE if name in REPINNED else name
+
+
 @pytest.fixture(scope="module")
 def pinned():
     return json.loads(PINNED.read_text())
@@ -183,7 +222,7 @@ def pinned():
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_matches_pinned_values(name, pinned):
-    ref = np.array(pinned[name])
+    ref = np.array(pinned[key(name)])
     ref = ref[:, 0] + 1j * ref[:, 1]
     got = CASES[name]()
     assert got.shape == ref.shape
@@ -191,11 +230,22 @@ def test_matches_pinned_values(name, pinned):
     assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("name", list(REFINED))
+def test_eval_G_no_farther_from_a_finer_rule(name, pinned):
+    # the plain name holds the value from before the profile form
+    run, quad = REFINED[name]
+    ref = run(quad.scaled(4.0))
+    before = np.array(pinned[name])
+    before = before[:, 0] + 1j * before[:, 1]
+    err, err_before = (np.max(np.abs(v - ref)) for v in (run(quad), before))
+    assert err <= err_before + REFINED_SLACK * np.max(np.abs(ref))
+
+
 if __name__ == "__main__":
     # append-only: recorded values stay as they are, missing cases are added
     table = json.loads(PINNED.read_text()) if PINNED.exists() else {}
     for name, run in CASES.items():
-        if name not in table:
-            table[name] = [[v.real, v.imag] for v in run()]
+        if key(name) not in table:
+            table[key(name)] = [[v.real, v.imag] for v in run()]
     lines = [f" {json.dumps(name)}: {json.dumps(vals)}" for name, vals in table.items()]
     PINNED.write_text("{\n" + ",\n".join(lines) + "\n}\n")
