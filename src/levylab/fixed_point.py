@@ -27,12 +27,13 @@ Quadrature layout (one shared design for every integral):
   angular profile: the integrands of ``eval_F`` and of the linearized
   map are both |w|^(-alpha/2) times a function of arg w.
 
-Two loops run on one thread pool with a worker per available core: the
-output-angle rows of ``difference_integral`` and the row blocks of a
-population sweep.  Each item is computed by the same arithmetic as in a
-serial loop, so results are bit for bit independent of the worker count.
-The items make no large BLAS call (BLAS threads would compete with the
-pool's).
+Three loops run on one thread pool with a worker per available core: the
+output-angle rows of ``difference_integral``, the row blocks of a
+population sweep and the kernel rows of ``kernel_spectrum.assemble_P``
+(whose calling thread meanwhile takes the row integrals).  Each item is
+computed by the same arithmetic as in a serial loop, so results are bit
+for bit independent of the worker count.  The items make no large BLAS
+call (BLAS threads would compete with the pool's).
 """
 
 from __future__ import annotations

@@ -8,7 +8,11 @@ degree-alpha/2 function with its two Cartesian partials.  The spectrum
 of the linearization is contained in the spectrum of H, so near-zeros of
 the Fredholm determinant det(I - H^m) flag the stability exceptions of
 the fixed point.  Everything here also supports complex alpha, which the
-determinant decay checks at large Im(alpha) require.
+determinant decay checks at large Im(alpha) require; with Re(alpha) up
+to 2 the matrices stay finite, as ``log_power_rule`` lumps the endpoint
+nodes past x = 0.  ``assemble_P`` builds its kernel rows on
+``fixed_point``'s thread pool while the calling thread takes the row
+integrals, and raises ValueError on a non-finite entry.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
+from . import fixed_point
 from .fixed_point import SAMPLE_ERRORS, c_alpha
 from .halfplane import HALF_PI
 from .quadrature import gauss_legendre_panels, power_rule, sin2_theta_rule
@@ -231,7 +236,9 @@ def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
     entry is set so the row acts exactly on constants (the accurate row
     integral minus the off-diagonal quadrature), which integrates the
     weak |psi-omega|^(alpha-1) singularity against a locally constant
-    density.
+    density.  The kernel rows run on ``fixed_point``'s pool, one per task,
+    by the arithmetic of a serial loop, so the matrix does not depend on
+    the worker count.  A non-finite entry raises ValueError naming alpha.
     """
     alpha = complex(alpha)
     if not 0.0 < alpha.real < 2.0:
@@ -244,14 +251,23 @@ def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
     # k(omega, psi) = k(pi/2-omega, pi/2-psi): rows below the middle are
     # the mirror images P[n-1-i, n-1-j] = P[i, j] of the rows above
     half = n // 2
+    cols = np.arange(n)
+
+    def row(i):
+        off = cols != i
+        return weights[off] * kernel_k(alpha, nodes[i], nodes[off])
+
+    # the kernel rows go to the pool (looked up now: a forked child and
+    # the tests rebind it) while this thread takes the row integrals
+    rows = [fixed_point._EXECUTOR.submit(row, i) for i in range(half)]
     rowints = kernel_row_integrals(alpha, nodes[:half],
                                    n_theta=96 + 8 * int(abs(alpha.imag)))
     mat = np.zeros((n, n), dtype=complex)
-    cols = np.arange(n)
-    for i in range(half):
-        off = cols != i
-        mat[i, off] = weights[off] * kernel_k(alpha, nodes[i], nodes[off])
+    for i, task in enumerate(rows):
+        mat[i, cols != i] = task.result()
         mat[i, i] = rowints[i] - mat[i].sum()
+    if not np.all(np.isfinite(mat[:half])):
+        raise ValueError(f"non-finite Nystrom entries at alpha={alpha}")
     mat[half:] = mat[half - 1::-1, ::-1]
     if alpha.imag == 0:
         mat = mat.real.astype(complex)

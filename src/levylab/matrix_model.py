@@ -62,10 +62,11 @@ def build_levy_matrix(n: int, alpha: float, seed: int) -> LevyMatrix:
     rng = substream(seed, n)
     m = n * (n + 1) // 2
     draws = sample_standard_stable(law, rng, size=m) * n ** (-1.0 / alpha)
+    # a boolean mask takes the draws in the row-major order of triu_indices
+    upper = np.triu(np.ones((n, n), dtype=bool))
     a = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    a[iu] = draws
-    a = a + np.triu(a, 1).T
+    a[upper] = draws
+    a = np.where(upper, a, a.T)
     return LevyMatrix(n=n, alpha=alpha, seed=seed, entries=a)
 
 
@@ -100,7 +101,9 @@ def resolvent_diagonal(sd: SpectralDecomposition, z: complex) -> ResolventDiagon
     if z.imag <= 0:
         raise ValueError("resolvent requires Im z > 0")
     weights = sd.eigenvectors ** 2
-    values = weights @ (1.0 / (sd.eigenvalues - z))
+    inv = 1.0 / (sd.eigenvalues - z)
+    # two real products: a real matrix times a complex vector is not a BLAS call
+    values = weights @ inv.real + 1j * (weights @ inv.imag)
     return ResolventDiagonal(z=z, values=values)
 
 

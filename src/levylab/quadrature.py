@@ -114,6 +114,14 @@ def power_rule(expo, delta, n: int):
     return log_power_rule(expo, delta)
 
 
+#: v = -log(x / delta) beyond which phi(x) is phi(0) to round-off for
+#: every caller (x / delta <= 4.2e-18); ``log_power_rule`` lumps its nodes
+#: past it into one
+V_FLAT = 40.0
+#: panel width of the log-power rule, in units of 1 / (1 + Re expo + |Im expo|)
+LOG_POWER_STEP = 3.0
+
+
 @lru_cache(maxsize=128)
 def _log_power_unit_rule(expo: complex):
     # the substituted integrand decays like exp(-(1 + Re expo) v); the rule
@@ -121,12 +129,15 @@ def _log_power_unit_rule(expo: complex):
     re = expo.real
     freq = abs(expo.imag)
     span = 38.0 / (1.0 + re)
-    step = 3.0 / (1.0 + re + freq)
+    step = LOG_POWER_STEP / (1.0 + re + freq)
     panels = max(4, int(np.ceil(span / step)))
     v, gw = gauss_legendre_panels(np.linspace(0.0, span, panels + 1), 8)
-    x = np.exp(-v)
     w = np.exp(-(1.0 + expo) * v) * gw
-    return x, w
+    flat = v > V_FLAT
+    if flat.any():
+        v = np.append(v[~flat], V_FLAT)
+        w = np.append(w[~flat], w[flat].sum())
+    return np.exp(-v), w
 
 
 def log_power_rule(expo: complex, delta: float):
@@ -137,6 +148,11 @@ def log_power_rule(expo: complex, delta: float):
     Gauss-Legendre with oscillation-aware panel count; the algebraic
     endpoint behavior (including its log oscillation) sits entirely in
     the complex weights, so phi only needs to be smooth on [0, delta].
+    The v range ends where the weight has decayed by exp(-38), which for
+    Re expo near -1 lies far past x = 0 in floating point.  Beyond
+    v = ``V_FLAT`` phi(x) equals phi(0) to round-off, so the nodes there
+    become one node at x = delta*exp(-V_FLAT) that carries their summed
+    weight; the panels up to it are unchanged.
     """
     expo = complex(expo)
     if expo.real <= -1:

@@ -1,10 +1,11 @@
-"""Shared expensive fixtures for the acceptance suite."""
+"""Shared fixtures: the acceptance suite's expensive ones and a rule-cache reset."""
 
 import numpy as np
 import pytest
 
 from levylab import fixed_point as fp
 from levylab import halfplane as hp
+from levylab import quadrature
 from levylab.experiments import derived_seed
 from levylab.matrix_model import (
     build_levy_matrix,
@@ -66,3 +67,12 @@ def pools_02i():
         pools.append(fp.population_dynamics(0.2j, 1.0, pool_size=25_000,
                                             sweeps=30, K=400, rng=rng))
     return pools
+
+
+@pytest.fixture
+def fresh_unit_rules():
+    """Empty the log-power unit-rule cache before and after a test, so a
+    test that changes the rule's constants leaves no rule of its own behind."""
+    quadrature._log_power_unit_rule.cache_clear()
+    yield
+    quadrature._log_power_unit_rule.cache_clear()

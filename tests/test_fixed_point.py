@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 import levylab.fixed_point as fp
+import levylab.kernel_spectrum as ks
 from levylab.halfplane import HomogeneousFn, default_grid
 from levylab.fixed_point import (
     FixedPointError,
@@ -492,6 +493,9 @@ THREADED = {
         0.2j, 1.0, 5001, 3, 30, np.random.default_rng(5), chunk=3000).pool,
     "pool off the axis": lambda: population_dynamics(
         0.3 + 0.2j, 1.3, 5001, 3, 30, np.random.default_rng(6), chunk=3000).pool,
+    # kernel rows on the pool, row integrals on the calling thread
+    "assemble_P 1.1": lambda: ks.assemble_P(1.1, 32).matrix,
+    "assemble_P 1.5+5i": lambda: ks.assemble_P(1.5 + 5j, 32).matrix,
 }
 
 
@@ -543,6 +547,21 @@ def test_threaded_eval_F_keeps_scratch_per_thread(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         got = _run_with_workers(monkeypatch, 4, lambda: eval_F(0.2 + 0.3j, g, quad).values)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, ref)
+
+
+def test_threaded_assemble_P_under_fast_switching(monkeypatch):
+    # four threads on the kernel rows while the calling thread takes the
+    # row integrals, switching often: the matrix of one thread
+    def build():
+        return ks.assemble_P(1.5 + 5j, 16).matrix
+    ref = _run_with_workers(monkeypatch, 1, build)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _run_with_workers(monkeypatch, 4, build)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, ref)

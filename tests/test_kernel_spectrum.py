@@ -1,9 +1,12 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import levylab.kernel_spectrum as ks
 from levylab import fixed_point as fp
+from levylab import quadrature
 from levylab.halfplane import HALF_PI, HomogeneousFn, default_grid
 from oracles import apply_linearized, lift_eigenvector, linearization_matrix, partials_on_circle
 
@@ -116,6 +119,44 @@ def test_graded_mesh_mirror_symmetry(n, re_alpha):
 def test_assemble_P_mirror_is_exact(alpha):
     M = ks.assemble_P(alpha, 32).matrix
     assert np.array_equal(M, M[::-1, ::-1])
+
+
+def _complex_P16():
+    return ks.assemble_P(1.5 + 5j, 16).matrix
+
+
+def test_forked_child_assembles_on_its_own_pool():
+    expected = _complex_P16()  # the parent's pool threads now exist
+    with multiprocessing.get_context("fork").Pool(1) as workers:
+        assert np.array_equal(workers.apply_async(_complex_P16).get(timeout=60), expected)
+
+
+def test_assemble_P_near_re_alpha_two_is_finite():
+    # the log-power rule once ran kernel_k's left panel past x = 0 there
+    assert np.all(np.isfinite(ks.assemble_P(1.95 + 0.3j, 32).matrix))
+
+
+@pytest.mark.parametrize("alpha, rtol", [(1.95 + 0.3j, 1e-4), (1.95 + 5j, 1e-5)])
+def test_kernel_near_re_alpha_two_against_a_finer_rule(alpha, rtol, fresh_unit_rules,
+                                                       monkeypatch):
+    # n_jac acts on real alpha only; the complex rule refines by its panel step
+    om = np.array([0.05, 0.3, 0.7, 1.2, 1.5])
+    ps = np.array([0.6, 0.9, 0.1, 0.4, 1.0])
+    k = ks.kernel_k(alpha, om, ps)
+    monkeypatch.setattr(quadrature, "LOG_POWER_STEP", 0.5 * quadrature.LOG_POWER_STEP)
+    quadrature._log_power_unit_rule.cache_clear()
+    fine = ks.kernel_k(alpha, om, ps)
+    assert np.all(np.abs(k - fine) <= rtol * np.abs(fine))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_entries_raise_and_scan_skips(fresh_unit_rules, monkeypatch):
+    # without the lumped tail the left panel reaches x = 0 and gives NaN
+    monkeypatch.setattr(quadrature, "V_FLAT", np.inf)
+    with pytest.raises(ValueError, match=r"alpha=\(1\.95\+0\.3j\)"):
+        ks.assemble_P(1.95 + 0.3j, 16)
+    results, failures = ks.alpha_scan([1.95 + 0.3j], n_nodes=16, refine=False)
+    assert not results and failures[0][1].startswith("ValueError: ")
 
 
 def test_assemble_P_spectrum_stability_and_decay():

@@ -11,7 +11,7 @@ from levylab.matrix_model import (
     empirical_gamma,
     resolvent_diagonal,
 )
-from oracles import fractional_moment
+from oracles import fractional_moment, triu_indices_fill
 
 
 def test_one_by_one_is_plain_stable_draw():
@@ -82,6 +82,20 @@ def test_resolvent_against_linear_solve():
     assert np.max(np.abs(rd.values - direct)) < 1e-8
     with pytest.raises(ValueError):
         resolvent_diagonal(sd, 0.5 - 0.1j)
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_mask_fill_is_the_triu_indices_fill(n):
+    a = build_levy_matrix(n, 1.3, seed=11)
+    assert np.array_equal(a.entries, triu_indices_fill(n, 1.3, seed=11))
+
+
+def test_resolvent_real_products_match_the_complex_product():
+    sd = eigendecompose(build_levy_matrix(300, 1.0, seed=3))
+    for z in (0.1 + 0.05j, 2j, -1.5 + 0.01j):
+        ref = (sd.eigenvectors ** 2).astype(complex) @ (1.0 / (sd.eigenvalues - z))
+        got = resolvent_diagonal(sd, z).values
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_resolvent_scalar_case():

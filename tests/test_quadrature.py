@@ -3,7 +3,9 @@ import pytest
 from scipy.integrate import quad, simpson as scipy_simpson
 from scipy.special import gamma as gamma_fn
 
+from levylab import quadrature
 from levylab.quadrature import (
+    V_FLAT,
     gauss_jacobi_left,
     gauss_legendre_panels,
     log_power_rule,
@@ -111,6 +113,41 @@ def test_log_power_rule_complex_exponent():
     assert abs(w @ x - 0.8 ** (2 + e) / (2 + e)) < 1e-12
     with pytest.raises(ValueError):
         log_power_rule(-1.2, 1.0)
+
+
+@pytest.mark.parametrize("expo", [-0.75 - 2.5j, -0.25 + 2.5j, -0.975 - 0.15j,
+                                  -0.975 - 2.5j, -0.6 + 1.3j])
+def test_log_power_rule_lumps_its_flat_tail(expo, fresh_unit_rules, monkeypatch):
+    unit_rule = quadrature._log_power_unit_rule
+    x, w = unit_rule(expo)
+    assert x.min() == np.exp(-V_FLAT) and np.all(x > 0)
+    monkeypatch.setattr(quadrature, "V_FLAT", np.inf)
+    unit_rule.cache_clear()
+    x_all, w_all = unit_rule(expo)
+    keep = x.size - 1
+    assert x_all.size > x.size and x_all.min() < np.exp(-V_FLAT)
+    # the rule up to V_FLAT is untouched, and the lumped node carries the rest
+    assert np.array_equal(x[:keep], x_all[:keep]) and np.array_equal(w[:keep], w_all[:keep])
+    assert abs(w.sum() - w_all.sum()) <= 1e-15 * abs(w_all.sum())
+
+
+def test_log_power_rule_within_the_flat_limit_is_unchanged(fresh_unit_rules, monkeypatch):
+    # span 38 / 1.5 < V_FLAT: nothing to lump
+    unit_rule = quadrature._log_power_unit_rule
+    x, w = unit_rule(0.5 + 5j)
+    monkeypatch.setattr(quadrature, "V_FLAT", np.inf)
+    unit_rule.cache_clear()
+    x_all, w_all = unit_rule(0.5 + 5j)
+    assert x.size == 440 and np.array_equal(x, x_all) and np.array_equal(w, w_all)
+
+
+def test_log_power_rule_near_the_singular_limit():
+    # Re expo -> -1 once ran the rule past x = 0 in floating point
+    e = -0.975 - 2.5j
+    x, w = log_power_rule(e, 0.3)
+    assert np.all(x > 0)
+    assert abs(w.sum() - 0.3 ** (1 + e) / (1 + e)) < 1e-12 * abs(0.3 ** (1 + e) / (1 + e))
+    assert abs(w @ x - 0.3 ** (2 + e) / (2 + e)) < 1e-12
 
 
 @pytest.mark.parametrize("n_points", [3, 9, 33])
