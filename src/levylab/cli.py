@@ -26,8 +26,9 @@ from .experiments import (
 )
 from .fixed_point import (
     QuadratureConfig,
-    population_dynamics,
     pool_moment,
+    population_dynamics,
+    replica_se,
     solve_gamma_star,
     spectral_density,
 )
@@ -140,8 +141,8 @@ def pool_run(cfg, args) -> RunRecord:
         "z_re": z.real, "z_im": z.imag, "alpha": cfg.alpha,
         "pool_size": args.pool, "sweeps": args.sweeps, "K": args.K,
         "converged": pool.converged, "m_history": list(pool.m_history),
-        "E_abs_R": m1, "se_abs_R": se1,
-        "E_abs_R2": m2, "se_abs_R2": se2,
+        "E_abs_R": m1, "se_abs_R": se1, "replica_se_abs_R": replica_se(pool, 1.0),
+        "E_abs_R2": m2, "se_abs_R2": se2, "replica_se_abs_R2": replica_se(pool, 2.0),
     })
 
 

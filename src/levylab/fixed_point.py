@@ -13,7 +13,7 @@ Quadrature layout (one shared design for every integral):
 
 * r-substitution ``r = s**(2/alpha)`` turns ``r**(alpha/2-1) dr`` into a
   constant multiple of ``ds``; the s-integral is truncated where the
-  worst-case exponent reaches ``exp_budget`` and handled by tanh-sinh.
+  worst-case exponent reaches ``EXP_BUDGET`` and handled by tanh-sinh.
 * the y-integral is split at 1/2; on [0, 1/2] the integrand keeps the
   cancelling difference form, which is ``y**(-alpha/2)`` times an
   analytic function, integrated by Gauss-Jacobi with that exact weight;
@@ -28,12 +28,13 @@ Quadrature layout (one shared design for every integral):
   map are both |w|^(-alpha/2) times a function of arg w.
 
 Three loops run on one thread pool with a worker per available core: the
-output-angle rows of ``difference_integral``, the row blocks of a
-population sweep and the kernel rows of ``kernel_spectrum.assemble_P``
-(whose calling thread meanwhile takes the row integrals).  Each item is
-computed by the same arithmetic as in a serial loop, so results are bit
-for bit independent of the worker count.  The items make no large BLAS
-call (BLAS threads would compete with the pool's).
+output-angle rows of ``difference_integral``, the sub-pools of a
+population run (each with all of its sweeps and its own random stream)
+and the kernel rows of ``kernel_spectrum.assemble_P`` (whose calling
+thread meanwhile takes the row integrals).  Each item is computed by the
+same arithmetic as in a serial loop, so results are bit for bit
+independent of the worker count.  The items make no large BLAS call
+(BLAS threads would compete with the pool's).
 """
 
 from __future__ import annotations
@@ -98,15 +99,18 @@ def gamma_star_zero(alpha: float, m: int = 65) -> HomogeneousFn:
     return halfplane.power_of_one_dot(0.5 * alpha, scale=a_zero(alpha), m=m)
 
 
+#: exponent at which every radial integral is truncated (e^-40 ~ 4e-18)
+EXP_BUDGET = 40.0
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node counts for the (theta, y, w, s) rules plus the decay budget."""
+    """Node counts for the (theta, y, w, s) rules."""
 
     n_theta: int = 96
     n_s: int = 97
     n_y: int = 24
     n_w: int = 24
-    exp_budget: float = 40.0
 
     def scaled(self, factor: float) -> "QuadratureConfig":
         def sc(n):
@@ -141,8 +145,7 @@ def _s_truncation(alpha: float, re_h, eps_g, budget: float):
     return s[()]
 
 
-def radial_integral_rotated(beta: float, H, X, alpha: float, n_s: int = 97,
-                            budget: float = 40.0):
+def radial_integral_rotated(beta: float, H, X, alpha: float, n_s: int = 97):
     """``int_0^inf r**(beta-1) exp(-r H - r**(alpha/2) X) dr`` (elementwise).
 
     H and X broadcast; each point needs Re(H) > 0, or Re(H) = 0 and
@@ -164,7 +167,7 @@ def radial_integral_rotated(beta: float, H, X, alpha: float, n_s: int = 97,
                             0.5 * np.pi - 0.05)
     rot = np.exp(1j * phi)
     H, X = H * rot, X * rot ** a2
-    s_star = _s_truncation(alpha, np.maximum(H.real, 0.0), X.real, budget)
+    s_star = _s_truncation(alpha, np.maximum(H.real, 0.0), X.real, EXP_BUDGET)
     power = 2.0 * beta / alpha - 1.0
     s, ws, *_ = tanh_sinh(0.0, s_star, n_s, endpoint_exponent=power)
     terms = np.exp(-H[..., None] * s ** (2.0 / alpha) - X[..., None] * s)
@@ -273,8 +276,7 @@ def eval_F(h: complex, g: HomogeneousFn,
     if h.real < -1e-12:
         raise ValueError("h must lie in the closed right half-plane")
     eps_g = g.min_real_part()
-    s_star = _s_truncation(alpha, max(h.real, 0.0), max(eps_g, 0.0),
-                           quad.exp_budget)
+    s_star = _s_truncation(alpha, max(h.real, 0.0), max(eps_g, 0.0), EXP_BUDGET)
     s, ws, *_ = tanh_sinh(0.0, s_star, quad.n_s, endpoint_exponent=0.0)
     grid = tuple(g.thetas)
     angles = profile_angles(grid)
@@ -462,7 +464,7 @@ def r_p(z: complex, f: HomogeneousFn, p: float,
     h = -1j * complex(z)
     th, weight = r_p_angle_rule(z, p, quad.n_theta)
     radial = radial_integral_rotated(p, dot(h, np.exp(1j * th)), f.values_at_angle(th),
-                                     2.0 * f.beta, quad.n_s, quad.exp_budget)
+                                     2.0 * f.beta, quad.n_s)
     const = 2.0 ** (1.0 - 0.5 * p) / gamma_fn(0.5 * p) ** 2
     return complex(const * (weight @ radial))
 
@@ -478,7 +480,7 @@ def s_p(z, x, p: float, alpha: float, quad: QuadratureConfig = QuadratureConfig(
     if p <= 0:
         raise ValueError("moment order must be positive")
     val = radial_integral_rotated(p, -1j * np.asarray(z, dtype=complex), x, alpha,
-                                  quad.n_s, quad.exp_budget) / gamma_fn(p)
+                                  quad.n_s) / gamma_fn(p)
     return complex(val) if np.ndim(val) == 0 else val
 
 
@@ -516,7 +518,7 @@ def solve_tilde_gamma(z, alpha: float, x0=None,
             break
         # F'(x) = 1 + Gamma(1-a/2)/Gamma(a/2) * J(alpha; h, x)
         deriv = 1.0 + c1 / gamma_fn(0.5 * alpha) * radial_integral_rotated(
-            alpha, -1j * z[k], x[k], alpha, quad.n_s, quad.exp_budget)
+            alpha, -1j * z[k], x[k], alpha, quad.n_s)
         step = fx[k] / deriv
         lam = 1.0
         for _ in range(25):
@@ -628,56 +630,72 @@ class PopulationPool:
         return int(self.pool.size)
 
 
-#: rows per pool task; a block's gathered members (16 K bytes a row) stay
-#: a few MB, and the decomposition does not depend on the worker count
-SWEEP_BLOCK = 1024
+#: independent sub-pools of every population run, each drawing its members
+#: only from itself; their means give the pool mean a replica error
+SUBPOOLS = 8
+
+
+def subpool_slices(pool_size: int) -> list[slice]:
+    """The contiguous slices of a pool's ``SUBPOOLS`` sub-pools, whose
+    sizes differ by at most one slot."""
+    bounds = [b * pool_size // SUBPOOLS for b in range(SUBPOOLS + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
-                        K: int, rng: np.random.Generator,
-                        chunk: int = 16384) -> PopulationPool:
+                        K: int, rng: np.random.Generator) -> PopulationPool:
     """Monte Carlo solution of R* =d -(z + sum_k xi_k R_k)^(-1).
 
-    The pool starts at -1/z; each sweep resamples every slot with fresh
-    truncated weights and uniformly chosen pool members (synchronous
-    update).  The calling thread makes every draw, per chunk of
-    ``chunk`` slots the indices and then the exponentials, one chunk
-    ahead of the pool threads, which update the chunk in blocks of
-    ``SWEEP_BLOCK`` rows; so results are independent of work scheduling.
-    Convergence is tracked through the fractional moment mean
-    (Im R)^(alpha/2), with a 1%-per-sweep criterion on top of the fixed
-    sweep count.
+    The pool is ``SUBPOOLS`` independent sub-pools (``subpool_slices``),
+    each on its own stream from ``rng.spawn(SUBPOOLS)``.  Every slot
+    starts at -1/(z + i), the mean of R if S were standard Cauchy; each
+    sweep resamples every slot of a sub-pool with fresh truncated weights
+    and members chosen uniformly from the same sub-pool (synchronous
+    update), drawing the indices and then the exponentials.  A sub-pool
+    runs all of its sweeps as one task on the thread pool, so results are
+    independent of work scheduling.  Convergence is tracked through the
+    fractional moment mean (Im R)^(alpha/2), with a 1%-per-sweep
+    criterion on top of the fixed sweep count.
     """
     z = complex(z)
     if z.imag <= 0:
         raise ValueError("population dynamics needs Im z > 0")
     _check_alpha(alpha)
-    if min(pool_size, sweeps, K, chunk) < 1:
-        raise ValueError("pool_size, sweeps, K and chunk must all be at least 1")
-    chunks = [(lo, min(lo + chunk, pool_size)) for lo in range(0, pool_size, chunk)]
-    draws = ((rng.integers(0, pool_size, size=(hi - lo, K), dtype=np.int32),
-              rng.standard_exponential((hi - lo, K)))
-             for _ in range(sweeps) for lo, hi in chunks)
+    if min(pool_size, sweeps, K) < 1:
+        raise ValueError("pool_size, sweeps and K must all be at least 1")
+    if pool_size < SUBPOOLS:
+        raise ValueError(f"pool_size must be at least SUBPOOLS = {SUBPOOLS}")
+    if -(-pool_size // SUBPOOLS) * K >= 2 ** 31:
+        raise ValueError("a sub-pool's slots times K reach 2**31, past its int32 indices")
+    # imported here, as only the pool needs it: it adds about 15 ms and
+    # 1.5 MB to the start of every process
+    from scipy.sparse import csr_array
 
-    def update(old, idx, exps, out):
-        S = np.einsum("rk,rk->r", arrival_weights(alpha, exps), old[idx])
-        out[:] = -1.0 / (z + S)
+    def run(sub_rng, n):
+        # S is one sparse gather-multiply-add, which sums each row in k
+        # order as np.einsum("rk,rk->r", xi, members[idx]) does; with an
+        # int32 indptr scipy takes the int32 indices without a copy
+        members = np.full(n, -1.0 / (z + 1j))
+        indptr = np.arange(0, n * K + 1, K, dtype=np.int32)
+        sums = []
+        for _ in range(sweeps):
+            idx = sub_rng.integers(0, n, size=(n, K), dtype=np.int32)
+            xi = arrival_weights(alpha, sub_rng.standard_exponential((n, K)))
+            gather = csr_array((xi.ravel(), idx.ravel(), indptr), shape=(n, n))
+            S = (gather @ members.view(float).reshape(n, 2)).view(complex)[:, 0]
+            members = -1.0 / (z + S)
+            sums.append(np.sum(members.imag ** (0.5 * alpha)))
+        return members, sums
 
-    pool = np.full(pool_size, -1.0 / z, dtype=complex)
-    history = []
-    ahead = next(draws)
-    for _ in range(sweeps):
-        new = np.empty_like(pool)
-        for lo, hi in chunks:
-            idx, exps = ahead
-            blocks = [slice(a, a + SWEEP_BLOCK) for a in range(0, hi - lo, SWEEP_BLOCK)]
-            tasks = [_EXECUTOR.submit(update, pool, idx[b], exps[b], new[lo:hi][b])
-                     for b in blocks]
-            ahead = next(draws, None)
-            for task in tasks:
-                task.result()
-        pool = new
-        history.append(float(np.mean(pool.imag ** (0.5 * alpha))))
+    slices = subpool_slices(pool_size)
+    tasks = [_EXECUTOR.submit(run, sub_rng, sl.stop - sl.start)
+             for sub_rng, sl in zip(rng.spawn(SUBPOOLS), slices)]
+    pool = np.empty(pool_size, dtype=complex)
+    totals = np.zeros(sweeps)
+    for sl, task in zip(slices, tasks):
+        pool[sl], sums = task.result()
+        totals += sums
+    history = totals / pool_size
     # drift criterion on a 3-sweep moving average (raw sweeps carry MC noise)
     if len(history) >= 6:
         smooth = np.convolve(history, np.ones(3) / 3.0, mode="valid")
@@ -686,7 +704,7 @@ def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
     else:
         rel = np.inf
     return PopulationPool(pool=pool, iterations=sweeps,
-                          m_history=tuple(history), converged=bool(rel <= 0.01))
+                          m_history=tuple(history.tolist()), converged=bool(rel <= 0.01))
 
 
 def pool_moment(pool: PopulationPool, p: float, kind: str = "abs"):
@@ -702,3 +720,10 @@ def pool_moment(pool: PopulationPool, p: float, kind: str = "abs"):
     if kind == "abs":
         return float(mean.real), float(se.real)
     return complex(mean), float(np.abs(se))
+
+
+def replica_se(pool: PopulationPool, p: float) -> float:
+    """Standard error of the pool mean of |R|^p from the spread of its
+    ``SUBPOOLS`` sub-pool means, which are independent of each other."""
+    means = [np.mean(np.abs(pool.pool[sl]) ** p) for sl in subpool_slices(pool.size)]
+    return float(np.std(means, ddof=1) / np.sqrt(SUBPOOLS))

@@ -185,7 +185,7 @@ def _rescaled_phi(h, g, quad):
     phi(w) = |w|^(-alpha/2) phi(w/|w|) holds rule for rule."""
     alpha = 2.0 * g.beta
     s_star = fp._s_truncation(alpha, max(h.real, 0.0), max(g.min_real_part(), 0.0),
-                              quad.exp_budget)
+                              fp.EXP_BUDGET)
     s, ws, *_ = tanh_sinh(0.0, s_star, quad.n_s)
 
     def phi(w):
@@ -452,32 +452,43 @@ def test_population_dynamics_contracts():
     assert np.max(pool.pool.imag) <= 1 / 0.5 + 1e-12
     with pytest.raises(ValueError):
         population_dynamics(1.0, 1.0, pool_size=10, sweeps=1, K=10, rng=rng)
+    # every sub-pool needs a slot of its own
+    assert population_dynamics(0.5j, 1.0, fp.SUBPOOLS, 2, 3, rng).size == fp.SUBPOOLS
+    with pytest.raises(ValueError, match="at least SUBPOOLS"):
+        population_dynamics(0.5j, 1.0, fp.SUBPOOLS - 1, 2, 3, rng)
+    # a sub-pool's row pointer is int32: 2^21 slots of 2^10 draws overflow it
+    with pytest.raises(ValueError, match="int32"):
+        population_dynamics(0.5j, 1.0, fp.SUBPOOLS * 2 ** 21, 1, 2 ** 10, rng)
 
 
-@pytest.mark.parametrize("field", ["pool_size", "sweeps", "K", "chunk"])
+@pytest.mark.parametrize("field", ["pool_size", "sweeps", "K"])
 def test_population_dynamics_rejects_empty_sizes(field):
-    sizes = dict(pool_size=10, sweeps=2, K=5, chunk=4)
+    sizes = dict(pool_size=10, sweeps=2, K=5)
     population_dynamics(0.2j, 1.0, rng=np.random.default_rng(0), **sizes)
-    # zero K, sweeps or pool would hand back the untouched start -1/z
+    # zero K, sweeps or pool would hand back the untouched start
     for bad in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
             population_dynamics(0.2j, 1.0, rng=np.random.default_rng(0),
                                 **{**sizes, field: bad})
 
 
-def _serial_pool(z, alpha, pool_size, sweeps, K, rng, chunk):
-    """The one-thread sweep loop the threaded one must reproduce bit for bit."""
+def _serial_pool(z, alpha, pool_size, sweeps, K, rng):
+    """The one-thread loop over the sub-pools that the threaded run must
+    reproduce bit for bit: each sub-pool's sweeps on its own stream, S by
+    np.einsum; and the plain pool mean of (Im R)^(alpha/2) per sweep."""
     from levylab.stable_random import poisson_weights_matrix
-    pool = np.full(pool_size, -1.0 / z, dtype=complex)
-    for _ in range(sweeps):
-        new = np.empty_like(pool)
-        for lo in range(0, pool_size, chunk):
-            hi = min(lo + chunk, pool_size)
-            idx = rng.integers(0, pool_size, size=(hi - lo, K))
-            xi = poisson_weights_matrix(alpha, (hi - lo, K), rng)
-            new[lo:hi] = -1.0 / (z + np.einsum("rk,rk->r", xi, pool[idx]))
-        pool = new
-    return pool
+    pool = np.empty(pool_size, dtype=complex)
+    history = np.zeros(sweeps)
+    for sub_rng, sl in zip(rng.spawn(fp.SUBPOOLS), fp.subpool_slices(pool_size)):
+        n = sl.stop - sl.start
+        members = np.full(n, -1.0 / (z + 1j))
+        for sweep in range(sweeps):
+            idx = sub_rng.integers(0, n, size=(n, K))
+            xi = poisson_weights_matrix(alpha, (n, K), sub_rng)
+            members = -1.0 / (z + np.einsum("rk,rk->r", xi, members[idx]))
+            history[sweep] += np.sum(members.imag ** (alpha / 2)) / pool_size
+        pool[sl] = members
+    return pool, history
 
 
 #: outputs of the threaded loops; each must not depend on the worker count
@@ -488,11 +499,11 @@ THREADED = {
                                       QuadratureConfig.fast()).values,
     "apply_linearized": lambda: apply_linearized(
         gamma_star_zero(1.2, 33), n_theta=48, n_y=12).values,
-    # two chunks (3000 + 2001 rows), each in several row blocks
+    # eight sub-pools of 625 or 626 slots, one task each
     "pool on the axis": lambda: population_dynamics(
-        0.2j, 1.0, 5001, 3, 30, np.random.default_rng(5), chunk=3000).pool,
+        0.2j, 1.0, 5001, 3, 30, np.random.default_rng(5)).pool,
     "pool off the axis": lambda: population_dynamics(
-        0.3 + 0.2j, 1.3, 5001, 3, 30, np.random.default_rng(6), chunk=3000).pool,
+        0.3 + 0.2j, 1.3, 5001, 3, 30, np.random.default_rng(6)).pool,
     # kernel rows on the pool, row integrals on the calling thread
     "assemble_P 1.1": lambda: ks.assemble_P(1.1, 32).matrix,
     "assemble_P 1.5+5i": lambda: ks.assemble_P(1.5 + 5j, 32).matrix,
@@ -516,14 +527,15 @@ def test_threaded_loops_are_bitwise_independent_of_workers(name, monkeypatch):
     assert np.array_equal(one, two)
 
 
-def test_pool_sweep_matches_the_serial_loop(monkeypatch):
-    for block in (fp.SWEEP_BLOCK, 7):
-        monkeypatch.setattr(fp, "SWEEP_BLOCK", block)
+def test_pool_sweep_matches_the_serial_loop():
+    # sub-pools of one slot each, and of 312 or 313 slots
+    for size in (fp.SUBPOOLS, 2501):
         for z, alpha in ((0.2j, 1.0), (0.3 + 0.2j, 1.3)):
-            got = population_dynamics(z, alpha, 2501, 3, 20,
-                                      np.random.default_rng(8), chunk=1001).pool
-            ref = _serial_pool(z, alpha, 2501, 3, 20, np.random.default_rng(8), 1001)
-            assert np.array_equal(got, ref)
+            got = population_dynamics(z, alpha, size, 3, 20, np.random.default_rng(8))
+            ref, history = _serial_pool(z, alpha, size, 3, 20, np.random.default_rng(8))
+            assert np.array_equal(got.pool, ref)
+            # the same sums, added per sub-pool first
+            assert np.allclose(got.m_history, history, rtol=1e-13, atol=0)
 
 
 def _small_pool_mean():
@@ -562,6 +574,22 @@ def test_threaded_assemble_P_under_fast_switching(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         got = _run_with_workers(monkeypatch, 4, build)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, ref)
+
+
+def test_threaded_pool_under_fast_switching(monkeypatch):
+    # eight sub-pools on four threads, switching often: each writes only
+    # its own slice and draws only from its own stream
+    def run():
+        return population_dynamics(0.3 + 0.2j, 1.3, 2001, 3, 20,
+                                   np.random.default_rng(9)).pool
+    ref = _run_with_workers(monkeypatch, 1, run)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _run_with_workers(monkeypatch, 4, run)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, ref)
@@ -612,6 +640,33 @@ def test_moment_identities_small_pool():
     assert abs(y_half - closed) < 0.01
     # near the origin the solution stays close to the closed form
     assert sup_distance(sols[0].gamma, fp.gamma_star_zero(alpha, 65)) < 0.1
+
+
+def test_pool_start_is_equilibrated_after_25_sweeps():
+    # test_moment_identities_small_pool's pool over four seeds: its 32
+    # independent sub-pool means of |R| sit within 3 SE of r_1.  Started
+    # at -1/z the same pools read 0.025 low, 4.3 SE: not yet equilibrated
+    alpha, z = 1.0, 0.1j
+    means = []
+    for seed in (6, 7, 8, 9):
+        pool = population_dynamics(z, alpha, pool_size=30_000, sweeps=25, K=200,
+                                   rng=np.random.default_rng(seed))
+        means += [np.mean(np.abs(pool.pool[sl])) for sl in fp.subpool_slices(pool.size)]
+    sols = solve_gamma_path([0.05j, 0.1j], alpha, tol=1e-8, quad=QuadratureConfig.fast())
+    se = np.std(means, ddof=1) / np.sqrt(len(means))
+    assert abs(np.mean(means) - r_p(z, sols[-1].gamma, 1.0).real) < 3 * se
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_replica_se_matches_the_spread_of_pool_means(alpha):
+    # over 32 independent small pools, the rms replica SE against the
+    # standard deviation of their means of |R| and of |R|^2
+    pools = [population_dynamics(0.2j, alpha, 2000, 15, 30, np.random.default_rng([11, r]))
+             for r in range(32)]
+    for p in (1.0, 2.0):
+        spread = np.std([pool_moment(pool, p)[0] for pool in pools], ddof=1)
+        replica = np.sqrt(np.mean([fp.replica_se(pool, p) ** 2 for pool in pools]))
+        assert 1 / 1.5 < replica / spread < 1.5
 
 
 def test_r_p_uniform_bound_in_h():

@@ -22,6 +22,10 @@ when F came to integrate the angular profile of its radial integral
 with eval_G at the bench's setting and at -0.3+0.05i, as the values
 from before that change: the refinement test below requires the
 profile form to be at least as close to a finer rule as they were.
+The pool cases are re-recorded under their names plus ``SUB_POOLS``:
+the pool became independent sub-pools with their own streams and a new
+start, which changed its draws.  The plain names keep the members of
+the single pool before that.
 
 Record the cases missing from the file (existing entries are never
 rewritten; to re-record one on purpose, delete its entry first):
@@ -73,7 +77,7 @@ ROW_OMEGAS = [0.05, 0.4, 0.785, 1.2, 1.52]
 KERNEL_ALPHAS = [0.9, 1.5, 1.5 + 5j]
 FREDHOLM_ALPHAS = [1.1, 1.5 + 5j]
 FREDHOLM_NODES = 32
-#: pool members kept from a two-chunk run (every 250th slot)
+#: pool members kept from a run of eight sub-pools (every 250th slot)
 POOL_Z = [0.2j, 0.3 + 0.2j]
 DENSITY_ALPHAS = [0.8, 1.0]
 DENSITY_E = [0.0, 0.5, 1.0, 2.5, 5.0]
@@ -97,6 +101,9 @@ REPINNED = {
     "eval_G alpha=1.5 z=0.1j fast", "eval_G alpha=1.5 z=(0.2+0.1j) fast",
     "solve_gamma_star alpha=1.0 z=(0.2+0.2j)",
 }
+#: suffix of the keys of the pool cases re-recorded when the pool became
+#: independent sub-pools
+SUB_POOLS = ", eight sub-pools"
 
 
 def _eval_G(alpha, z, quad):
@@ -119,7 +126,7 @@ def _fredholm(alpha, field):
 
 def _pool(z):
     pool = fp.population_dynamics(z, 1.0, pool_size=3001, sweeps=4, K=60,
-                                  rng=np.random.default_rng(17), chunk=2000)
+                                  rng=np.random.default_rng(17))
     return pool.pool[::250]
 
 
@@ -212,6 +219,8 @@ REFINED_SLACK = 1e-11
 
 def key(name: str) -> str:
     """The case's entry in the file."""
+    if name.startswith("population_dynamics"):
+        return name + SUB_POOLS
     return name + PROFILE if name in REPINNED else name
 
 
