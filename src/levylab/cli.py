@@ -100,7 +100,6 @@ def _parser() -> argparse.ArgumentParser:
     ks.add_argument("--alpha-max", type=float, default=1.9)
     ks.add_argument("--step", type=float, default=0.05)
     ks.add_argument("--nodes", type=int, default=64)
-    ks.add_argument("--kappa", type=float, default=0.5)
     ks.add_argument("--no-refine", action="store_true")
     return p
 
@@ -155,8 +154,7 @@ def kernel_scan(cfg, args) -> RunRecord:
     if args.nodes < MIN_NODES:
         raise ValueError(f"--nodes must be at least {MIN_NODES}, got {args.nodes}")
     grid = np.arange(args.alpha_min, args.alpha_max + 0.5 * args.step, args.step)
-    results, failures = alpha_scan(grid, n_nodes=args.nodes, kappa=args.kappa,
-                                   refine=not args.no_refine)
+    results, failures = alpha_scan(grid, n_nodes=args.nodes, refine=not args.no_refine)
     minima = set(flag_minima(results))
     rows = tuple((r.alpha.real, r.alpha.imag, r.m, r.grid_size,
                   r.det_value.real, r.det_value.imag, abs(r.det_value),

@@ -50,7 +50,6 @@ class ExperimentConfig:
     energies: tuple[float, ...] = (0.0,)
     interval_rule: str = "rho_prime"  # "rho" | "rho_prime" | "fixed"
     fixed_width: float = 0.25
-    eta: float | None = None  # resolvent scale; default = interval half-width
     eta_ladder: tuple[float, ...] = (0.1, 0.05, 0.025)
     quad_scale: float = 1.0
 
@@ -72,13 +71,25 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
+        """The config in ``text``; a ValueError names an unknown key or a
+        key whose value has the wrong JSON type."""
         obj = json.loads(text)
-        unknown = sorted(set(obj) - {f.name for f in fields(ExperimentConfig)})
+        if not isinstance(obj, dict):
+            raise ValueError("a config must be a JSON object")
+        types = {f.name: f.type for f in fields(ExperimentConfig)}
+        unknown = sorted(set(obj) - set(types))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        for key in ("n_list", "energies", "eta_ladder"):
-            if key in obj and obj[key] is not None:
-                obj[key] = tuple(obj[key])
+        for key, value in obj.items():
+            # "tuple[int, ...]" is a JSON list of ints; an int is a float too
+            item = types[key].removeprefix("tuple[").removesuffix(", ...]")
+            many = item != types[key]
+            kind = {"int": int, "float": (int, float), "str": str}[item]
+            if (many and not isinstance(value, list)) or any(
+                    isinstance(v, bool) or not isinstance(v, kind)
+                    for v in (value if many else [value])):
+                raise ValueError(f"config key {key!r} must be {types[key]}, got {value!r}")
+            obj[key] = tuple(value) if many else value
         return ExperimentConfig(**obj)
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
@@ -200,11 +211,10 @@ LOCAL_LAW_COLUMNS = ("alpha", "n", "seed", "E", "a", "b",
                      "count_frac", "mean_abs_R2")
 
 
-def aggregate_local_law(rows, mu_star: dict,
-                        columns=LOCAL_LAW_COLUMNS) -> dict:
-    i_f, i_r = columns.index("count_frac"), columns.index("mean_abs_R2")
+def aggregate_local_law(rows, mu_star: dict) -> dict:
+    i_f, i_r = (LOCAL_LAW_COLUMNS.index(c) for c in ("count_frac", "mean_abs_R2"))
     out = {}
-    for (n, e), cell in _cells(rows, columns):
+    for (n, e), cell in _cells(rows, LOCAL_LAW_COLUMNS):
         mean_f, se_f = _mean_se([r[i_f] for r in cell])
         mean_r, _ = _mean_se([r[i_r] for r in cell])
         mu = mu_star[e]
@@ -218,10 +228,9 @@ def aggregate_local_law(rows, mu_star: dict,
 
 def run_local_law(cfg: ExperimentConfig) -> RunRecord:
     """Empirical window mass against the limiting measure, plus the
-    second resolvent moment (1/n) sum |R_kk(E + i eta)|^2."""
+    second resolvent moment (1/n) sum |R_kk(E + i eta)|^2, eta = |I|/2."""
     quad = QuadratureConfig().scaled(cfg.quad_scale)
     w = cfg.interval_width(max(cfg.n_list))
-    eta = cfg.eta if cfg.eta is not None else 0.5 * w
     energies = np.array(cfg.energies, dtype=float)
     mu_star = dict(zip(cfg.energies, stieltjes_mass(
         energies - 0.5 * w, energies + 0.5 * w, cfg.alpha,
@@ -230,7 +239,7 @@ def run_local_law(cfg: ExperimentConfig) -> RunRecord:
     def row(n, seed, sd, e):
         a, b = e - 0.5 * w, e + 0.5 * w
         frac = eigenvalue_counting(sd, a, b) / n
-        rd = resolvent_diagonal(sd, complex(e, eta))
+        rd = resolvent_diagonal(sd, complex(e, 0.5 * w))
         return (cfg.alpha, n, seed, e, a, b, frac,
                 float(np.mean(np.abs(rd.values) ** 2)))
 

@@ -105,22 +105,20 @@ EXP_BUDGET = 40.0
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Node counts for the (theta, y, w, s) rules."""
+    """Node counts for the (theta, y, s) rules; n_y serves both y pieces."""
 
     n_theta: int = 96
     n_s: int = 97
     n_y: int = 24
-    n_w: int = 24
 
     def scaled(self, factor: float) -> "QuadratureConfig":
         def sc(n):
             return max(9, int(round(n * factor)))
-        return replace(self, n_theta=sc(self.n_theta), n_s=sc(self.n_s),
-                       n_y=sc(self.n_y), n_w=sc(self.n_w))
+        return replace(self, n_theta=sc(self.n_theta), n_s=sc(self.n_s), n_y=sc(self.n_y))
 
     @staticmethod
     def fast() -> "QuadratureConfig":
-        return QuadratureConfig(n_theta=72, n_s=73, n_y=20, n_w=20)
+        return QuadratureConfig(n_theta=72, n_s=73, n_y=20)
 
 
 def _s_truncation(alpha: float, re_h, eps_g, budget: float):
@@ -213,7 +211,7 @@ def profile_interpolation(knots, theta):
 
 @lru_cache(maxsize=16)
 def difference_integral(alpha: float, knots: tuple, out_thetas: tuple,
-                        n_theta: int, n_y: int, n_w: int) -> np.ndarray:
+                        n_theta: int, n_y: int) -> np.ndarray:
     """The (theta, y) integral shared by F_h and its linearization, as a
     real matrix D on the samples of an angular profile.
 
@@ -226,17 +224,17 @@ def difference_integral(alpha: float, knots: tuple, out_thetas: tuple,
         + int int_0^(1/2) y^(-alpha/2) (phi(e) - phi(e + y u)) / y dy
         - int int_0^2 w^(alpha-1) phi(w e + u) dw,
 
-    the last piece being y >= 1/2 after y = 1/w.  Phi is interpolated by
-    ``profile_interpolation`` (to about 1e-15 relative), and the near
-    difference cancels in D's entries as y -> 0: against phi at every
-    node F differs by 3e-14 relative at alpha = 1 and 1e-11 at alpha =
-    1.95, far inside the quadrature's error.  Rows are built on the
-    pool, one task per output angle; D is read-only and cached.
+    the last piece being y >= 1/2 after y = 1/w, each y piece on n_y
+    nodes.  Phi is interpolated by ``profile_interpolation`` (to 1e-15
+    relative), and the near difference cancels in D's entries as y -> 0:
+    against phi at every node F differs by 3e-14 relative at alpha = 1
+    and 1e-11 at 1.95, far inside the quadrature's error.  Rows are
+    built on the pool, one per output angle; D is read-only and cached.
     """
     th, wt = sin2_theta_rule(n_theta, 0.5 * alpha - 1.0)
     e_th = np.exp(1j * th)
     yj, wy = power_rule(-0.5 * alpha, 0.5, n_y)
-    wj, ww = power_rule(alpha - 1.0, 2.0, n_w)
+    wj, ww = power_rule(alpha - 1.0, 2.0, n_y)
     size = NC * (len(knots) - 1)
 
     def spread(w, weight):
@@ -285,7 +283,7 @@ def eval_F(h: complex, g: HomogeneousFn,
     # complex weights and a real D split in two: numpy's mixed real and
     # complex products bypass BLAS and take ~400 times as long
     profile = (2.0 / alpha) * (np.exp(-expo) @ ws.astype(complex))
-    D = difference_integral(alpha, grid, grid, quad.n_theta, quad.n_y, quad.n_w)
+    D = difference_integral(alpha, grid, grid, quad.n_theta, quad.n_y)
     return HomogeneousFn(0.5 * alpha, g.thetas, D @ profile.real + 1j * (D @ profile.imag))
 
 

@@ -124,20 +124,14 @@ class HomogeneousFn:
     def values_at_angle(self, theta):
         """Values g(e^{i theta}) for angles in [0, pi/2].
 
-        Exact grid hits return the stored values bit-for-bit.
+        Grid hits give the stored values (the spline misses only the last).
         """
         theta = np.asarray(theta, dtype=float)
         if np.any(theta < -1e-12) or np.any(theta > HALF_PI + 1e-12):
             raise ValueError("angle outside [0, pi/2]")
         clipped = np.clip(theta, 0.0, HALF_PI)
-        vals = self._spline(clipped)
-        idx = np.searchsorted(self.thetas, clipped)
-        idx = np.minimum(idx, self.thetas.size - 1)
-        hit = self.thetas[idx] == clipped
-        if np.any(hit):
-            vals = np.asarray(vals)
-            vals[hit] = self.values[idx[hit]]
-        return vals
+        return np.where(clipped == self.thetas[-1], self.values[-1],
+                        self._spline(clipped))
 
     def __call__(self, u):
         """Evaluate g at points of the closed first quadrant (u != 0)."""

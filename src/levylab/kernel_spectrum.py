@@ -269,8 +269,6 @@ def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
     if not np.all(np.isfinite(mat[:half])):
         raise ValueError(f"non-finite Nystrom entries at alpha={alpha}")
     mat[half:] = mat[half - 1::-1, ::-1]
-    if alpha.imag == 0:
-        mat = mat.real.astype(complex)
     return NystromOperator(alpha=alpha, nodes=nodes, matrix=mat, kappa=0.0)
 
 
@@ -411,8 +409,7 @@ def fredholm_det(H: NystromOperator, m: int,
                           grid_size=H.n_nodes, refinement_delta=float(delta))
 
 
-def alpha_scan(alpha_grid, n_nodes: int = 64, kappa: float = 0.5,
-               refine: bool = True):
+def alpha_scan(alpha_grid, n_nodes: int = 64, refine: bool = True):
     """Determinant sweep over real alpha at the band power; returns
     (results, failures).
 
@@ -426,7 +423,7 @@ def alpha_scan(alpha_grid, n_nodes: int = 64, kappa: float = 0.5,
     for a in alpha_grid:
         try:
             m = band_power(float(np.real(a)))
-            H = assemble_H(a, n_nodes, kappa)
+            H = assemble_H(a, n_nodes)
             results.append(fredholm_det(H, m, refine=refine))
         except SAMPLE_ERRORS as exc:
             failures.append((float(np.real(a)),

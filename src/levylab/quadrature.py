@@ -84,15 +84,16 @@ def _gl(n: int):
 
 
 @lru_cache(maxsize=256)
-def cached_roots_jacobi(n: int, a: float, b: float):
-    return roots_jacobi(n, a, b)
+def cached_roots_jacobi(n: int, b: float):
+    """Gauss-Jacobi rule on [-1, 1] for the weight (1 + x)^b."""
+    return roots_jacobi(n, 0.0, b)
 
 
-def gauss_jacobi_left(n: int, exponent: float, a: float, b: float):
-    """Nodes/weights for ``int_a^b (x-a)^exponent f(x) dx = sum w f(x)``."""
-    x, w = cached_roots_jacobi(n, 0.0, exponent)
-    half = 0.5 * (b - a)
-    nodes = a + half * (x + 1.0)
+def gauss_jacobi_left(n: int, exponent: float, b: float):
+    """Nodes/weights for ``int_0^b x^exponent f(x) dx = sum w f(x)``."""
+    x, w = cached_roots_jacobi(n, exponent)
+    half = 0.5 * b
+    nodes = half * (x + 1.0)
     weights = w * half ** (1.0 + exponent)
     return nodes, weights
 
@@ -110,7 +111,7 @@ def power_rule(expo, delta, n: int):
     if np.ndim(delta):
         delta = np.asarray(delta, dtype=float)[..., None]
     if expo.imag == 0.0:
-        return gauss_jacobi_left(n, expo.real, 0.0, delta)
+        return gauss_jacobi_left(n, expo.real, delta)
     return log_power_rule(expo, delta)
 
 

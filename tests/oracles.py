@@ -75,7 +75,7 @@ def apply_linearized(f: HomogeneousFn, out_thetas: np.ndarray | None = None,
     angles = profile_angles(knots)
     profile = (f.values_at_angle(HALF_PI - angles)
                * (np.cos(angles) + np.sin(angles)) ** (-alpha))
-    D = difference_integral(alpha, knots, tuple(out_thetas), n_theta, n_y, n_y)
+    D = difference_integral(alpha, knots, tuple(out_thetas), n_theta, n_y)
     out = D @ profile.real + 1j * (D @ profile.imag)
     return HomogeneousFn(f.beta, out_thetas, -c_prime(alpha) * out)
 

@@ -356,6 +356,19 @@ def test_config_with_unknown_key_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("energies", 0.5), ("n_list", None),
+                                        ("n_seeds", "2")])
+def test_config_with_a_mistyped_key_exits_1(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({**json.loads(small_cfg().to_json()), key: value}))
+    rc = main(["localization-sweep", "--config", str(cfg_path),
+               "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"failed: config key {key!r}" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_kernel_scan_ignores_config(tmp_path, capsys):
     # kernel-scan reads no config: an outdated file neither fails the scan
     # nor changes a byte of its output

@@ -225,7 +225,7 @@ def _pointwise_difference_integral(alpha, phi, out_thetas, quad):
     th, wt = sin2_theta_rule(quad.n_theta, 0.5 * alpha - 1.0)
     e = np.exp(1j * th)
     y, wy = power_rule(-0.5 * alpha, 0.5, quad.n_y)
-    v, wv = power_rule(alpha - 1.0, 2.0, quad.n_w)
+    v, wv = power_rule(alpha - 1.0, 2.0, quad.n_y)
     out = []
     for u in np.exp(1j * np.asarray(out_thetas)):
         near = wt @ ((phi(e)[:, None] - phi(e[:, None] + y * u)) / y) @ wy
@@ -553,7 +553,7 @@ def test_threaded_eval_F_keeps_scratch_per_thread(monkeypatch):
     # more threads than cores and a short switch interval: D's rows, built
     # on four threads with their own temporaries, equal those of one thread
     g = gamma_star_zero(1.0, 33)
-    quad = QuadratureConfig(n_theta=24, n_s=25, n_y=9, n_w=9)
+    quad = QuadratureConfig(n_theta=24, n_s=25, n_y=9)
     ref = _run_with_workers(monkeypatch, 1, lambda: eval_F(0.2 + 0.3j, g, quad).values)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

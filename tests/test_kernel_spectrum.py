@@ -105,6 +105,14 @@ def test_assemble_P_contract():
         ks.assemble_P(1.5, n_nodes=8)
 
 
+@pytest.mark.parametrize("alpha", [0.7, 1.1, 1.5, 1.9])
+def test_real_alpha_P_has_positive_zero_imaginary_parts(alpha):
+    # the arithmetic at real alpha leaves every imaginary part +0.0, sign
+    # included, so P (and H built from it) holds the bytes of a real matrix
+    imag = ks.assemble_P(alpha, 32).matrix.imag
+    assert np.all(imag == 0) and not np.any(np.signbit(imag))
+
+
 @pytest.mark.parametrize("n, re_alpha", [(32, 1.1), (48, 1.5), (96, 0.7)])
 def test_graded_mesh_mirror_symmetry(n, re_alpha):
     # the mirror fill of assemble_P rests on this; both defects come from

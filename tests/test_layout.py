@@ -1,5 +1,6 @@
 """What ``src/levylab`` may hold: every module-level function and class
-has a caller, and importing the package loads no heavy scipy subpackage.
+has a caller, every parameter default is overridden by some call, and
+importing the package loads no heavy scipy subpackage.
 
 A definition counts as used when its name appears in ``src/levylab`` or in
 ``perfbench/`` outside its own definition and outside ``__init__.py``
@@ -75,6 +76,53 @@ def test_allowlist_names_live_definitions():
     defined = {node.name for tree in _modules().values() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert set(ALLOWED) <= defined
+
+
+def _defaulted_parameters(tree: ast.AST):
+    """``(function, parameter, position)`` for every parameter with a
+    default; position counts from a method's first argument after self
+    or cls, and is None for a keyword-only parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        shift = int(bool(positional) and positional[0].arg in ("self", "cls"))
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield node.name, arg.arg, i - shift
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.name, arg.arg, None
+
+
+def _call_arguments(tree: ast.AST):
+    """``(callee name, positional count, keyword names)`` per call; a
+    ``*args`` passes every position and a ``**kwargs`` every keyword
+    (as the name None)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            count = (float("inf") if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            yield name, count, {k.arg for k in node.keywords}
+
+
+def test_every_default_is_overridden_by_a_call():
+    # a default that no call in src/, perfbench/ or tests/ overrides is a
+    # constant in disguise: one more value to document and to test
+    callers = [ROOT / "src", ROOT / "perfbench", ROOT / "tests"]
+    calls = {}
+    for path in sorted(p for d in callers for p in d.rglob("*.py")):
+        for name, count, keywords in _call_arguments(ast.parse(path.read_text())):
+            calls.setdefault(name, []).append((count, keywords))
+    never = [f"{path.name} {func}({param})"
+             for path, tree in _modules().items()
+             for func, param, pos in _defaulted_parameters(tree)
+             if not any(param in kw or None in kw or (pos is not None and count > pos)
+                        for count, kw in calls.get(func, []))]
+    assert not never, "defaults that no call overrides: " + ", ".join(never)
 
 
 def test_cli_import_loads_only_scipy_special():
