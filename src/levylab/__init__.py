@@ -20,7 +20,7 @@ from .matrix_model import (
     empirical_gamma,
     resolvent_diagonal,
 )
-from .stable_random import StableLaw, sample_standard_stable, substream
+from .stable_random import sample_standard_stable, substream
 
 __all__ = [
     "HomogeneousFn", "default_grid", "dot",
@@ -28,6 +28,6 @@ __all__ = [
     "LevyMatrix", "ResolventDiagonal", "SpectralDecomposition",
     "build_levy_matrix", "eigendecompose", "empirical_gamma",
     "resolvent_diagonal",
-    "StableLaw", "sample_standard_stable", "substream",
+    "sample_standard_stable", "substream",
     "__version__",
 ]

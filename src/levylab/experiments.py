@@ -53,6 +53,16 @@ class ExperimentConfig:
     eta_ladder: tuple[float, ...] = (0.1, 0.05, 0.025)
     quad_scale: float = 1.0
 
+    def __post_init__(self):
+        # an empty sample grid would run no sample and still write a file
+        if not self.n_list or min(self.n_list) < 1:
+            raise ValueError(f"config key 'n_list' must hold sizes of at least 1, "
+                             f"got {list(self.n_list)}")
+        if not self.energies:
+            raise ValueError("config key 'energies' must not be empty")
+        if self.n_seeds < 1:
+            raise ValueError(f"config key 'n_seeds' must be at least 1, got {self.n_seeds}")
+
     def interval_width(self, n: int) -> float:
         """Window width per rule; the theorem exponents are
         rho = alpha/(2+3 alpha) and rho' = min(alpha/(4+alpha), 1/4)."""

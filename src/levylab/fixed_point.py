@@ -27,14 +27,15 @@ Quadrature layout (one shared design for every integral):
   angular profile: the integrands of ``eval_F`` and of the linearized
   map are both |w|^(-alpha/2) times a function of arg w.
 
-Three loops run on one thread pool with a worker per available core: the
-output-angle rows of ``difference_integral``, the sub-pools of a
-population run (each with all of its sweeps and its own random stream)
-and the kernel rows of ``kernel_spectrum.assemble_P`` (whose calling
-thread meanwhile takes the row integrals).  Each item is computed by the
-same arithmetic as in a serial loop, so results are bit for bit
-independent of the worker count.  The items make no large BLAS call
-(BLAS threads would compete with the pool's).
+Three loops each open a thread pool of ``WORKERS`` threads for the length
+of the call and map their items in order: the output-angle rows of
+``difference_integral``, the sub-pools of a population run (each with all
+of its sweeps and its own random stream) and the kernel rows of
+``kernel_spectrum.assemble_P`` (whose calling thread meanwhile takes the
+row integrals).  Each item is computed by the same arithmetic as in a
+serial loop, so results are bit for bit independent of the worker count.
+The items make no large BLAS call (BLAS threads would compete with the
+pool's).
 """
 
 from __future__ import annotations
@@ -65,17 +66,8 @@ class FixedPointError(RuntimeError):
 SAMPLE_ERRORS = (ValueError, np.linalg.LinAlgError, QuadratureError, FixedPointError)
 
 
-def _start_executor() -> None:
-    # one worker per core this process may use, none started until a task
-    # comes; tasks never submit to the pool, so none waits on another.  A
-    # forked child inherits the pool object but none of its threads.
-    global _EXECUTOR
-    _EXECUTOR = ThreadPoolExecutor(len(os.sched_getaffinity(0)),
-                                   thread_name_prefix="levylab")
-
-
-_start_executor()
-os.register_at_fork(after_in_child=_start_executor)
+#: threads of each parallel loop's pool: the cores this process may use
+WORKERS = len(os.sched_getaffinity(0))
 
 
 def c_alpha(alpha) -> complex:
@@ -229,7 +221,7 @@ def difference_integral(alpha: float, knots: tuple, out_thetas: tuple,
     relative), and the near difference cancels in D's entries as y -> 0:
     against phi at every node F differs by 3e-14 relative at alpha = 1
     and 1e-11 at 1.95, far inside the quadrature's error.  Rows are
-    built on the pool, one per output angle; D is read-only and cached.
+    built on a thread pool, one per output angle; D is read-only and cached.
     """
     th, wt = sin2_theta_rule(n_theta, 0.5 * alpha - 1.0)
     e_th = np.exp(1j * th)
@@ -251,7 +243,8 @@ def difference_integral(alpha: float, knots: tuple, out_thetas: tuple,
         return (at_e - spread(e_th[:, None] + yj * u, near)
                 - spread(wj * e_th[:, None] + u, wt[:, None] * ww))
 
-    D = np.array(list(_EXECUTOR.map(row, out_thetas)))
+    with ThreadPoolExecutor(WORKERS, thread_name_prefix="levylab") as pool:
+        D = np.array(list(pool.map(row, out_thetas)))
     D.flags.writeable = False
     return D
 
@@ -600,13 +593,12 @@ def spectral_density(E, alpha: float, eta_ladder=(0.1, 0.05, 0.025),
 def stieltjes_mass(a, b, alpha: float, n_points: int = 33,
                    eta_ladder=(0.1, 0.05, 0.025),
                    quad: QuadratureConfig = QuadratureConfig()):
-    """Mass of the limiting measure on [a, b] by Simpson over the density;
-    a and b broadcast into one density call, scalars give a float."""
-    if n_points % 2 == 0:
-        n_points += 1
+    """Mass of the limiting measure on [a, b] by Simpson over the density
+    at an odd number ``n_points`` of equally spaced energies; a and b
+    broadcast into one density call, scalars give a float."""
     xs = np.linspace(a, b, n_points, axis=-1)
     fs = spectral_density(xs, alpha, eta_ladder, quad)[0]
-    mass = simpson(fs, xs)
+    mass = simpson(fs, a, b)
     return float(mass) if np.ndim(mass) == 0 else mass
 
 
@@ -650,7 +642,7 @@ def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
     sweep resamples every slot of a sub-pool with fresh truncated weights
     and members chosen uniformly from the same sub-pool (synchronous
     update), drawing the indices and then the exponentials.  A sub-pool
-    runs all of its sweeps as one task on the thread pool, so results are
+    runs all of its sweeps as one task on a thread pool, so results are
     independent of work scheduling.  Convergence is tracked through the
     fractional moment mean (Im R)^(alpha/2), with a 1%-per-sweep
     criterion on top of the fixed sweep count.
@@ -686,13 +678,13 @@ def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
         return members, sums
 
     slices = subpool_slices(pool_size)
-    tasks = [_EXECUTOR.submit(run, sub_rng, sl.stop - sl.start)
-             for sub_rng, sl in zip(rng.spawn(SUBPOOLS), slices)]
     pool = np.empty(pool_size, dtype=complex)
     totals = np.zeros(sweeps)
-    for sl, task in zip(slices, tasks):
-        pool[sl], sums = task.result()
-        totals += sums
+    with ThreadPoolExecutor(WORKERS, thread_name_prefix="levylab") as threads:
+        results = threads.map(run, rng.spawn(SUBPOOLS), [sl.stop - sl.start for sl in slices])
+        for sl, (members, sums) in zip(slices, results):
+            pool[sl] = members
+            totals += sums
     history = totals / pool_size
     # drift criterion on a 3-sweep moving average (raw sweeps carry MC noise)
     if len(history) >= 6:

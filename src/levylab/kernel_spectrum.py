@@ -10,13 +10,14 @@ the Fredholm determinant det(I - H^m) flag the stability exceptions of
 the fixed point.  Everything here also supports complex alpha, which the
 determinant decay checks at large Im(alpha) require; with Re(alpha) up
 to 2 the matrices stay finite, as ``log_power_rule`` lumps the endpoint
-nodes past x = 0.  ``assemble_P`` builds its kernel rows on
-``fixed_point``'s thread pool while the calling thread takes the row
-integrals, and raises ValueError on a non-finite entry.
+nodes past x = 0.  ``assemble_P`` builds its kernel rows on a thread
+pool of ``fixed_point.WORKERS`` threads while the calling thread takes
+the row integrals, and raises ValueError on a non-finite entry.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,9 +150,6 @@ def kernel_bound(alpha, omega: float, psi: float) -> tuple[float, str]:
 # row integrals (the kernel applied to the constant function)
 # ---------------------------------------------------------------------------
 
-#: bytes of one complex (theta, y, omega) tensor in kernel_row_integrals;
-#: the omegas are taken in blocks that stay under it
-ROW_INTEGRAL_BYTES = 64 << 20
 #: Gauss-Jacobi nodes of each y piece in kernel_row_integrals
 ROW_N_Y = 32
 
@@ -179,14 +177,9 @@ def kernel_row_integrals(alpha, omegas: np.ndarray, n_theta: int = 96) -> np.nda
         weights = (wsin[:, None] * wy[None, :]).ravel()
         return weights @ np.exp(power, out=power).reshape(weights.size, -1)
 
-    per_omega = 16 * th.size * max(y.size for y, _ in pieces)
-    step = max(1, ROW_INTEGRAL_BYTES // per_omega)
-    out = np.empty(omegas.size, dtype=complex)
-    for lo in range(0, omegas.size, step):
-        cos_gap = np.cos(th[:, None] - omegas[None, lo:lo + step])
-        near, far = (piece(cos_gap, *rule) for rule in pieces)
-        out[lo:lo + step] = near + far
-    return out
+    cos_gap = np.cos(th[:, None] - omegas[None, :])
+    near, far = (piece(cos_gap, *rule) for rule in pieces)
+    return near + far
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +229,9 @@ def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
     entry is set so the row acts exactly on constants (the accurate row
     integral minus the off-diagonal quadrature), which integrates the
     weak |psi-omega|^(alpha-1) singularity against a locally constant
-    density.  The kernel rows run on ``fixed_point``'s pool, one per task,
-    by the arithmetic of a serial loop, so the matrix does not depend on
-    the worker count.  A non-finite entry raises ValueError naming alpha.
+    density.  The kernel rows run on a thread pool, one per task, by the
+    arithmetic of a serial loop, so the matrix does not depend on the
+    worker count.  A non-finite entry raises ValueError naming alpha.
     """
     alpha = complex(alpha)
     if not 0.0 < alpha.real < 2.0:
@@ -257,15 +250,15 @@ def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
         off = cols != i
         return weights[off] * kernel_k(alpha, nodes[i], nodes[off])
 
-    # the kernel rows go to the pool (looked up now: a forked child and
-    # the tests rebind it) while this thread takes the row integrals
-    rows = [fixed_point._EXECUTOR.submit(row, i) for i in range(half)]
-    rowints = kernel_row_integrals(alpha, nodes[:half],
-                                   n_theta=96 + 8 * int(abs(alpha.imag)))
     mat = np.zeros((n, n), dtype=complex)
-    for i, task in enumerate(rows):
-        mat[i, cols != i] = task.result()
-        mat[i, i] = rowints[i] - mat[i].sum()
+    with ThreadPoolExecutor(fixed_point.WORKERS, thread_name_prefix="levylab") as pool:
+        # the kernel rows go to the pool while this thread takes the row integrals
+        rows = pool.map(row, range(half))
+        rowints = kernel_row_integrals(alpha, nodes[:half],
+                                       n_theta=96 + 8 * int(abs(alpha.imag)))
+        for i, values in enumerate(rows):
+            mat[i, cols != i] = values
+            mat[i, i] = rowints[i] - mat[i].sum()
     if not np.all(np.isfinite(mat[:half])):
         raise ValueError(f"non-finite Nystrom entries at alpha={alpha}")
     mat[half:] = mat[half - 1::-1, ::-1]

@@ -9,7 +9,7 @@ from scipy.special import gamma as gamma_fn
 
 from . import halfplane
 from .halfplane import HomogeneousFn, dot
-from .stable_random import StableLaw, sample_standard_stable, substream
+from .stable_random import sample_standard_stable, substream
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,9 @@ def build_levy_matrix(n: int, alpha: float, seed: int) -> LevyMatrix:
     """
     if n < 1:
         raise ValueError("matrix dimension must be positive")
-    law = StableLaw(alpha)
     rng = substream(seed, n)
     m = n * (n + 1) // 2
-    draws = sample_standard_stable(law, rng, size=m) * n ** (-1.0 / alpha)
+    draws = sample_standard_stable(alpha, rng, size=m) * n ** (-1.0 / alpha)
     # a boolean mask takes the draws in the row-major order of triu_indices
     upper = np.triu(np.ones((n, n), dtype=bool))
     a = np.zeros((n, n))

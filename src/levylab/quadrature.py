@@ -8,7 +8,7 @@ Three families cover every integral in this package:
   for real expo, a log-substituted rule with complex weights otherwise,
 * composite Gauss-Legendre panels for smooth integrands.
 
-``simpson`` integrates values already sampled on a grid.
+``simpson`` integrates values already sampled on a uniform grid.
 """
 
 from __future__ import annotations
@@ -181,28 +181,12 @@ def gauss_legendre_panels(breaks, order: int):
     return nodes, weights
 
 
-def _ratio(a, b):
-    """a / b, and 0 where b is 0."""
-    return np.divide(a, b, out=np.zeros(np.shape(b)), where=b != 0)
-
-
-def simpson(y, x):
-    """Composite Simpson rule over the last axis, for an odd number of
-    ordered, possibly unevenly spaced points ``x``; an interval of zero
-    width has zero integral.
-
-    The arithmetic is that of ``scipy.integrate.simpson`` for an odd
-    number of points, operation for operation, so the two agree bit for
-    bit.
-    """
-    if np.shape(y)[-1] % 2 == 0:
-        raise ValueError("Simpson's rule needs an odd number of points")
-    h = np.diff(x, axis=-1)
-    h0, h1 = h[..., 0::2], h[..., 1::2]
-    hsum = h0 + h1
-    hprod = h0 * h1
-    h0divh1 = _ratio(h0, h1)
-    tmp = hsum / 6.0 * (y[..., 0:-2:2] * (2.0 - _ratio(1.0, h0divh1))
-                        + y[..., 1::2] * (hsum * _ratio(hsum, hprod))
-                        + y[..., 2::2] * (2.0 - h0divh1))
-    return np.sum(tmp, axis=-1)
+def simpson(y, a, b):
+    """Composite Simpson rule over the last axis of ``y``, sampled at an
+    odd number (at least 3) of equally spaced points from a to b; arrays
+    of endpoints broadcast against the leading axes of ``y``."""
+    n = np.shape(y)[-1]
+    if n < 3 or n % 2 == 0:
+        raise ValueError("Simpson's rule needs an odd number of points, at least 3")
+    h = np.expand_dims(np.subtract(b, a) / (n - 1), -1)
+    return np.sum(h / 3.0 * (y[..., :-2:2] + 4.0 * y[..., 1::2] + y[..., 2::2]), axis=-1)

@@ -8,8 +8,6 @@ Monte Carlo tasks should derive their own stream with :func:`substream`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gamma as gamma_fn, gammaln
 
@@ -30,31 +28,15 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie strictly inside (0, 2), got {alpha}")
 
 
-@dataclass(frozen=True)
-class StableLaw:
-    """Symmetric alpha-stable law with the tail normalized to t^(-alpha)."""
-
-    alpha: float
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-
-    @property
-    def sigma_alpha(self) -> float:
-        return tail_one_sigma_alpha(self.alpha)
-
-    @property
-    def sigma(self) -> float:
-        return self.sigma_alpha ** (1.0 / self.alpha)
-
-
 def substream(master_seed: int, *task_index: int) -> np.random.Generator:
     """Independent generator for (master seed, task index...)."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=task_index))
 
 
-def sample_standard_stable(law: StableLaw, rng: np.random.Generator, size):
-    """Symmetric stable draws with cf exp(-sigma^alpha |t|^alpha).
+def sample_standard_stable(alpha: float, rng: np.random.Generator, size):
+    """Symmetric stable draws with cf exp(-sigma^alpha |t|^alpha), where
+    sigma^alpha = ``tail_one_sigma_alpha(alpha)`` normalizes the tail to
+    t^(-alpha).
 
     Chambers-Mallows-Stuck construction: with U uniform on
     (-pi/2, pi/2) and E a unit exponential,
@@ -65,7 +47,7 @@ def sample_standard_stable(law: StableLaw, rng: np.random.Generator, size):
     The alpha = 1 branch degenerates to the Cauchy closed form
     X = sigma * tan(U).
     """
-    alpha = law.alpha
+    sigma = tail_one_sigma_alpha(alpha) ** (1.0 / alpha)
     u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
     if alpha == 1.0:
         x = np.tan(u)
@@ -73,7 +55,7 @@ def sample_standard_stable(law: StableLaw, rng: np.random.Generator, size):
         e = rng.standard_exponential(size)
         x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
              * (np.cos((1.0 - alpha) * u) / e) ** ((1.0 - alpha) / alpha))
-    return law.sigma * x
+    return sigma * x
 
 
 def poisson_weights_matrix(alpha: float, shape: tuple[int, int],

@@ -19,7 +19,7 @@ from levylab.fixed_point import (
 from levylab.halfplane import HALF_PI, HomogeneousFn, default_grid
 from levylab.kernel_spectrum import c_prime
 from levylab.matrix_model import ResolventDiagonal
-from levylab.stable_random import StableLaw, sample_standard_stable, substream
+from levylab.stable_random import sample_standard_stable, substream
 
 # ---------------------------------------------------------------------------
 # homogeneous functions
@@ -125,8 +125,7 @@ def triu_indices_fill(n: int, alpha: float, seed: int) -> np.ndarray:
     """``build_levy_matrix``'s entries, filled through ``np.triu_indices``
     and mirrored by adding the strict upper triangle's transpose."""
     rng = substream(seed, n)
-    draws = sample_standard_stable(StableLaw(alpha), rng,
-                                   size=n * (n + 1) // 2) * n ** (-1.0 / alpha)
+    draws = sample_standard_stable(alpha, rng, size=n * (n + 1) // 2) * n ** (-1.0 / alpha)
     a = np.zeros((n, n))
     a[np.triu_indices(n)] = draws
     return a + np.triu(a, 1).T

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -331,6 +332,28 @@ def test_empty_grid_exits_1(argv, reason, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["localization-sweep", "local-law"])
+@pytest.mark.parametrize("key, value, reason", [
+    ("n_seeds", 0, "config key 'n_seeds' must be at least 1, got 0"),
+    ("n_seeds", -2, "config key 'n_seeds' must be at least 1, got -2"),
+    ("energies", [], "config key 'energies' must not be empty"),
+    ("n_list", [], "config key 'n_list' must hold sizes of at least 1, got []"),
+    ("n_list", [50, 0], "config key 'n_list' must hold sizes of at least 1, got [50, 0]"),
+])
+def test_empty_sample_grid_in_config_exits_1(command, key, value, reason, tmp_path, capsys):
+    cfg_path = tmp_path / "empty.json"
+    cfg_path.write_text(json.dumps({**json.loads(small_cfg().to_json()), key: value}))
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        ExperimentConfig.from_json(cfg_path.read_text())
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        small_cfg().with_overrides(**{key: tuple(value) if isinstance(value, list) else value})
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert reason in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_kernel_scan_too_few_nodes_exits_1(tmp_path, capsys):
     # no alpha can be assembled on 8 nodes: one argument error before the
     # scan, not a partial run of 17 identical skips
@@ -339,6 +362,11 @@ def test_kernel_scan_too_few_nodes_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "--nodes must be at least 16, got 8" in captured.err and captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_an_object_is_refused():
+    with pytest.raises(ValueError, match="a config must be a JSON object"):
+        ExperimentConfig.from_json("[1.0]")
 
 
 def test_config_with_unknown_key_exits_1(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import json
 import multiprocessing
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -307,6 +308,32 @@ def test_solver_guards():
         solve_gamma_star(0.1 - 0.1j, 1.0)
 
 
+def _pool_of_one():
+    return fp.PopulationPool(pool=np.array([0.1 + 1j]), iterations=1, m_history=(0.1,),
+                             converged=False)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: radial_integral_rotated(1.0, -1.0, 1.0, 1.0), QuadratureError,
+     "radial integral needs Re(H) >= 0"),
+    (lambda: eval_F(0.1, HomogeneousFn(1.0, default_grid(33), np.ones(33))), ValueError,
+     "alpha in (0,2)"),
+    (lambda: eval_G(0.1 - 0.1j, gamma_star_zero(1.0, 33)), ValueError, "Im z > 0"),
+    (lambda: solve_gamma_star(0.1j, 1.0, initial=gamma_star_zero(0.8, 33)), ValueError,
+     "wrong homogeneity degree"),
+    (lambda: r_p(0.1j, gamma_star_zero(1.0, 33), 0.0), ValueError,
+     "moment order must be positive"),
+    (lambda: s_p(0.1j, 1.0, -1.0, 1.0), ValueError, "moment order must be positive"),
+    (lambda: solve_tilde_gamma(0.1, 1.0), ValueError, "scalar solve needs Im z > 0"),
+    (lambda: pool_moment(_pool_of_one(), 1.0, "median"), ValueError,
+     "kind must be 'abs' or 'signed'"),
+], ids=["radial Re H", "eval_F alpha", "eval_G Im z", "initial degree", "r_p order",
+        "s_p order", "tilde_gamma Im z", "pool_moment kind"])
+def test_argument_guards(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 def test_solver_monotone_residuals_small_z():
     # empirical contraction under damping 0.5 for small |z|
     for alpha in (0.5, 1.0, 1.5):
@@ -511,13 +538,9 @@ THREADED = {
 
 
 def _run_with_workers(monkeypatch, workers, fn):
-    executor = ThreadPoolExecutor(workers)
-    monkeypatch.setattr(fp, "_EXECUTOR", executor)
-    fp.difference_integral.cache_clear()  # so that D is built on this pool
-    try:
-        return fn()
-    finally:
-        executor.shutdown()
+    monkeypatch.setattr(fp, "WORKERS", workers)
+    fp.difference_integral.cache_clear()  # so that D is built with these workers
+    return fn()
 
 
 @pytest.mark.parametrize("name", list(THREADED))
@@ -544,9 +567,20 @@ def _small_pool_mean():
 
 
 def test_forked_child_starts_its_own_pool():
-    expected = _small_pool_mean()  # the parent's pool threads now exist
+    expected = _small_pool_mean()  # forked after a threaded call of the parent
     with multiprocessing.get_context("fork").Pool(1) as workers:
         assert workers.apply_async(_small_pool_mean).get(timeout=60) == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda: eval_F(0.2 + 0.3j, gamma_star_zero(1.0, 33), QuadratureConfig.fast()),
+    lambda: population_dynamics(0.3 + 0.2j, 1.3, 2001, 2, 10, np.random.default_rng(2)),
+    lambda: ks.assemble_P(1.1, 16),
+], ids=["eval_F", "population_dynamics", "assemble_P"])
+def test_no_pool_thread_outlives_its_call(call):
+    fp.difference_integral.cache_clear()  # so that eval_F builds D on a pool
+    call()
+    assert [t.name for t in threading.enumerate() if t.name.startswith("levylab")] == []
 
 
 def test_threaded_eval_F_keeps_scratch_per_thread(monkeypatch):

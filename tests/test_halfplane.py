@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,20 @@ def test_evaluation_contract():
         f(np.array([-1.0 + 0.5j]))
     with pytest.raises(ValueError):
         f(np.array([0.0j]))
+    with pytest.raises(ValueError, match=re.escape("angle outside [0, pi/2]")):
+        f.values_at_angle(np.array([-0.01]))
+    with pytest.raises(ValueError, match=re.escape("angle outside [0, pi/2]")):
+        f.values_at_angle(np.array([HALF_PI + 0.01]))
+
+
+def test_construction_contract():
+    grid = default_grid(33)
+    with pytest.raises(ValueError, match="at least 33 points"):
+        HomogeneousFn(0.5, grid[::2], np.ones(17))
+    with pytest.raises(ValueError, match="values and grid shapes differ"):
+        HomogeneousFn(0.5, grid, np.ones(32))
+    with pytest.raises(ValueError, match="strictly increase from 0 to pi/2"):
+        HomogeneousFn(0.5, grid[::-1], np.ones(33))
 
 
 def test_offgrid_interpolation_error():

@@ -1,4 +1,5 @@
 import multiprocessing
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ def test_kernel_argument_validation():
         ks.kernel_k(2.5, 0.3, 0.5)
     with pytest.raises(ValueError):
         ks.kernel_k(1.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize("alpha", [2.0, 0.0 + 1j, -0.5])
+def test_re_alpha_guards(alpha):
+    with pytest.raises(ValueError, match=re.escape("Re(alpha) must lie in (0, 2)")):
+        ks.assemble_P(alpha, 16)
+    with pytest.raises(ValueError, match=re.escape("Re(alpha) must lie in (0, 2)")):
+        ks.band_power(complex(alpha).real)
 
 
 def test_kernel_row_integral_oracle():
@@ -134,7 +143,7 @@ def _complex_P16():
 
 
 def test_forked_child_assembles_on_its_own_pool():
-    expected = _complex_P16()  # the parent's pool threads now exist
+    expected = _complex_P16()  # forked after a threaded call of the parent
     with multiprocessing.get_context("fork").Pool(1) as workers:
         assert np.array_equal(workers.apply_async(_complex_P16).get(timeout=60), expected)
 

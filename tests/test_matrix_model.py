@@ -4,6 +4,7 @@ from scipy.special import gamma as gamma_fn
 
 from levylab.halfplane import default_grid
 from levylab.matrix_model import (
+    LevyMatrix,
     build_levy_matrix,
     eigendecompose,
     eigenvalue_counting,
@@ -28,6 +29,10 @@ def test_exact_symmetry_and_determinism():
     assert np.array_equal(a.entries, b.entries)
     with pytest.raises(ValueError):
         build_levy_matrix(0, 0.8, seed=1)
+    with pytest.raises(ValueError, match="shape does not match n"):
+        LevyMatrix(n=3, alpha=0.8, seed=1, entries=a.entries)
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        LevyMatrix(n=2, alpha=0.8, seed=1, entries=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_large_entry_fraction():
@@ -149,6 +154,9 @@ def test_empirical_gamma_identities():
     assert abs(g.values_at_angle(np.array([np.pi / 4]))[0] - closed) < 1e-12
     with pytest.raises(ValueError):
         empirical_gamma(rd.values, alpha, np.array([]))
+    # Im R < 0 puts -i R . u in the left half-plane at u = 1
+    with pytest.raises(ValueError, match="left the right half-plane"):
+        empirical_gamma(np.conj(rd.values), alpha, grid)
 
 
 def test_spectrum_sign_symmetry():

@@ -151,20 +151,37 @@ def test_log_power_rule_near_the_singular_limit():
 
 
 @pytest.mark.parametrize("n_points", [3, 9, 33])
-def test_simpson_is_scipy_simpson_bit_for_bit(n_points):
-    # old == new on stieltjes_mass's grids: np.linspace(a, b, n, axis=-1)
-    # with scalar endpoints and with arrays of endpoints
+def test_simpson_on_uniform_grids(n_points):
+    # stieltjes_mass's grids, np.linspace(a, b, n, axis=-1), over arrays of
+    # endpoints: exact on cubics, zero on an empty interval, and scipy's
+    # uneven-grid rule up to the rounding of linspace's nodes, |x| eps / h
+    # of sum |y| h
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(n_points)
     for _ in range(200):
-        a, b = np.sort(rng.uniform(-5.0, 5.0, 2))
-        xs = np.linspace(a, b, n_points, axis=-1)
-        ys = rng.standard_normal(n_points)
-        assert simpson(ys, xs) == scipy_simpson(ys, x=xs, axis=-1)
         a = rng.uniform(-5.0, 0.0, 7)
         b = a + rng.uniform(0.01, 3.0, 7)
-        b[3] = a[3]  # an empty interval has zero mass
+        b[3] = a[3]
         xs = np.linspace(a, b, n_points, axis=-1)
+        h = (b - a) / (n_points - 1)
+        cubic = np.polynomial.Polynomial(rng.standard_normal(4))
+        ys = cubic(xs)
+        antiderivative = cubic.integ()
+        exact = antiderivative(b) - antiderivative(a)
+        scale = (np.abs(ys).sum(axis=-1) * h + np.abs(antiderivative(a))
+                 + np.abs(antiderivative(b)))
+        got = simpson(ys, a, b)
+        assert np.all(np.abs(got - exact) <= 64 * eps * scale)
+        assert got[3] == 0.0
         ys = rng.standard_normal(xs.shape)
-        assert np.array_equal(simpson(ys, xs), scipy_simpson(ys, x=xs, axis=-1))
-    with pytest.raises(ValueError):
-        simpson(np.ones(4), np.arange(4.0))
+        gap = np.abs(simpson(ys, a, b) - scipy_simpson(ys, x=xs, axis=-1))
+        x_over_h = np.maximum(np.abs(a), np.abs(b)) / np.where(h > 0, h, 1.0)
+        node_rounding = eps * (1.0 + x_over_h)
+        assert np.all(gap <= 4 * node_rounding * np.abs(ys).sum(axis=-1) * h)
+    # scalar endpoints
+    ys = rng.standard_normal(n_points)
+    xs = np.linspace(-1.0, 2.0, n_points)
+    assert abs(simpson(ys, -1.0, 2.0) - scipy_simpson(ys, x=xs)) <= 1e-14 * np.abs(ys).sum()
+    for n in (1, 4):
+        with pytest.raises(ValueError, match="odd number of points"):
+            simpson(np.ones(n), 0.0, 1.0)

@@ -3,7 +3,6 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from levylab.stable_random import (
-    StableLaw,
     poisson_weights_matrix,
     sample_standard_stable,
     substream,
@@ -16,31 +15,28 @@ from oracles import levy_khintchine_rhs
 def test_normalization_constant():
     # sigma^alpha = pi / (2 sin(pi a/2) Gamma(a)); at alpha=1 this is pi/2
     assert abs(tail_one_sigma_alpha(1.0) - np.pi / 2) < 1e-14
-    with pytest.raises(ValueError):
-        StableLaw(2.0)
-    with pytest.raises(ValueError):
-        StableLaw(0.0)
+    with pytest.raises(ValueError, match="strictly inside"):
+        sample_standard_stable(2.0, substream(1), size=1)
+    with pytest.raises(ValueError, match="strictly inside"):
+        sample_standard_stable(0.0, substream(1), size=1)
 
 
 def test_cauchy_median():
     # alpha=1 is the Cauchy law of scale sigma: median |X| = sigma tan(pi/4)
-    law = StableLaw(1.0)
-    x = sample_standard_stable(law, substream(42), size=10 ** 6)
+    x = sample_standard_stable(1.0, substream(42), size=10 ** 6)
     med = np.median(np.abs(x))
     assert abs(med - np.pi / 2) < 0.01 * np.pi / 2
 
 
 def test_sign_symmetry():
-    law = StableLaw(0.7)
-    x = sample_standard_stable(law, substream(43), size=10 ** 6)
+    x = sample_standard_stable(0.7, substream(43), size=10 ** 6)
     se = 1.0 / np.sqrt(x.size)
     assert abs(np.mean(np.sign(x))) < 3 * se
 
 
 def test_tail_normalized_to_one():
     # t^alpha P(|X| > t) -> 1 under the chosen scale
-    law = StableLaw(1.5)
-    x = sample_standard_stable(law, substream(44), size=10 ** 7)
+    x = sample_standard_stable(1.5, substream(44), size=10 ** 7)
     t = 50.0
     p = np.mean(np.abs(x) > t)
     assert abs(t ** 1.5 * p - 1.0) < 0.1
@@ -48,12 +44,11 @@ def test_tail_normalized_to_one():
 
 @pytest.mark.parametrize("alpha", [0.3, 0.8, 1.0, 1.5])
 def test_characteristic_function(alpha):
-    law = StableLaw(alpha)
     n = 400_000
-    x = sample_standard_stable(law, substream(45, int(alpha * 10)), size=n)
+    x = sample_standard_stable(alpha, substream(45, int(alpha * 10)), size=n)
     for t in (0.5, 1.0, 2.0):
         emp = np.mean(np.cos(t * x))
-        assert abs(emp - np.exp(-law.sigma_alpha * t ** alpha)) < 4 / np.sqrt(n)
+        assert abs(emp - np.exp(-tail_one_sigma_alpha(alpha) * t ** alpha)) < 4 / np.sqrt(n)
 
 
 def test_poisson_weights_contract():
@@ -115,8 +110,8 @@ def test_alpha_one_exponential_check():
 
 
 def test_reproducibility_bit_identical():
-    a = sample_standard_stable(StableLaw(1.3), substream(99, 5), size=1000)
-    b = sample_standard_stable(StableLaw(1.3), substream(99, 5), size=1000)
+    a = sample_standard_stable(1.3, substream(99, 5), size=1000)
+    b = sample_standard_stable(1.3, substream(99, 5), size=1000)
     assert np.array_equal(a, b)
-    c = sample_standard_stable(StableLaw(1.3), substream(99, 6), size=1000)
+    c = sample_standard_stable(1.3, substream(99, 6), size=1000)
     assert not np.array_equal(a, c)
