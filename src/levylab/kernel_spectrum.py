@@ -12,7 +12,10 @@ determinant decay checks at large Im(alpha) require; with Re(alpha) up
 to 2 the matrices stay finite, as ``log_power_rule`` lumps the endpoint
 nodes past x = 0.  ``assemble_P`` builds its kernel rows on a thread
 pool of ``fixed_point.WORKERS`` threads while the calling thread takes
-the row integrals, and raises ValueError on a non-finite entry.
+the row integrals, and raises ValueError on a non-finite entry.  The
+determinants never solve H whole: in the components (f, g+h, g-h) H is
+block upper-triangular with exact zeros, so its eigenvalues come from a
+2n- and an n-square block, in real arithmetic when alpha is real.
 """
 
 from __future__ import annotations
@@ -319,7 +322,8 @@ def assemble_H(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
 class FredholmResult:
     """Determinant of I - H^m on one grid, with a node-doubling check.
 
-    ``det_value`` is the literal product over all Nystrom eigenvalues.
+    ``det_value`` is the literal product over all 3n Nystrom eigenvalues,
+    taken from H's two diagonal blocks in the (f, g+h, g-h) basis.
     The linearized map has two exact structural eigenvalues at -1 for
     every alpha (the fixed point itself is an eigenvector because the
     map is homogeneous of degree -1 in its argument, plus a reflection
@@ -328,7 +332,8 @@ class FredholmResult:
     the quantity whose near-zeros carry information.  The +1 signal
     that flags genuine stability exceptions is never inside the
     deflation disc.  ``refinement_delta`` is measured on the deflated
-    value; the literal one is an exact zero up to discretization noise.
+    value; the literal one is an exact zero up to discretization noise,
+    so its digits are round-off and move with the eigensolver's order.
     """
 
     alpha: complex
@@ -367,8 +372,38 @@ def band_power(re_alpha: float) -> int:
 STRUCTURAL_TOL = 0.05
 
 
-def _dets_from_matrix(mat: np.ndarray, m: int) -> tuple[complex, complex, int]:
-    mu = np.linalg.eigvals(mat)
+def _eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Eigenvalues of an ``assemble_H`` matrix from its two diagonal blocks.
+
+    H = [[A, B, C], [D, 0, E], [D, E, 0]] by blocks; conjugated by
+    T = [[I, 0, 0], [0, I, I], [0, I, -I]] (components f, g+h, g-h) it is
+    [[A, (B+C)/2, (B-C)/2], [2D, E, 0], [0, 0, -E]], block upper-triangular,
+    so its spectrum is that of [[A, (B+C)/2], [2D, E]] joined with that
+    of -E.  Real matrices go to the real solver.  Raises ValueError
+    naming the first block condition ``mat`` breaks.
+    """
+    size = mat.shape[0]
+    if size % 3:
+        raise ValueError(f"H has size {size}, not a multiple of 3")
+    n = size // 3
+
+    def blk(r, c):
+        return mat[r * n:(r + 1) * n, c * n:(c + 1) * n]
+
+    for ok, condition in ((np.array_equal(blk(1, 0), blk(2, 0)), "H10 == H20"),
+                          (np.array_equal(blk(1, 2), blk(2, 1)), "H12 == H21"),
+                          (not np.any(blk(1, 1)), "H11 == 0"),
+                          (not np.any(blk(2, 2)), "H22 == 0")):
+        if not ok:
+            raise ValueError(f"H breaks {condition}: not an assemble_H block structure")
+    if not np.any(mat.imag):
+        mat = mat.real
+    top = np.block([[blk(0, 0), 0.5 * (blk(0, 1) + blk(0, 2))],
+                    [2.0 * blk(1, 0), blk(1, 2)]])
+    return np.concatenate([np.linalg.eigvals(top), np.linalg.eigvals(-blk(1, 2))])
+
+
+def _dets(mu: np.ndarray, m: int) -> tuple[complex, complex, int]:
     keep = np.abs(mu + 1.0) > STRUCTURAL_TOL
     with np.errstate(over="ignore", invalid="ignore"):
         literal = complex(np.prod(1.0 - mu ** m))
@@ -383,19 +418,23 @@ def fredholm_det(H: NystromOperator, m: int,
     ``H`` is an ``assemble_H`` operator; the check reassembles it on twice
     the nodes at the same kappa.  m must be even and at least the band
     prescription for Re(alpha); the continuum determinant is undefined
-    below that power.  See FredholmResult for the literal/deflated
-    distinction.
+    below that power.  The eigenvalues are those of [[H00, (H01+H02)/2],
+    [2 H10, H12]] and of -H12 (see ``_eigenvalues``), about a third of
+    the work of the full 3n-square solve and real for real alpha; a
+    matrix without ``assemble_H``'s block structure (size a multiple of
+    3, H10 == H20, H12 == H21, zero H11 and H22) raises ValueError.  See
+    FredholmResult for the literal/deflated distinction.
     """
     if m < 1 or m % 2 != 0:
         raise ValueError("power m must be a positive even integer")
     m_min = band_power(H.alpha.real)
     if m < m_min:
         raise ValueError(f"power m={m} below the band prescription {m_min}")
-    det, det_defl, n_struct = _dets_from_matrix(H.matrix, m)
+    det, det_defl, n_struct = _dets(_eigenvalues(H.matrix), m)
     delta = np.nan
     if refine:
         H2 = assemble_H(H.alpha, 2 * H.n_nodes, H.kappa)
-        _, det_defl2, _ = _dets_from_matrix(H2.matrix, m)
+        _, det_defl2, _ = _dets(_eigenvalues(H2.matrix), m)
         delta = abs(det_defl - det_defl2) / max(abs(det_defl2), 1e-300)
     return FredholmResult(alpha=H.alpha, m=m, det_value=det,
                           det_deflated=det_defl, n_structural=n_struct,

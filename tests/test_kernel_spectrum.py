@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import re
 
@@ -295,6 +296,40 @@ def test_fredholm_finite_dimensional_identity():
         ks.fredholm_det(H, 3)
     with pytest.raises(ValueError):
         ks.fredholm_det(ks.assemble_H(0.7, 48), 2)  # below band power 4
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+@pytest.mark.parametrize("alpha", [0.7, 1.1, 1.5, 1.9, 1.2 + 0.3j, 1.5 + 5j])
+def test_block_eigenvalues_match_the_full_solve(alpha, kappa):
+    # the two diagonal blocks of H in the (f, g+h, g-h) basis carry the
+    # whole spectrum; the reference solves the full 3n x 3n matrix
+    H = ks.assemble_H(alpha, 32, kappa=kappa)
+    m = ks.band_power(complex(alpha).real)
+    ref = np.linalg.eigvals(H.matrix)
+    mu = ks._eigenvalues(H.matrix)
+    assert mu.size == ref.size
+    gap = np.abs(mu[:, None] - ref[None, :])
+    tol = 1e-10 * np.max(np.abs(ref))
+    assert np.max(gap.min(axis=1)) <= tol and np.max(gap.min(axis=0)) <= tol
+    _, ref_defl, ref_struct = ks._dets(ref, m)
+    res = ks.fredholm_det(H, m, refine=False)
+    assert res.n_structural == ref_struct == 2
+    assert abs(res.det_deflated - ref_defl) <= 1e-12 * abs(ref_defl)
+
+
+def test_fredholm_det_refuses_a_matrix_without_the_block_structure():
+    H = ks.assemble_H(1.5, 32, kappa=0.5)
+    n = H.n_nodes
+    for (r, c), condition in [((2, 0), "H10 == H20"), ((2, 1), "H12 == H21"),
+                              ((1, 1), "H11 == 0"), ((2, 2), "H22 == 0")]:
+        mat = H.matrix.copy()
+        mat[r * n + 3, c * n + 5] += 1e-14
+        with pytest.raises(ValueError, match=re.escape(condition)):
+            ks.fredholm_det(dataclasses.replace(H, matrix=mat), 2, refine=False)
+    mat = np.zeros((3 * n + 1, 3 * n + 1), dtype=complex)
+    mat[:3 * n, :3 * n] = H.matrix
+    with pytest.raises(ValueError, match="not a multiple of 3"):
+        ks.fredholm_det(dataclasses.replace(H, matrix=mat), 2, refine=False)
 
 
 @pytest.mark.parametrize("alpha", [1.3, 1.5 + 5j])
