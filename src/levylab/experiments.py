@@ -41,6 +41,9 @@ def derived_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
+INTERVAL_RULES = ("rho", "rho_prime", "fixed")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     alpha: float
@@ -48,7 +51,7 @@ class ExperimentConfig:
     master_seed: int = 1
     n_seeds: int = 20
     energies: tuple[float, ...] = (0.0,)
-    interval_rule: str = "rho_prime"  # "rho" | "rho_prime" | "fixed"
+    interval_rule: str = "rho_prime"  # one of INTERVAL_RULES
     fixed_width: float = 0.25
     eta_ladder: tuple[float, ...] = (0.1, 0.05, 0.025)
     quad_scale: float = 1.0
@@ -62,6 +65,15 @@ class ExperimentConfig:
             raise ValueError("config key 'energies' must not be empty")
         if self.n_seeds < 1:
             raise ValueError(f"config key 'n_seeds' must be at least 1, got {self.n_seeds}")
+        if self.interval_rule not in INTERVAL_RULES:
+            raise ValueError(f"config key 'interval_rule' must be one of "
+                             f"{', '.join(map(repr, INTERVAL_RULES))}, "
+                             f"got {self.interval_rule!r}")
+        # zero quad_scale would run the 9-node floor of every rule
+        for key in ("fixed_width", "quad_scale"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"config key {key!r} must be positive, "
+                                 f"got {getattr(self, key)}")
 
     def interval_width(self, n: int) -> float:
         """Window width per rule; the theorem exponents are
@@ -70,10 +82,8 @@ class ExperimentConfig:
             return self.fixed_width
         if self.interval_rule == "rho":
             rho = self.alpha / (2.0 + 3.0 * self.alpha)
-        elif self.interval_rule == "rho_prime":
-            rho = min(self.alpha / (4.0 + self.alpha), 0.25)
         else:
-            raise ValueError(f"unknown interval rule {self.interval_rule!r}")
+            rho = min(self.alpha / (4.0 + self.alpha), 0.25)
         return n ** (-rho) * np.log(n) ** 2
 
     def to_json(self) -> str:

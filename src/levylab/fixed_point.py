@@ -11,9 +11,9 @@ distributional equation.
 
 Quadrature layout (one shared design for every integral):
 
-* r-substitution ``r = s**(2/alpha)`` turns ``r**(alpha/2-1) dr`` into a
-  constant multiple of ``ds``; the s-integral is truncated where the
-  worst-case exponent reaches ``EXP_BUDGET`` and handled by tanh-sinh.
+* one radial integral, ``radial_integral_rotated``, serves F and the
+  moments: ``r = s**(2/alpha)``, each point truncated where its exponent
+  reaches ``EXP_BUDGET`` on the contour of less phase, then tanh-sinh.
 * the y-integral is split at 1/2; on [0, 1/2] the integrand keeps the
   cancelling difference form, which is ``y**(-alpha/2)`` times an
   analytic function, integrated by Gauss-Jacobi with that exact weight;
@@ -120,8 +120,7 @@ def _s_truncation(alpha: float, re_h, eps_g, budget: float):
     a positive re_h guarantees decay even against a negative eps_g.
     Elementwise over the broadcast re_h and eps_g.
     """
-    re_h, eps_g = np.broadcast_arrays(np.asarray(re_h, dtype=float),
-                                      np.asarray(eps_g, dtype=float))
+    re_h, eps_g = np.broadcast_arrays(re_h, eps_g)
     if np.any((re_h <= 0) & (eps_g <= 0)):
         raise QuadratureError(
             "integrand does not decay: need Re(h) > 0 or Re(g) > 0 on the grid")
@@ -143,8 +142,9 @@ def radial_integral_rotated(beta: float, H, X, alpha: float, n_s: int = 97):
     integrand oscillates hundreds of cycles under slow decay; rotating
     r -> rho*exp(i phi) toward -arg(H) (capped so the stretched-power
     term keeps a positive real part) makes it monotone-decaying, by
-    Cauchy's theorem without changing the value.  Each point has its own
-    angle (none where Re(H) <= 0 or H is real) and its own truncation.
+    Cauchy's theorem without changing the value.  A point is turned (only
+    where Re(H) > 0 and H is not real) if that leaves less phase up to its
+    own truncation s*, |Im H| s*^(2/alpha) + |Im X| s*, than the real axis.
     """
     H, X = np.broadcast_arrays(np.asarray(H, dtype=complex), np.asarray(X, dtype=complex))
     if np.any(H.real < -1e-12):
@@ -156,11 +156,18 @@ def radial_integral_rotated(beta: float, H, X, alpha: float, n_s: int = 97):
     phi = sign * np.minimum(np.minimum(np.abs(phi), np.maximum(cap, 0.0)),
                             0.5 * np.pi - 0.05)
     rot = np.exp(1j * phi)
-    H, X = H * rot, X * rot ** a2
-    s_star = _s_truncation(alpha, np.maximum(H.real, 0.0), X.real, EXP_BUDGET)
+    Ht, Xt = H * rot, X * rot ** a2
+    s_star = _s_truncation(alpha, np.maximum(Ht.real, 0.0), Xt.real, EXP_BUDGET)
+    if np.any(phi):
+        # a turned point has Re(H) > 0, so it decays on the real axis too
+        s_flat = _s_truncation(alpha, H.real, X.real, EXP_BUDGET)
+        turn = (np.abs(Ht.imag) * s_star ** (2.0 / alpha) + np.abs(Xt.imag) * s_star
+                < np.abs(H.imag) * s_flat ** (2.0 / alpha) + np.abs(X.imag) * s_flat)
+        phi = np.where(turn, phi, 0.0)
+        Ht, Xt, s_star = (np.where(turn, *v) for v in ((Ht, H), (Xt, X), (s_star, s_flat)))
     power = 2.0 * beta / alpha - 1.0
     s, ws, *_ = tanh_sinh(0.0, s_star, n_s, endpoint_exponent=power)
-    terms = np.exp(-H[..., None] * s ** (2.0 / alpha) - X[..., None] * s)
+    terms = np.exp(-Ht[..., None] * s ** (2.0 / alpha) - Xt[..., None] * s)
     val = (2.0 / alpha) * np.einsum("...k,...k->...", terms, ws * s ** power)
     return (np.exp(1j * beta * phi) * val)[()]
 
@@ -257,8 +264,8 @@ def eval_F(h: complex, g: HomogeneousFn,
     Re g > 0 uniformly on the grid.  The integrand of
     ``difference_integral`` is the radial integral
     phi(w) = (2/alpha) int_0^inf exp(-s^(2/alpha) h.w - s g(w)) ds, of
-    degree -alpha/2 (h.w is real-linear in w, g of degree alpha/2): one
-    s-rule at each of ``profile_angles(g.thetas)`` gives its profile.
+    degree -alpha/2 (h.w is real-linear in w, g of degree alpha/2): its
+    profile is ``radial_integral_rotated`` at ``profile_angles(g.thetas)``.
     """
     h = complex(h)
     alpha = 2.0 * g.beta
@@ -266,17 +273,12 @@ def eval_F(h: complex, g: HomogeneousFn,
         raise ValueError("g must have homogeneity degree alpha/2 with alpha in (0,2)")
     if h.real < -1e-12:
         raise ValueError("h must lie in the closed right half-plane")
-    eps_g = g.min_real_part()
-    s_star = _s_truncation(alpha, max(h.real, 0.0), max(eps_g, 0.0), EXP_BUDGET)
-    s, ws, *_ = tanh_sinh(0.0, s_star, quad.n_s, endpoint_exponent=0.0)
     grid = tuple(g.thetas)
     angles = profile_angles(grid)
-    expo = (dot(h, np.exp(1j * angles))[:, None] * s ** (2.0 / alpha)
-            + g.values_at_angle(angles)[:, None] * s)
-    # complex weights and a real D split in two: numpy's mixed real and
-    # complex products bypass BLAS and take ~400 times as long
-    profile = (2.0 / alpha) * (np.exp(-expo) @ ws.astype(complex))
+    profile = radial_integral_rotated(0.5 * alpha, dot(h, np.exp(1j * angles)),
+                                      g.values_at_angle(angles), alpha, quad.n_s)
     D = difference_integral(alpha, grid, grid, quad.n_theta, quad.n_y)
+    # D times each part: numpy's real-by-complex product skips BLAS (~400x slower)
     return HomogeneousFn(0.5 * alpha, g.thetas, D @ profile.real + 1j * (D @ profile.imag))
 
 
@@ -446,9 +448,7 @@ def r_p(z: complex, f: HomogeneousFn, p: float,
     Double integral (2^(1-p/2)/Gamma(p/2)^2) * int dtheta
     sin(2 theta)^(p/2-1) int dr r^(p-1) exp(-r h.e^{i theta}
     - r^(alpha/2) f(e^{i theta})) with h = -iz, over the angles of
-    ``r_p_angle_rule``; each angle's radial integral is rotated into its
-    own decay sector, so a small Im z under a large |Re z| needs no
-    oscillatory quadrature.
+    ``r_p_angle_rule``, each angle's radial integral on its own contour.
     """
     if p <= 0:
         raise ValueError("moment order must be positive")

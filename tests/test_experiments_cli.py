@@ -354,6 +354,31 @@ def test_empty_sample_grid_in_config_exits_1(command, key, value, reason, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, key, value, reason", [
+    # quad_scale 0 ran on the 9-node floor of every rule and exited 0
+    ("solve-fixed-point", "quad_scale", 0, "config key 'quad_scale' must be positive, got 0"),
+    ("density", "quad_scale", -0.5, "config key 'quad_scale' must be positive, got -0.5"),
+    ("localization-sweep", "fixed_width", 0, "config key 'fixed_width' must be positive, got 0"),
+    ("local-law", "fixed_width", -0.25,
+     "config key 'fixed_width' must be positive, got -0.25"),
+    ("localization-sweep", "interval_rule", "rho_primed",
+     "config key 'interval_rule' must be one of 'rho', 'rho_prime', 'fixed', "
+     "got 'rho_primed'"),
+])
+def test_config_value_out_of_range_exits_1(command, key, value, reason, tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({**json.loads(small_cfg().to_json()), key: value}))
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        ExperimentConfig.from_json(cfg_path.read_text())
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        small_cfg().with_overrides(**{key: value})
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert reason in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_kernel_scan_too_few_nodes_exits_1(tmp_path, capsys):
     # no alpha can be assembled on 8 nodes: one argument error before the
     # scan, not a partial run of 17 identical skips

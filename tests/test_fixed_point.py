@@ -181,18 +181,15 @@ def test_scaling_identity():
 
 
 def _rescaled_phi(h, g, quad):
-    """eval_F's radial integral phi at any points w, with its s-rule
-    rescaled to |w| (s -> |w|^(-alpha/2) s), so that by homogeneity
+    """eval_F's radial integral phi at any points w: the radial integral
+    at w/|w| times |w|^(-alpha/2), so that by homogeneity
     phi(w) = |w|^(-alpha/2) phi(w/|w|) holds rule for rule."""
     alpha = 2.0 * g.beta
-    s_star = fp._s_truncation(alpha, max(h.real, 0.0), max(g.min_real_part(), 0.0),
-                              fp.EXP_BUDGET)
-    s, ws, *_ = tanh_sinh(0.0, s_star, quad.n_s)
 
     def phi(w):
-        r = np.abs(w)[..., None] ** (-0.5 * alpha)
-        expo = dot(h, w)[..., None] * (r * s) ** (2.0 / alpha) + g(w)[..., None] * r * s
-        return (2.0 / alpha) * np.sum(r * ws * np.exp(-expo), axis=-1)
+        e = w / np.abs(w)
+        return np.abs(w) ** (-0.5 * alpha) * radial_integral_rotated(
+            0.5 * alpha, dot(h, e), g(e), alpha, quad.n_s)
     return phi
 
 
@@ -455,6 +452,16 @@ def test_scalar_solver_matches_functional_at_one():
     x_func = sols[-1].gamma.values_at_angle(np.array([0.0]))[0]
     x_scalar = solve_tilde_gamma(0.1j, alpha)
     assert abs(x_func - x_scalar) < 1e-6
+
+
+@pytest.mark.parametrize("alpha, z, bound", [(0.5, 0.2 + 0.02j, 1e-4),
+                                           (1.0, 0.45 + 0.01j, 1e-5)])
+def test_functional_solve_meets_the_scalar_root_off_axis(alpha, z, bound):
+    # gamma*_z(1) = x~_z: with one truncation for all angles and no contour
+    # rotation, F missed x~ by 2.4e-2 and 3.9e-3 here at a 1e-9 residual
+    sol = solve_gamma_star(z, alpha, tol=1e-9)
+    x_func = sol.gamma.values_at_angle(np.array([0.0]))[0]
+    assert abs(x_func - solve_tilde_gamma(z, alpha)) <= bound
 
 
 def test_quadrature_error_estimate_brackets_truth():
@@ -723,6 +730,16 @@ def test_density_symmetry_and_known_scale():
                - spectral_density(-0.4, 1.0)[0]) < 1e-6
     with pytest.raises(ValueError):
         spectral_density(0.0, 1.0, eta_ladder=(0.1,))
+
+
+def test_density_near_alpha_two():
+    # the 97-node radial rule turned by -arg H alone erred by 1.5e-3 at
+    # alpha = 1.95 near E = 0.25, and the scalar solve stalled at 0.25+0.0375i
+    E, alpha = np.linspace(0.0, 5.0, 41), 1.9
+    value, err = spectral_density(E, alpha)
+    doubled = spectral_density(E, alpha, quad=QuadratureConfig(n_s=2 * 97))[0]
+    assert np.all(value > 0)
+    assert np.all(np.abs(doubled - value) <= err)
 
 
 def test_density_ladder_above_the_start():

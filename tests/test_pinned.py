@@ -25,7 +25,12 @@ profile form to be at least as close to a finer rule as they were.
 The pool cases are re-recorded under their names plus ``SUB_POOLS``:
 the pool became independent sub-pools with their own streams and a new
 start, which changed its draws.  The plain names keep the members of
-the single pool before that.
+the single pool before that.  The eval_G cases that moved when F gave up
+its own s-rule, one truncation for all angles and no contour rotation,
+for ``radial_integral_rotated`` (``RADIAL_REPINNED``) are re-recorded
+under their names plus ``ONE_RADIAL``; off the imaginary axis each angle
+now turns its contour where that leaves less phase, and on the axis
+each has its own truncation.
 
 Record the cases missing from the file (existing entries are never
 rewritten; to re-record one on purpose, delete its entry first):
@@ -104,6 +109,14 @@ REPINNED = {
 #: suffix of the keys of the pool cases re-recorded when the pool became
 #: independent sub-pools
 SUB_POOLS = ", eight sub-pools"
+#: suffix of the keys of the cases re-recorded when F took its radial
+#: integral from ``radial_integral_rotated``
+ONE_RADIAL = ", one radial integral"
+RADIAL_REPINNED = {
+    "eval_G alpha=0.8 z=0.1j fast", "eval_G alpha=0.8 z=(0.2+0.1j) fast",
+    "eval_G alpha=0.8 z=(0.2+0.1j) default", "eval_G alpha=1.0 z=(0.2+0.1j) fast",
+    "eval_G alpha=1.0 z=(0.2+0.1j) default",
+}
 
 
 def _eval_G(alpha, z, quad):
@@ -221,6 +234,8 @@ def key(name: str) -> str:
     """The case's entry in the file."""
     if name.startswith("population_dynamics"):
         return name + SUB_POOLS
+    if name in RADIAL_REPINNED:
+        return name + ONE_RADIAL
     return name + PROFILE if name in REPINNED else name
 
 
