@@ -23,6 +23,7 @@ from . import __version__
 from .fixed_point import SAMPLE_ERRORS, QuadratureConfig, stieltjes_mass
 from .localization import interval_stats
 from .matrix_model import (
+    SpectralDecomposition,
     build_levy_matrix,
     eigendecompose,
     eigenvalue_counting,
@@ -57,6 +58,10 @@ class ExperimentConfig:
     quad_scale: float = 1.0
 
     def __post_init__(self):
+        # outside (0, 2) every sample would fail and be counted as a skip
+        if not 0 < self.alpha < 2:
+            raise ValueError(f"config key 'alpha' must lie strictly inside (0, 2), "
+                             f"got {self.alpha}")
         # an empty sample grid would run no sample and still write a file
         if not self.n_list or min(self.n_list) < 1:
             raise ValueError(f"config key 'n_list' must hold sizes of at least 1, "
@@ -150,27 +155,51 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(se)
 
 
+#: the last batch's decompositions, keyed by (n, alpha, seed); see ``_batch``
+_HELD: dict[tuple[int, float, int], SpectralDecomposition] = {}
+
+
 def _batch(kind: str, cfg: ExperimentConfig, columns, row, aggregate) -> RunRecord:
     """The record of ``row(n, seed, sd, E)`` in (n, seed, E) order, with
     aggregates ``aggregate(rows)``.
 
     A sample whose build or eigensolve raises one of ``SAMPLE_ERRORS`` is
     noted in ``skipped``; more than 10% skipped fails the run.
+
+    The process holds the decompositions of the last batch, keyed by
+    (n, alpha, seed), so a following batch over the same samples (a
+    ``local-law`` after a ``localization-sweep`` of one config) builds
+    and decomposes none of them again.  A batch takes over the held
+    samples it asks for and drops the rest before its first build.  It
+    is held only if its eigenvectors fit in the memory one eigensolve of
+    its largest matrix needs anyway, 8 * 4 * n_max**2 bytes (the matrix,
+    LAPACK's copy and 2 n**2 of workspace); a larger batch is not held.
+    A skipped sample is never held, and held arrays are read-only.
+    Separate processes share nothing.
     """
+    keys = [(n, float(cfg.alpha), derived_seed(cfg.master_seed, n, k))
+            for n in cfg.n_list for k in range(cfg.n_seeds)]
+    reuse = {key: _HELD.get(key) for key in keys}
+    _HELD.clear()
+    hold = sum(n * n for n, _, _ in keys) <= 4 * max(cfg.n_list) ** 2
     rows = []
     skipped = []
-    for n in cfg.n_list:
-        for k in range(cfg.n_seeds):
-            seed = derived_seed(cfg.master_seed, n, k)
+    for key in keys:
+        n, _, seed = key
+        sd = reuse.pop(key, None)  # None also for a size listed twice
+        if sd is None:
             try:
                 sd = eigendecompose(build_levy_matrix(n, cfg.alpha, seed))
             except SAMPLE_ERRORS as exc:
                 skipped.append(f"{type(exc).__name__}: n={n} seed={seed}: {exc}")
                 continue
-            rows.extend(row(n, seed, sd, e) for e in cfg.energies)
-    total = len(cfg.n_list) * cfg.n_seeds
-    if len(skipped) > 0.1 * total:
-        raise RuntimeError(f"{len(skipped)}/{total} samples failed")
+        if hold:
+            sd.eigenvalues.setflags(write=False)
+            sd.eigenvectors.setflags(write=False)
+            _HELD[key] = sd
+        rows.extend(row(n, seed, sd, e) for e in cfg.energies)
+    if len(skipped) > 0.1 * len(keys):
+        raise RuntimeError(f"{len(skipped)}/{len(keys)} samples failed")
     return RunRecord(kind, cfg, columns=columns, rows=tuple(rows),
                      fields={"aggregates": aggregate(rows)},
                      skipped=tuple(skipped))

@@ -1,11 +1,12 @@
-"""Shared fixtures: the acceptance suite's expensive ones and a rule-cache reset."""
+"""Shared fixtures: the acceptance suite's expensive ones, a rule-cache reset
+and an emptied store of held decompositions around every test."""
 
 import numpy as np
 import pytest
 
 from levylab import fixed_point as fp
 from levylab import halfplane as hp
-from levylab import quadrature
+from levylab import experiments, quadrature
 from levylab.experiments import derived_seed
 from levylab.matrix_model import (
     build_levy_matrix,
@@ -76,3 +77,12 @@ def fresh_unit_rules():
     quadrature._log_power_unit_rule.cache_clear()
     yield
     quadrature._log_power_unit_rule.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def no_held_decompositions():
+    """Empty the decompositions the batch runs hold before and after each
+    test, so no test reads samples that another test decomposed."""
+    experiments._HELD.clear()
+    yield
+    experiments._HELD.clear()

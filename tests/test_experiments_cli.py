@@ -58,6 +58,7 @@ def test_derived_seeds_are_stable_and_distinct():
 def test_sweep_determinism_and_roundtrip(tmp_path):
     cfg = small_cfg()
     rec1 = run_transition_sweep(cfg)
+    experiments._HELD.clear()  # two cold computations, not a held rerun
     rec2 = run_transition_sweep(cfg)
     assert rec1.rows == rec2.rows
     assert rec1.fields == rec2.fields
@@ -226,6 +227,7 @@ def test_cli_rerun_is_byte_identical(command, tmp_path, capsys):
     for i, sub in enumerate(("a", "b")):
         # kernel-scan reads no config, so a new master seed must not rename it
         seed = ["--seed", str(i + 1)] if command == "kernel-scan" else []
+        experiments._HELD.clear()  # each run cold, not a held rerun
         rc, printed = _cli(argv + seed + ["--out", str(tmp_path / sub)], capsys)
         assert rc == 0
         assert sorted(printed) == sorted((tmp_path / sub).iterdir())
@@ -364,6 +366,12 @@ def test_empty_sample_grid_in_config_exits_1(command, key, value, reason, tmp_pa
     ("localization-sweep", "interval_rule", "rho_primed",
      "config key 'interval_rule' must be one of 'rho', 'rho_prime', 'fixed', "
      "got 'rho_primed'"),
+    # alpha 0 failed every sample as a skip; density named a moment order
+    ("localization-sweep", "alpha", 0,
+     "config key 'alpha' must lie strictly inside (0, 2), got 0"),
+    ("density", "alpha", -1, "config key 'alpha' must lie strictly inside (0, 2), got -1"),
+    ("local-law", "alpha", 2.5,
+     "config key 'alpha' must lie strictly inside (0, 2), got 2.5"),
 ])
 def test_config_value_out_of_range_exits_1(command, key, value, reason, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
@@ -376,6 +384,16 @@ def test_config_value_out_of_range_exits_1(command, key, value, reason, tmp_path
     captured = capsys.readouterr()
     assert rc == 1
     assert reason in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["localization-sweep", "density"])
+def test_alpha_override_out_of_range_exits_1(command, tmp_path, capsys):
+    rc = main([command, "--alpha", "0", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert ("config key 'alpha' must lie strictly inside (0, 2), got 0.0"
+            in captured.err and captured.out == "")
     assert not (tmp_path / "out").exists()
 
 
@@ -452,3 +470,108 @@ def test_kernel_scan_skips_exit_2(tmp_path, capsys, monkeypatch):
     assert len(csv_path.read_text().splitlines()) == 2
     (note,) = json.loads(meta_path.read_text())["skipped"]
     assert note.startswith("ValueError: alpha=1.4") and note.endswith("injected failure")
+
+
+# ---------------------------------------------------------------------------
+# decompositions held from one batch to the next
+# ---------------------------------------------------------------------------
+
+def _count_eigendecompose(monkeypatch, fail_seed=None):
+    """Count ``experiments.eigendecompose`` calls; a matrix with seed
+    ``fail_seed`` raises LinAlgError on every attempt."""
+    original = experiments.eigendecompose
+    calls = []
+
+    def counted(matrix):
+        calls.append((matrix.n, matrix.seed))
+        if matrix.seed == fail_seed:
+            raise np.linalg.LinAlgError("injected failure")
+        return original(matrix)
+    monkeypatch.setattr(experiments, "eigendecompose", counted)
+    return calls
+
+
+#: a batch that is held: 2 * 40**2 + 2 * 80**2 is within 4 * 80**2
+HELD_CFG = dict(n_list=(40, 80), n_seeds=2)
+
+
+def test_local_law_reuses_the_sweeps_decompositions(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(small_cfg(**HELD_CFG).to_json())
+    calls = _count_eigendecompose(monkeypatch)
+    warm, cold = {}, {}
+    for command in ("localization-sweep", "local-law"):
+        rc, printed = _cli([command, "--config", str(cfg_path),
+                            "--out", str(tmp_path / "warm")], capsys)
+        assert rc == 0
+        warm.update({p.name: p.read_bytes() for p in printed})
+    # one eigensolve per sample: the local law decomposed nothing again
+    assert len(set(calls)) == len(calls) == 4
+    for command in ("localization-sweep", "local-law"):
+        experiments._HELD.clear()
+        rc, printed = _cli([command, "--config", str(cfg_path),
+                            "--out", str(tmp_path / "cold")], capsys)
+        assert rc == 0
+        cold.update({p.name: p.read_bytes() for p in printed})
+    assert len(calls) == 12
+    assert len(warm) == 4 and warm == cold
+
+
+@pytest.mark.parametrize("change, hits", [
+    ({"alpha": 1.2}, 0), ({"master_seed": 4}, 0), ({"n_list": (60,)}, 0),
+    # the samples at n = 40 are the same (n, alpha, seed) in both batches
+    ({"n_list": (40, 90)}, 2),
+])
+def test_held_samples_are_keyed_by_n_alpha_and_seed(change, hits, monkeypatch):
+    calls = _count_eigendecompose(monkeypatch)
+    run_transition_sweep(small_cfg(**HELD_CFG))
+    other = small_cfg(**{**HELD_CFG, **change})
+    run_local_law(other)
+    assert len(calls) == 4 + len(other.n_list) * other.n_seeds - hits
+    # only the last batch is held
+    assert set(experiments._HELD) == {
+        (n, other.alpha, derived_seed(other.master_seed, n, k))
+        for n in other.n_list for k in range(other.n_seeds)}
+
+
+@pytest.mark.parametrize("n_seeds, held", [(4, True), (5, False)])
+def test_a_batch_over_the_bound_holds_nothing(n_seeds, held, monkeypatch):
+    # four samples at n = 40 take 4 * 8 * 40**2 bytes of eigenvectors, the
+    # bound itself; a fifth is over it
+    cfg = small_cfg(n_list=(40,), n_seeds=n_seeds)
+    calls = _count_eigendecompose(monkeypatch)
+    first = run_transition_sweep(cfg)
+    assert len(experiments._HELD) == (n_seeds if held else 0)
+    again = run_transition_sweep(cfg)
+    assert len(calls) == (n_seeds if held else 2 * n_seeds)
+    assert again.rows == first.rows
+
+
+def test_a_skipped_sample_is_not_held(monkeypatch):
+    # 12 samples, so one skip stays within 10%; the bound is 4 * 60**2
+    cfg = small_cfg(n_list=(10, 11, 12, 60), n_seeds=3)
+    bad = derived_seed(3, 11, 1)
+    calls = _count_eigendecompose(monkeypatch, fail_seed=bad)
+    first = run_transition_sweep(cfg)
+    note = f"LinAlgError: n=11 seed={bad}: injected failure"
+    assert first.skipped == (note,) and len(experiments._HELD) == 11
+    assert all(seed != bad for _, _, seed in experiments._HELD)
+    again = run_local_law(cfg)
+    assert again.skipped == (note,)
+    assert calls[12:] == [(11, bad)]
+
+
+def test_a_size_listed_twice_runs_twice():
+    rec = run_transition_sweep(small_cfg(n_list=(40, 40), n_seeds=2))
+    assert rec.rows[:2] == rec.rows[2:] and len(experiments._HELD) == 2
+    assert run_transition_sweep(small_cfg(n_list=(40, 40), n_seeds=2)).rows == rec.rows
+
+
+def test_held_arrays_are_read_only():
+    run_transition_sweep(small_cfg(**HELD_CFG))
+    assert len(experiments._HELD) == 4
+    for sd in experiments._HELD.values():
+        with pytest.raises(ValueError, match="read-only"):
+            sd.eigenvectors[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sd.eigenvalues[0] = 1.0
