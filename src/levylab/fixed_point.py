@@ -31,11 +31,10 @@ Three loops each open a thread pool of ``WORKERS`` threads for the length
 of the call and map their items in order: the output-angle rows of
 ``difference_integral``, the sub-pools of a population run (each with all
 of its sweeps and its own random stream) and the kernel rows of
-``kernel_spectrum.assemble_P`` (whose calling thread meanwhile takes the
-row integrals).  Each item is computed by the same arithmetic as in a
-serial loop, so results are bit for bit independent of the worker count.
-The items make no large BLAS call (BLAS threads would compete with the
-pool's).
+``kernel_spectrum.assemble_P``.  Each item is computed by the same
+arithmetic as in a serial loop, so results are bit for bit independent
+of the worker count.  The items make no large BLAS call (BLAS threads
+would compete with the pool's).
 """
 
 from __future__ import annotations
@@ -529,14 +528,14 @@ def solve_tilde_gamma(z, alpha: float, x0=None,
             x[k], fx[k] = v, v - rhs(v, k)
             diverged = k[~(np.abs(fx[k]) < np.inf)]
             if diverged.size:
-                raise FixedPointError(
-                    f"scalar solve diverged at z={complex(z[diverged[0]])}")
+                raise FixedPointError(f"scalar solve diverged at "
+                                      f"z={complex(z[diverged[0]])}, alpha={alpha}")
     failed = np.flatnonzero(~(np.abs(fx) <= TILDE_GAMMA_TOL))
     if failed.size:
         i = failed[0]
         raise FixedPointError(
             f"scalar solve did not reach {TILDE_GAMMA_TOL:.1e} at "
-            f"z={complex(z[i])}: |F|={abs(fx[i]):.3e}")
+            f"z={complex(z[i])}, alpha={alpha}: |F|={abs(fx[i]):.3e}")
     x = x.reshape(shape)
     return complex(x) if x.ndim == 0 else x
 

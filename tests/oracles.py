@@ -17,8 +17,9 @@ from levylab.fixed_point import (
     solve_gamma_star,
 )
 from levylab.halfplane import HALF_PI, HomogeneousFn, default_grid
-from levylab.kernel_spectrum import c_prime
+from levylab.kernel_spectrum import ROW_N_Y, c_prime
 from levylab.matrix_model import ResolventDiagonal
+from levylab.quadrature import power_rule, sin2_theta_rule
 from levylab.stable_random import sample_standard_stable, substream
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,35 @@ def lift_eigenvector(f: HomogeneousFn, nodes: np.ndarray) -> np.ndarray:
     g = f.values_at_angle(nodes)
     d1, di = partials_on_circle(f, nodes)
     return np.concatenate([g, d1, di])
+
+
+def row_integrals_tensor(alpha, omegas: np.ndarray, n_theta: int = 96,
+                         moduli: bool = False) -> np.ndarray:
+    """``kernel_row_integrals`` summed over the whole (theta, y, omega)
+    tensor, as it was before the y integral became a profile in
+    cos(theta - omega): the same theta rule and y pieces, with
+    1 + y^2 + 2 y cos(theta - omega) evaluated at every triple.  With
+    ``moduli`` each term is replaced by its modulus, which gives the
+    scale sum |terms| that round-off of the row integrals is measured on.
+    """
+    alpha = complex(alpha)
+    a = alpha if alpha.imag else alpha.real
+    th, wsin = sin2_theta_rule(n_theta, 0.5 * a - 1.0)
+    omegas = np.asarray(omegas, dtype=float)
+    # near piece: weight y^(-alpha/2); far piece: y = 1/w, weight w^(alpha - 1)
+    pieces = (power_rule(-0.5 * a, 1.0, ROW_N_Y), power_rule(a - 1.0, 1.0, ROW_N_Y))
+
+    def piece(cos_gap, y, wy):
+        # |e^(i theta) + y e^(i omega)|^2 = 1 + y^2 + 2 y cos(theta - omega) >= 1
+        mod2 = (1.0 + y * y)[None, :, None] + (2.0 * y)[None, :, None] * cos_gap[:, None, :]
+        power = (-0.5 - 0.25 * a) * np.log(mod2, out=mod2)
+        weights = (wsin[:, None] * wy[None, :]).ravel()
+        terms = np.exp(power, out=power).reshape(weights.size, -1)
+        return np.abs(weights) @ np.abs(terms) if moduli else weights @ terms
+
+    cos_gap = np.cos(th[:, None] - omegas[None, :])
+    near, far = (piece(cos_gap, *rule) for rule in pieces)
+    return near + far
 
 
 # ---------------------------------------------------------------------------

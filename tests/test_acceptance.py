@@ -271,11 +271,12 @@ def test_12_determinant_refinement_stability(H_15_96):
 def test_12_determinant_decay_large_imaginary_alpha():
     """Expected to fail (see the xfail reason).
 
-    Its t = 10 and t = 20 figures do not reproduce across BLAS builds or
-    thread counts: at Im(alpha) = 20 the kernel row integrals are round-off
-    of oscillating terms whose moduli sum to about 7, so splitting the same
-    sums into different BLAS calls moves entries of H by up to 1e-4 of
-    the largest one.
+    Its t = 10 and t = 20 figures rest on round-off.  At Im(alpha) = 20
+    the kernel row integrals are 7e-16 to 1.5e-14 of the sum of their
+    terms' moduli (about 7), the size of the round-off of the y profile J
+    they sum: the (theta, y, omega) tensor sum that J replaced gave values
+    up to 2.5% apart.  One and two OpenBLAS threads give the same bits on
+    one build; another build or summation order moves them.
     """
     dets = []
     for t in (5.0, 10.0, 20.0):

@@ -424,6 +424,19 @@ def test_scalar_solve_iteration_cap(monkeypatch):
         solve_tilde_gamma(0.2j, 1.0)
 
 
+def test_scalar_solve_failures_name_alpha(monkeypatch):
+    # z = 8+0.16i at alpha = 1.8 is a stall of the density over [0, 10]:
+    # Newton and the Picard rescue stop near |F| = 1e-6
+    with pytest.raises(FixedPointError,
+                       match=r"did not reach .* at z=\(8\+0\.16j\), alpha=1\.8: \|F\|="):
+        solve_tilde_gamma(8.0 + 0.16j, 1.8)
+    monkeypatch.setattr(fp, "s_p", lambda z, x, p, alpha, quad=None:
+                        np.full(np.shape(z), np.inf, dtype=complex))
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FixedPointError, match=r"diverged at z=0\.2j, alpha=1\.3$"):
+            solve_tilde_gamma(0.2j, 1.3)
+
+
 def test_s_truncation_grows_against_a_negative_eps_g():
     # re_h s^2 + eps_g s at alpha = 1: the first guess sqrt(40) falls
     # short of the budget, so the 1.3x growth loop must run
@@ -538,7 +551,7 @@ THREADED = {
         0.2j, 1.0, 5001, 3, 30, np.random.default_rng(5)).pool,
     "pool off the axis": lambda: population_dynamics(
         0.3 + 0.2j, 1.3, 5001, 3, 30, np.random.default_rng(6)).pool,
-    # kernel rows on the pool, row integrals on the calling thread
+    # kernel rows on the pool, row integrals on the calling thread first
     "assemble_P 1.1": lambda: ks.assemble_P(1.1, 32).matrix,
     "assemble_P 1.5+5i": lambda: ks.assemble_P(1.5 + 5j, 32).matrix,
 }
@@ -606,7 +619,7 @@ def test_threaded_eval_F_keeps_scratch_per_thread(monkeypatch):
 
 
 def test_threaded_assemble_P_under_fast_switching(monkeypatch):
-    # four threads on the kernel rows while the calling thread takes the
+    # four threads on the kernel rows after the calling thread took the
     # row integrals, switching often: the matrix of one thread
     def build():
         return ks.assemble_P(1.5 + 5j, 16).matrix
@@ -618,6 +631,38 @@ def test_threaded_assemble_P_under_fast_switching(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, ref)
+
+
+def _serial_P(alpha, n_nodes):
+    """assemble_P by a plain loop over the upper rows, no pool."""
+    alpha = complex(alpha)
+    nodes, weights = ks.graded_mesh(n_nodes, alpha.real)
+    n, cols = nodes.size, np.arange(nodes.size)
+    rowints = ks.kernel_row_integrals(alpha, nodes[:n // 2],
+                                      n_theta=96 + 8 * int(abs(alpha.imag)))
+    mat = np.zeros((n, n), dtype=complex)
+    for i in range(n // 2):
+        off = cols != i
+        mat[i, off] = weights[off] * ks.kernel_k(alpha, nodes[i], nodes[off])
+        mat[i, i] = rowints[i] - mat[i].sum()
+    mat[n // 2:] = mat[n // 2 - 1::-1, ::-1]
+    return mat
+
+
+@pytest.mark.parametrize("alpha", [1.5, 1.5 + 5j])
+def test_assemble_P_is_the_serial_loop_for_any_worker_count(alpha, monkeypatch):
+    # one, two and four workers, switching often: each matrix is bit for
+    # bit that of the serial loop
+    def build():
+        return ks.assemble_P(alpha, 32).matrix
+    ref = _serial_P(alpha, 32)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        mats = [_run_with_workers(monkeypatch, workers, build) for workers in (1, 2, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(mat, ref) for mat in mats)
 
 
 def test_threaded_pool_under_fast_switching(monkeypatch):

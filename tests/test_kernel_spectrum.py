@@ -10,7 +10,13 @@ import levylab.kernel_spectrum as ks
 from levylab import fixed_point as fp
 from levylab import quadrature
 from levylab.halfplane import HALF_PI, HomogeneousFn, default_grid
-from oracles import apply_linearized, lift_eigenvector, linearization_matrix, partials_on_circle
+from oracles import (
+    apply_linearized,
+    lift_eigenvector,
+    linearization_matrix,
+    partials_on_circle,
+    row_integrals_tensor,
+)
 
 
 def test_coupling_constants():
@@ -49,6 +55,35 @@ def test_kernel_row_integral_oracle():
                       limit=400, points=[om])[0]
         row = ks.kernel_row_integrals(alpha, np.array([om]))[0]
         assert abs(direct - row.real) < 1e-4
+
+
+@pytest.mark.parametrize("n", [48, 96])
+@pytest.mark.parametrize("alpha", [0.7, 0.9, 1.1, 1.5, 1.9, 1.2 + 0.3j, 1.95 + 0.3j, 1.5 + 5j])
+def test_row_integrals_match_the_tensor_form(alpha, n):
+    # the profile in cos(theta - omega) against the (theta, y, omega) sum
+    # it replaced, at assemble_P's upper-half rows and theta rule; at
+    # complex alpha the terms cancel, so the bound is on sum |terms|
+    a = complex(alpha)
+    nodes, _ = ks.graded_mesh(n, a.real)
+    omegas, n_theta = nodes[:n // 2], 96 + 8 * int(abs(a.imag))
+    new = ks.kernel_row_integrals(alpha, omegas, n_theta)
+    old = row_integrals_tensor(alpha, omegas, n_theta)
+    scale = row_integrals_tensor(alpha, omegas, n_theta, moduli=True)
+    assert new.dtype == (complex if a.imag else float)
+    assert np.all(np.abs(new - old) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5, 1.95, 1.2 + 0.3j, 1.5 + 5j, 1.5 + 20j, 1.9 + 10j])
+def test_row_profile_interpolant_against_the_direct_sum(alpha):
+    c = np.random.default_rng(23).uniform(0.0, 1.0, 600)
+    c[:2] = 0.0, 1.0
+    a = complex(alpha)
+    rules = (quadrature.power_rule(-0.5 * a, 1.0, ks.ROW_N_Y),
+             quadrature.power_rule(a - 1.0, 1.0, ks.ROW_N_Y))
+    terms = [((1.0 + y * y + 2.0 * y * c[:, None]) ** (-0.5 - 0.25 * a), w) for y, w in rules]
+    direct = sum(t @ w for t, w in terms)
+    scale = sum(np.abs(t) @ np.abs(w) for t, w in terms)
+    assert np.all(np.abs(ks.row_profile(alpha, c) - direct) <= 1e-14 * scale)
 
 
 def test_kernel_positive_for_real_alpha():
