@@ -9,12 +9,13 @@ of the linearization is contained in the spectrum of H, so near-zeros of
 the Fredholm determinant det(I - H^m) flag the stability exceptions of
 the fixed point.  Everything here also supports complex alpha, which the
 determinant decay checks at large Im(alpha) require; with Re(alpha) up
-to 2 the matrices stay finite, as ``log_power_rule`` lumps the endpoint
-nodes past x = 0.  The row integrals that fix P's diagonal depend on the
-two angles only through cos(theta - omega), so their y integral is one
-interpolated profile on [0, 1] and no (theta, y, omega) tensor is
-formed.  ``assemble_P`` takes them first, then builds its kernel rows on
-a thread pool of ``fixed_point.WORKERS`` threads, and raises ValueError
+to 2 the matrices stay finite, as ``log_power_rule`` closes the endpoint
+panels with an exact moment rule whose nodes all lie above x = 0.  The
+row integrals that fix P's diagonal depend on the two angles only
+through cos(theta - omega), so their y integral is one interpolated
+profile on [0, 1] and no (theta, y, omega) tensor is formed.
+``assemble_P`` takes them first, then builds its kernel rows on a
+thread pool of ``fixed_point.WORKERS`` threads, and raises ValueError
 on a non-finite entry.  The determinants never solve H whole: in the
 components (f, g+h, g-h) H is block upper-triangular with exact zeros,
 so its eigenvalues come from a 2n- and an n-square block, in real
@@ -421,11 +422,17 @@ def _eigenvalues(mat: np.ndarray) -> np.ndarray:
     return np.concatenate([np.linalg.eigvals(top), np.linalg.eigvals(-blk(1, 2))])
 
 
-def _dets(mu: np.ndarray, m: int) -> tuple[complex, complex, int]:
+def _dets(mu: np.ndarray, m: int, alpha: complex) -> tuple[complex, complex, int]:
+    """Literal and deflated det(I - H^m) from H's eigenvalues ``mu``, and
+    the count of structural ones; raises ValueError naming alpha, m and
+    max |mu| when a product is not finite."""
     keep = np.abs(mu + 1.0) > STRUCTURAL_TOL
     with np.errstate(over="ignore", invalid="ignore"):
         literal = complex(np.prod(1.0 - mu ** m))
         deflated = complex(np.prod(1.0 - mu[keep] ** m))
+    if not (np.isfinite(literal) and np.isfinite(deflated)):
+        raise ValueError(f"det(I - H^m) is not finite at alpha={alpha}, m={m}: "
+                         f"max |mu| = {np.abs(mu).max():.4g}")
     return literal, deflated, int(np.count_nonzero(~keep))
 
 
@@ -440,7 +447,9 @@ def fredholm_det(H: NystromOperator, m: int,
     [2 H10, H12]] and of -H12 (see ``_eigenvalues``), about a third of
     the work of the full 3n-square solve and real for real alpha; a
     matrix without ``assemble_H``'s block structure (size a multiple of
-    3, H10 == H20, H12 == H21, zero H11 and H22) raises ValueError.  See
+    3, H10 == H20, H12 == H21, zero H11 and H22) raises ValueError, and so
+    does a determinant that is not finite (at 1.5+20i on 96 nodes max |mu|
+    is 218 and the product of the 288 factors overflows).  See
     FredholmResult for the literal/deflated distinction.
     """
     if m < 1 or m % 2 != 0:
@@ -448,11 +457,11 @@ def fredholm_det(H: NystromOperator, m: int,
     m_min = band_power(H.alpha.real)
     if m < m_min:
         raise ValueError(f"power m={m} below the band prescription {m_min}")
-    det, det_defl, n_struct = _dets(_eigenvalues(H.matrix), m)
+    det, det_defl, n_struct = _dets(_eigenvalues(H.matrix), m, H.alpha)
     delta = np.nan
     if refine:
         H2 = assemble_H(H.alpha, 2 * H.n_nodes, H.kappa)
-        _, det_defl2, _ = _dets(_eigenvalues(H2.matrix), m)
+        _, det_defl2, _ = _dets(_eigenvalues(H2.matrix), m, H.alpha)
         delta = abs(det_defl - det_defl2) / max(abs(det_defl2), 1e-300)
     return FredholmResult(alpha=H.alpha, m=m, det_value=det,
                           det_deflated=det_defl, n_structural=n_struct,

@@ -10,6 +10,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import gamma as gamma_fn
 
+from levylab import quadrature
 from levylab.fixed_point import (
     FixedPointSolution,
     difference_integral,
@@ -19,7 +20,7 @@ from levylab.fixed_point import (
 from levylab.halfplane import HALF_PI, HomogeneousFn, default_grid
 from levylab.kernel_spectrum import ROW_N_Y, c_prime
 from levylab.matrix_model import ResolventDiagonal
-from levylab.quadrature import power_rule, sin2_theta_rule
+from levylab.quadrature import gauss_legendre_panels, power_rule, sin2_theta_rule
 from levylab.stable_random import sample_standard_stable, substream
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,33 @@ def lift_eigenvector(f: HomogeneousFn, nodes: np.ndarray) -> np.ndarray:
     g = f.values_at_angle(nodes)
     d1, di = partials_on_circle(f, nodes)
     return np.concatenate([g, d1, di])
+
+
+#: v = -log(x / delta) past which ``log_power_unit_rule_lumped`` puts its
+#: nodes into one: x / delta <= 4.2e-18, where every caller's phi is phi(0)
+#: to round-off
+LUMPED_V_FLAT = 40.0
+
+
+def log_power_unit_rule_lumped(expo: complex):
+    """The log-power unit rule on panels alone, the reference for
+    ``quadrature._log_power_unit_rule``: the same order-8 panels in
+    v = -log(x), laid out to where the weight has decayed by exp(-38), with
+    the nodes past v = ``LUMPED_V_FLAT`` lumped into one node there that
+    carries their summed weight.  Returns ``(x, w)`` for
+    ``int_0^1 x**expo phi(x) dx``.  Reads ``quadrature.LOG_POWER_STEP`` at
+    every call and caches nothing."""
+    re = expo.real
+    span = 38.0 / (1.0 + re)
+    step = quadrature.LOG_POWER_STEP / (1.0 + re + abs(expo.imag))
+    panels = max(4, int(np.ceil(span / step)))
+    v, gw = gauss_legendre_panels(np.linspace(0.0, span, panels + 1), 8)
+    w = np.exp(-(1.0 + expo) * v) * gw
+    flat = v > LUMPED_V_FLAT
+    if flat.any():
+        v = np.append(v[~flat], LUMPED_V_FLAT)
+        w = np.append(w[~flat], w[flat].sum())
+    return np.exp(-v), w
 
 
 def row_integrals_tensor(alpha, omegas: np.ndarray, n_theta: int = 96,

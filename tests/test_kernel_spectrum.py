@@ -14,6 +14,7 @@ from oracles import (
     apply_linearized,
     lift_eigenvector,
     linearization_matrix,
+    log_power_unit_rule_lumped,
     partials_on_circle,
     row_integrals_tensor,
 )
@@ -202,10 +203,27 @@ def test_kernel_near_re_alpha_two_against_a_finer_rule(alpha, rtol, fresh_unit_r
     assert np.all(np.abs(k - fine) <= rtol * np.abs(fine))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_non_finite_entries_raise_and_scan_skips(fresh_unit_rules, monkeypatch):
-    # without the lumped tail the left panel reaches x = 0 and gives NaN
-    monkeypatch.setattr(quadrature, "V_FLAT", np.inf)
+@pytest.mark.parametrize("alpha", [1.5 + 5j, 1.95 + 5j, 1.95 + 0.3j, 1.85 + 0.3j,
+                                   1.2 + 0.05j, 0.7 + 2j])
+def test_kernel_k_against_the_lumped_panel_rule(alpha, monkeypatch):
+    # the moment tail of the log-power rule against panels out to v = 40
+    om = np.array([0.05, 0.3, 0.7, 1.2, 1.5])
+    ps = np.array([0.6, 0.9, 0.1, 0.4, 1.0])
+    k = ks.kernel_k(alpha, om, ps)
+    monkeypatch.setattr(quadrature, "_log_power_unit_rule", log_power_unit_rule_lumped)
+    reference = ks.kernel_k(alpha, om, ps)
+    assert np.all(np.abs(k - reference) <= 1e-10 * np.abs(reference))
+
+
+def test_non_finite_entries_raise_and_scan_skips(monkeypatch):
+    kernel_k = ks.kernel_k
+
+    def nan_in_the_last_entry(alpha, omega, psi):
+        values = kernel_k(alpha, omega, psi)
+        values[-1] = np.nan
+        return values
+
+    monkeypatch.setattr(ks, "kernel_k", nan_in_the_last_entry)
     with pytest.raises(ValueError, match=r"alpha=\(1\.95\+0\.3j\)"):
         ks.assemble_P(1.95 + 0.3j, 16)
     results, failures = ks.alpha_scan([1.95 + 0.3j], n_nodes=16, refine=False)
@@ -346,7 +364,7 @@ def test_block_eigenvalues_match_the_full_solve(alpha, kappa):
     gap = np.abs(mu[:, None] - ref[None, :])
     tol = 1e-10 * np.max(np.abs(ref))
     assert np.max(gap.min(axis=1)) <= tol and np.max(gap.min(axis=0)) <= tol
-    _, ref_defl, ref_struct = ks._dets(ref, m)
+    _, ref_defl, ref_struct = ks._dets(ref, m, H.alpha)
     res = ks.fredholm_det(H, m, refine=False)
     assert res.n_structural == ref_struct == 2
     assert abs(res.det_deflated - ref_defl) <= 1e-12 * abs(ref_defl)
@@ -365,6 +383,16 @@ def test_fredholm_det_refuses_a_matrix_without_the_block_structure():
     mat[:3 * n, :3 * n] = H.matrix
     with pytest.raises(ValueError, match="not a multiple of 3"):
         ks.fredholm_det(dataclasses.replace(H, matrix=mat), 2, refine=False)
+
+
+def test_fredholm_det_raises_where_the_product_overflows():
+    H = ks.assemble_H(1.5 + 20j, 96, kappa=0.5)
+    message = r"alpha=\(1\.5\+20j\), m=2: max \|mu\| = "
+    with pytest.raises(ValueError, match=message):
+        ks.fredholm_det(H, 2, refine=False)
+    results, failures = ks.alpha_scan([1.5 + 20j], n_nodes=96, refine=False)
+    assert not results and re.search(message, failures[0][1])
+    assert failures[0][1].startswith("ValueError: ")
 
 
 @pytest.mark.parametrize("alpha", [1.3, 1.5 + 5j])

@@ -5,7 +5,7 @@ from scipy.special import gamma as gamma_fn
 
 from levylab import quadrature
 from levylab.quadrature import (
-    V_FLAT,
+    V_TAIL,
     gauss_jacobi_left,
     gauss_legendre_panels,
     log_power_rule,
@@ -14,6 +14,7 @@ from levylab.quadrature import (
     sin2_theta_rule,
     tanh_sinh,
 )
+from oracles import log_power_unit_rule_lumped
 
 
 def test_tanh_sinh_plain():
@@ -115,30 +116,46 @@ def test_log_power_rule_complex_exponent():
         log_power_rule(-1.2, 1.0)
 
 
-@pytest.mark.parametrize("expo", [-0.75 - 2.5j, -0.25 + 2.5j, -0.975 - 0.15j,
-                                  -0.975 - 2.5j, -0.6 + 1.3j])
-def test_log_power_rule_lumps_its_flat_tail(expo, fresh_unit_rules, monkeypatch):
-    unit_rule = quadrature._log_power_unit_rule
-    x, w = unit_rule(expo)
-    assert x.min() == np.exp(-V_FLAT) and np.all(x > 0)
-    monkeypatch.setattr(quadrature, "V_FLAT", np.inf)
-    unit_rule.cache_clear()
-    x_all, w_all = unit_rule(expo)
-    keep = x.size - 1
-    assert x_all.size > x.size and x_all.min() < np.exp(-V_FLAT)
-    # the rule up to V_FLAT is untouched, and the lumped node carries the rest
-    assert np.array_equal(x[:keep], x_all[:keep]) and np.array_equal(w[:keep], w_all[:keep])
-    assert abs(w.sum() - w_all.sum()) <= 1e-15 * abs(w_all.sum())
+#: kernel_k's two endpoint exponents and row_profile's far one at alpha =
+#: 1.5+5i, two near Re expo = -1 (small and large Im expo), and -0.6+1.3i
+UNIT_RULE_EXPOS = [-0.75 - 2.5j, -0.25 + 2.5j, -0.975 - 0.15j, -0.975 - 2.5j,
+                   -0.6 + 1.3j, 0.5 + 5j]
 
 
-def test_log_power_rule_within_the_flat_limit_is_unchanged(fresh_unit_rules, monkeypatch):
-    # span 38 / 1.5 < V_FLAT: nothing to lump
-    unit_rule = quadrature._log_power_unit_rule
-    x, w = unit_rule(0.5 + 5j)
-    monkeypatch.setattr(quadrature, "V_FLAT", np.inf)
-    unit_rule.cache_clear()
-    x_all, w_all = unit_rule(0.5 + 5j)
-    assert x.size == 440 and np.array_equal(x, x_all) and np.array_equal(w, w_all)
+def _tail(expo):
+    """The unit rule's moment tail as ``(x, w, u1)``: its last 8 nodes
+    u1 * (t_j + 1) / 2 for the Gauss-Legendre points t_j."""
+    x, w = quadrature._log_power_unit_rule(expo)
+    t = quadrature._gl(8)[0]
+    return x[-8:], w[-8:], 2.0 * x[-1] / (1.0 + t[-1])
+
+
+@pytest.mark.parametrize("expo", UNIT_RULE_EXPOS)
+def test_log_power_rule_keeps_the_panels_up_to_v_tail(expo):
+    x, w = quadrature._log_power_unit_rule(expo)
+    x_ref, w_ref = log_power_unit_rule_lumped(expo)
+    panels = x.size - 8
+    # the panels up to v1 are the reference's bit for bit; past v1 the
+    # reference goes on where the rule has its tail
+    assert np.array_equal(x[:panels], x_ref[:panels])
+    assert np.array_equal(w[:panels], w_ref[:panels])
+    v1 = -np.log(_tail(expo)[2])
+    assert v1 >= V_TAIL - 1e-12 and x_ref[panels] < np.exp(-v1)
+    assert np.all(x > 0) and x[panels:].max() < x[:panels].min()
+
+
+@pytest.mark.parametrize("expo", UNIT_RULE_EXPOS)
+def test_log_power_rule_tail_is_exact_on_polynomials(expo):
+    x, w, u1 = _tail(expo)
+    for k in range(8):
+        exact = u1 ** (expo + k + 1.0) / (expo + k + 1.0)
+        assert abs(w @ x ** k - exact) <= 1e-13 * abs(exact)
+
+
+@pytest.mark.parametrize("expo, nodes", [(-0.75 - 2.5j, 72), (-0.25 + 2.5j, 80),
+                                         (-0.975 - 0.15j, 16)])
+def test_log_power_rule_node_counts(expo, nodes):
+    assert quadrature._log_power_unit_rule(expo)[0].size == nodes
 
 
 def test_log_power_rule_near_the_singular_limit():
