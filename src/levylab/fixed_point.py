@@ -46,11 +46,10 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from . import halfplane
 from .halfplane import HALF_PI, HomogeneousFn, dot
-from .quadrature import power_rule, simpson, sin2_theta_rule, tanh_sinh
+from .quadrature import gamma as gamma_fn, power_rule, simpson, sin2_theta_rule, tanh_sinh
 from .stable_random import _check_alpha, arrival_weights
 
 class QuadratureError(RuntimeError):
@@ -656,14 +655,15 @@ def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
         raise ValueError(f"pool_size must be at least SUBPOOLS = {SUBPOOLS}")
     if -(-pool_size // SUBPOOLS) * K >= 2 ** 31:
         raise ValueError("a sub-pool's slots times K reach 2**31, past its int32 indices")
-    # imported here, as only the pool needs it: it adds about 15 ms and
-    # 1.5 MB to the start of every process
+    # imported here, as only the pool needs it: it adds about 70 ms and
+    # 14 MB to the start of every process
     from scipy.sparse import csr_array
 
     def run(sub_rng, n):
-        # S is one sparse gather-multiply-add, which sums each row in k
-        # order as np.einsum("rk,rk->r", xi, members[idx]) does; with an
-        # int32 indptr scipy takes the int32 indices without a copy
+        # S is a sparse gather-multiply-add per real and imaginary part,
+        # which sums each row in k order as np.einsum("rk,rk->r", xi,
+        # members[idx]) does; with an int32 indptr scipy takes the int32
+        # indices without a copy
         members = np.full(n, -1.0 / (z + 1j))
         indptr = np.arange(0, n * K + 1, K, dtype=np.int32)
         sums = []
@@ -671,7 +671,8 @@ def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
             idx = sub_rng.integers(0, n, size=(n, K), dtype=np.int32)
             xi = arrival_weights(alpha, sub_rng.standard_exponential((n, K)))
             gather = csr_array((xi.ravel(), idx.ravel(), indptr), shape=(n, n))
-            S = (gather @ members.view(float).reshape(n, 2)).view(complex)[:, 0]
+            S = (gather @ np.ascontiguousarray(members.real)
+                 + 1j * (gather @ np.ascontiguousarray(members.imag)))
             members = -1.0 / (z + S)
             sums.append(np.sum(members.imag ** (0.5 * alpha)))
         return members, sums

@@ -28,12 +28,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from . import fixed_point
 from .fixed_point import SAMPLE_ERRORS, c_alpha, profile_angles, profile_interpolation
 from .halfplane import HALF_PI
-from .quadrature import gauss_legendre_panels, power_rule, sin2_theta_rule
+from .quadrature import gamma as gamma_fn, gauss_legendre_panels, power_rule, sin2_theta_rule
 
 
 def c_prime(alpha) -> complex:

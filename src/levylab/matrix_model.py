@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from . import halfplane
 from .halfplane import HomogeneousFn, dot
+from .quadrature import gamma as gamma_fn
 from .stable_random import sample_standard_stable, substream
 
 

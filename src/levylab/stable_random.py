@@ -9,7 +9,8 @@ Monte Carlo tasks should derive their own stream with :func:`substream`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gamma as gamma_fn, gammaln
+
+from .quadrature import gamma as gamma_fn
 
 
 def tail_one_sigma_alpha(alpha: float) -> float:
@@ -79,18 +80,3 @@ def arrival_weights(alpha: float, exponentials: np.ndarray) -> np.ndarray:
     _check_alpha(alpha)
     arrivals = np.cumsum(exponentials, axis=-1, out=exponentials)
     return np.power(arrivals, -2.0 / alpha, out=arrivals)
-
-
-def truncated_weight_tail_mean(alpha: float, K: int) -> float:
-    """E sum_{k>K} Gamma_k^(-2/alpha), the mean mass lost to truncation.
-
-    Uses E Gamma_k^(-s) = Gamma(k - s)/Gamma(k) for k > s = 2/alpha and
-    an integral estimate of the remainder beyond 200 000 summands.
-    """
-    _check_alpha(alpha)
-    s = 2.0 / alpha
-    terms = 200_000
-    k = np.arange(K + 1, K + 1 + terms, dtype=float)
-    head = np.exp(gammaln(k - s) - gammaln(k)).sum()
-    tail = (K + terms) ** (1.0 - s) / (s - 1.0)
-    return float(head + tail)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import gamma as gamma_fn
+from scipy.special import gamma as gamma_fn, gammaln
 
 from levylab import quadrature
 from levylab.fixed_point import (
@@ -21,7 +21,7 @@ from levylab.halfplane import HALF_PI, HomogeneousFn, default_grid
 from levylab.kernel_spectrum import ROW_N_Y, c_prime
 from levylab.matrix_model import ResolventDiagonal
 from levylab.quadrature import gauss_legendre_panels, power_rule, sin2_theta_rule
-from levylab.stable_random import sample_standard_stable, substream
+from levylab.stable_random import _check_alpha, sample_standard_stable, substream
 
 # ---------------------------------------------------------------------------
 # homogeneous functions
@@ -200,3 +200,18 @@ def levy_khintchine_rhs(alpha: float, w) -> np.ndarray:
     """exp(-Gamma(1 - alpha/2) * w**(alpha/2)) for Re w > 0."""
     w = np.asarray(w, dtype=complex)
     return np.exp(-gamma_fn(1.0 - 0.5 * alpha) * w ** (0.5 * alpha))
+
+
+def truncated_weight_tail_mean(alpha: float, K: int) -> float:
+    """E sum_{k>K} Gamma_k^(-2/alpha), the mean mass lost to truncation.
+
+    Uses E Gamma_k^(-s) = Gamma(k - s)/Gamma(k) for k > s = 2/alpha and
+    an integral estimate of the remainder beyond 200 000 summands.
+    """
+    _check_alpha(alpha)
+    s = 2.0 / alpha
+    terms = 200_000
+    k = np.arange(K + 1, K + 1 + terms, dtype=float)
+    head = np.exp(gammaln(k - s) - gammaln(k)).sum()
+    tail = (K + terms) ** (1.0 - s) / (s - 1.0)
+    return float(head + tail)

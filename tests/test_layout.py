@@ -24,8 +24,6 @@ ALLOWED = {
     "resolvent_upper_bound": "the paper's resolvent control of Q_I, to be "
                              "written by the batch runs",
     "eval_G_error_estimate": "to give solve-fixed-point its quadrature error",
-    "truncated_weight_tail_mean": "the pool's truncation bias until the "
-                                  "per-row compensator replaces it",
     "empirical_gamma": "the order parameter from resolvent samples, named by "
                        "acceptance criterion 05",
     "kernel_bound": "the three-regime kernel envelope, named by acceptance "
@@ -125,13 +123,31 @@ def test_every_default_is_overridden_by_a_call():
     assert not never, "defaults that no call overrides: " + ", ".join(never)
 
 
-def test_cli_import_loads_only_scipy_special():
-    # scipy.interpolate (with scipy.optimize behind it) and scipy.integrate
-    # cost about 0.3 s of every cold start; the package does without them
-    code = ("import sys, levylab.cli; print(' '.join(m for m in "
-            "('scipy.interpolate', 'scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+def _loaded_after(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Those of ``modules`` in sys.modules after a fresh interpreter runs code."""
+    probe = f"{code}\nprint(' '.join(m for m in {modules!r} if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + probe], capture_output=True,
                          text=True, check=True, cwd=ROOT,
                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=120)
-    assert out.stdout.split() == []
+    return out.stdout.split()
+
+
+def test_cli_import_loads_no_scipy_subpackage():
+    # scipy.special alone cost about 110 ms of every cold start, and
+    # scipy.interpolate (with scipy.optimize behind it) and scipy.integrate
+    # about 0.3 s; the package needs scipy's top level only
+    heavy = ("scipy.special", "scipy.linalg", "scipy.sparse", "scipy.interpolate",
+             "scipy.integrate", "scipy.optimize")
+    assert _loaded_after("import levylab.cli", heavy) == []
+
+
+def test_solve_and_determinant_load_no_scipy_special_or_linalg():
+    # a lazy import would only move the cost into the first round: the
+    # scalar solve and a Fredholm determinant build Gauss rules and Gamma
+    # values, and must still find neither module loaded
+    code = ("import levylab.cli\n"
+            "from levylab.fixed_point import solve_tilde_gamma\n"
+            "from levylab.kernel_spectrum import assemble_H, fredholm_det\n"
+            "solve_tilde_gamma(0.2j, 1.0)\n"
+            "fredholm_det(assemble_H(1.5, 16), 2, refine=False)")
+    assert _loaded_after(code, ("scipy.special", "scipy.linalg")) == []

@@ -7,9 +7,8 @@ from levylab.stable_random import (
     sample_standard_stable,
     substream,
     tail_one_sigma_alpha,
-    truncated_weight_tail_mean,
 )
-from oracles import levy_khintchine_rhs
+from oracles import levy_khintchine_rhs, truncated_weight_tail_mean
 
 
 def test_normalization_constant():
