@@ -32,7 +32,7 @@ from .fixed_point import (
     solve_gamma_star,
     spectral_density,
 )
-from .kernel_spectrum import MIN_NODES, alpha_scan, flag_minima
+from .kernel_spectrum import alpha_scan, check_nodes, flag_minima
 from .matrix_model import build_levy_matrix, eigenvalues
 from .stable_random import substream
 
@@ -151,8 +151,7 @@ def kernel_scan(cfg, args) -> RunRecord:
     if not args.alpha_min <= args.alpha_max:
         raise ValueError(f"--alpha-min {args.alpha_min} exceeds "
                          f"--alpha-max {args.alpha_max}")
-    if args.nodes < MIN_NODES:
-        raise ValueError(f"--nodes must be at least {MIN_NODES}, got {args.nodes}")
+    check_nodes(args.nodes)
     grid = np.arange(args.alpha_min, args.alpha_max + 0.5 * args.step, args.step)
     results, failures = alpha_scan(grid, n_nodes=args.nodes, refine=not args.no_refine)
     minima = set(flag_minima(results))

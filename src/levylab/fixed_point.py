@@ -30,11 +30,11 @@ Quadrature layout (one shared design for every integral):
 Three loops each open a thread pool of ``WORKERS`` threads for the length
 of the call and map their items in order: the output-angle rows of
 ``difference_integral``, the sub-pools of a population run (each with all
-of its sweeps and its own random stream) and the kernel rows of
-``kernel_spectrum.assemble_P``.  Each item is computed by the same
-arithmetic as in a serial loop, so results are bit for bit independent
-of the worker count.  The items make no large BLAS call (BLAS threads
-would compete with the pool's).
+of its sweeps and its own random stream) and the blocks of kernel
+entries of ``kernel_spectrum.assemble_P``.  Each item is computed by
+the same arithmetic as in a serial loop, so results are bit for bit
+independent of the worker count.  The items make no large BLAS call
+(BLAS threads would compete with the pool's).
 """
 
 from __future__ import annotations

@@ -14,12 +14,12 @@ panels with an exact moment rule whose nodes all lie above x = 0.  The
 row integrals that fix P's diagonal depend on the two angles only
 through cos(theta - omega), so their y integral is one interpolated
 profile on [0, 1] and no (theta, y, omega) tensor is formed.
-``assemble_P`` takes them first, then builds its kernel rows on a
-thread pool of ``fixed_point.WORKERS`` threads, and raises ValueError
-on a non-finite entry.  The determinants never solve H whole: in the
-components (f, g+h, g-h) H is block upper-triangular with exact zeros,
-so its eigenvalues come from a 2n- and an n-square block, in real
-arithmetic when alpha is real.
+``assemble_P`` takes them after its kernel entries (blocks on
+``fixed_point.WORKERS`` threads), as their BLAS call leaves OpenBLAS
+spinning on a core, and raises ValueError on a non-finite entry.  The
+determinants never solve H whole: in the components (f, g+h, g-h) H is
+block upper-triangular with exact zeros, so its eigenvalues come from a
+2n- and an n-square block, in real arithmetic when alpha is real.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ def kernel_k(alpha, omega, psi, n_jac: int = 24, gl_order: int = 12):
     (complex weights for complex alpha, so the dist^(i Im alpha)
     oscillation is exact too); the pole just below the interval, at
     distance d = psi - omega, is defused by geometric panel growth away
-    from psi, padded with zero-width panels to the longest recurrence in
-    the batch.  All distances are formed in offset arithmetic, never by
-    subtracting nearby floats.
+    from psi; each entry integrates only its own panels, so a batch costs
+    the sum of its entries.  All distances are formed in offset
+    arithmetic, never by subtracting nearby floats.
     """
     alpha = complex(alpha)
     if not 0.0 < alpha.real < 2.0:
@@ -93,7 +93,7 @@ def kernel_k(alpha, omega, psi, n_jac: int = 24, gl_order: int = 12):
     Lc, dc, psc = L[:, None], d[:, None], ps[:, None]
     log_pref = (a - 1.0) * np.log(np.sin(dc))
 
-    def weighted(w, log_sin2, log_sin_off, off):
+    def weighted(w, log_sin2, log_sin_off, off, rows=slice(None)):
         """w * sin(d)^(alpha-1) sin(2 theta)^(alpha/2-1) sin(off)^(-alpha/2)
         sin(off+d)^(-alpha/2) at theta = psi + off, as one exp.
 
@@ -101,11 +101,11 @@ def kernel_k(alpha, omega, psi, n_jac: int = 24, gl_order: int = 12):
         commutative, and numpy reuses a large left temporary in place
         without swapping operands, so each pair sees the same product
         whatever the batch size."""
-        return np.exp(log_pref + (a2 - 1.0) * log_sin2
-                      - a2 * (log_sin_off + np.log(np.sin(off + dc)))) * w
+        return np.exp(log_pref[rows] + (a2 - 1.0) * log_sin2
+                      - a2 * (log_sin_off + np.log(np.sin(off + dc[rows])))) * w
 
-    def log_sin2(off):
-        return np.log(2.0 * np.sin(psc + off) * np.sin(Lc - off))
+    def log_sin2(off, rows=slice(None)):
+        return np.log(2.0 * np.sin(psc[rows] + off) * np.sin(Lc[rows] - off))
 
     # left panel [psi, psi + t1]: weight off^(-alpha/2)
     t1 = np.minimum(2.0 * d, 0.5 * L)
@@ -119,10 +119,12 @@ def kernel_k(alpha, omega, psi, n_jac: int = 24, gl_order: int = 12):
     edges = [t1]
     while np.any(edges[-1] < hi):
         edges.append(np.minimum(ratio * edges[-1], hi))
-    off, w = gauss_legendre_panels(np.stack(edges, axis=-1), order=gl_order)
-    vals = weighted(w, log_sin2(off), np.log(np.sin(off)), off)
-    # panel sums accumulate in order, so padding panels add exact zeros
-    per_panel = vals.reshape(ps.size, len(edges) - 1, gl_order).sum(axis=-1)
+    edges = np.stack(edges, axis=-1)
+    # only panels with width are integrated, the others' sums stay zeros
+    ent, pan = np.nonzero(edges[:, 1:] > edges[:, :-1])
+    off, w = gauss_legendre_panels(edges[ent[:, None], pan[:, None] + [0, 1]], order=gl_order)
+    per_panel = np.zeros_like(edges[:, 1:], dtype=type(a))
+    per_panel[ent, pan] = weighted(w, log_sin2(off, ent), np.log(np.sin(off)), off, ent).sum(-1)
     middle = per_panel.cumsum(axis=-1)[:, -1]
 
     # right panel [pi/2 - L/4, pi/2]: weight dist^(alpha/2 - 1),
@@ -223,6 +225,19 @@ class NystromOperator:
 
 #: Gauss-Legendre order of the Nystrom mesh panels
 MESH_ORDER = 8
+#: fewest Nystrom nodes an operator is assembled on
+MIN_NODES = 32
+#: theta nodes of the two endpoint rules per kernel_k call in assemble_P
+KERNEL_BLOCK = 512 * 48
+
+
+def check_nodes(n_nodes: int) -> None:
+    """Raise ValueError naming the nearest counts unless ``graded_mesh`` has n_nodes nodes."""
+    step = 2 * MESH_ORDER
+    if n_nodes < MIN_NODES or n_nodes % step:
+        near = sorted({max(MIN_NODES, k - k % step) for k in (n_nodes, n_nodes + step - 1)})
+        raise ValueError(f"the Nystrom mesh cannot have {n_nodes} nodes (it has a multiple of "
+                         f"{step}, at least {MIN_NODES}); nearest: {' or '.join(map(str, near))}")
 
 
 def graded_mesh(n_nodes: int, re_alpha: float):
@@ -231,7 +246,8 @@ def graded_mesh(n_nodes: int, re_alpha: float):
     Panel breakpoints on [0, pi/4] follow (i/P)^(2/Re alpha), mirrored
     about pi/4 so the quarter-turn reflection permutes the nodes exactly.
     """
-    panels = max(2, n_nodes // (2 * MESH_ORDER))
+    check_nodes(n_nodes)
+    panels = n_nodes // (2 * MESH_ORDER)
     grad = max(1.0, 2.0 / re_alpha)
     left = 0.25 * np.pi * (np.arange(panels + 1) / panels) ** grad
     breaks = np.concatenate([left, (HALF_PI - left[:-1])[::-1]])
@@ -241,10 +257,6 @@ def graded_mesh(n_nodes: int, re_alpha: float):
     return nodes, weights
 
 
-#: fewest Nystrom nodes an operator is assembled on
-MIN_NODES = 16
-
-
 def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
     """Nystrom matrix for the scalar kernel operator on the quarter circle.
 
@@ -252,34 +264,37 @@ def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
     entry is set so the row acts exactly on constants (the accurate row
     integral minus the off-diagonal quadrature), which integrates the
     weak |psi-omega|^(alpha-1) singularity against a locally constant
-    density.  The kernel rows run on a thread pool, one per task, by the
-    arithmetic of a serial loop, so the matrix does not depend on the
-    worker count.  A non-finite entry raises ValueError naming alpha.
+    density.  The upper half's off-diagonal entries run on a thread pool
+    in blocks of ``KERNEL_BLOCK`` endpoint-rule nodes, each entry by the
+    arithmetic of a per-row loop, so the matrix depends on neither the
+    worker count nor the blocks.  A node count ``graded_mesh`` cannot give
+    exactly, or a non-finite entry, raises ValueError.
     """
     alpha = complex(alpha)
     if not 0.0 < alpha.real < 2.0:
         raise ValueError("Re(alpha) must lie in (0, 2)")
-    if n_nodes < MIN_NODES:
-        raise ValueError(f"need at least {MIN_NODES} nodes")
     nodes, weights = graded_mesh(n_nodes, alpha.real)
     n = nodes.size
     # the mesh is mirror-symmetric about pi/4 with an even node count, and
     # k(omega, psi) = k(pi/2-omega, pi/2-psi): rows below the middle are
     # the mirror images P[n-1-i, n-1-j] = P[i, j] of the rows above
     half = n // 2
-    cols = np.arange(n)
+    # the upper half's off-diagonal entries in row order, in blocks of
+    # KERNEL_BLOCK theta nodes of kernel_k's two endpoint rules
+    rows, cols = np.nonzero(np.arange(half)[:, None] != np.arange(n))
+    a2 = 0.5 * (alpha if alpha.imag else alpha.real)
+    step = max(1, KERNEL_BLOCK // sum(power_rule(e, 1.0, 24)[0].size for e in (-a2, a2 - 1)))
 
-    def row(i):
-        off = cols != i
-        return weights[off] * kernel_k(alpha, nodes[i], nodes[off])
+    def block(start):
+        i, j = rows[start:start + step], cols[start:start + step]
+        return weights[j] * kernel_k(alpha, nodes[i], nodes[j])
 
-    rowints = kernel_row_integrals(alpha, nodes[:half],
-                                   n_theta=96 + 8 * int(abs(alpha.imag)))
     mat = np.zeros((n, n), dtype=complex)
     with ThreadPoolExecutor(fixed_point.WORKERS, thread_name_prefix="levylab") as pool:
-        for i, values in enumerate(pool.map(row, range(half))):
-            mat[i, cols != i] = values
-            mat[i, i] = rowints[i] - mat[i].sum()
+        mat[rows, cols] = np.concatenate(list(pool.map(block, range(0, rows.size, step))))
+    rowints = kernel_row_integrals(alpha, nodes[:half],
+                                   n_theta=96 + 8 * int(abs(alpha.imag)))
+    np.fill_diagonal(mat[:half], rowints - mat[:half].sum(axis=-1))
     if not np.all(np.isfinite(mat[:half])):
         raise ValueError(f"non-finite Nystrom entries at alpha={alpha}")
     mat[half:] = mat[half - 1::-1, ::-1]

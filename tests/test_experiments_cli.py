@@ -403,7 +403,17 @@ def test_kernel_scan_too_few_nodes_exits_1(tmp_path, capsys):
     rc = main(["kernel-scan", "--nodes", "8", "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "--nodes must be at least 16, got 8" in captured.err and captured.out == ""
+    assert "the Nystrom mesh cannot have 8 nodes" in captured.err and captured.out == ""
+    assert captured.err.rstrip().endswith("nearest: 32")
+    assert not (tmp_path / "out").exists()
+
+
+def test_kernel_scan_refuses_a_node_count_the_mesh_rounds(tmp_path, capsys):
+    # the mesh has a multiple of 16 nodes: 40 is refused, not run as 32
+    rc = main(["kernel-scan", "--nodes", "40", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1 and "cannot have 40 nodes" in captured.err
+    assert captured.err.rstrip().endswith("nearest: 32 or 48")
     assert not (tmp_path / "out").exists()
 
 

@@ -551,7 +551,7 @@ THREADED = {
         0.2j, 1.0, 5001, 3, 30, np.random.default_rng(5)).pool,
     "pool off the axis": lambda: population_dynamics(
         0.3 + 0.2j, 1.3, 5001, 3, 30, np.random.default_rng(6)).pool,
-    # kernel rows on the pool, row integrals on the calling thread first
+    # blocks of kernel entries on the pool, then the row integrals
     "assemble_P 1.1": lambda: ks.assemble_P(1.1, 32).matrix,
     "assemble_P 1.5+5i": lambda: ks.assemble_P(1.5 + 5j, 32).matrix,
 }
@@ -595,7 +595,7 @@ def test_forked_child_starts_its_own_pool():
 @pytest.mark.parametrize("call", [
     lambda: eval_F(0.2 + 0.3j, gamma_star_zero(1.0, 33), QuadratureConfig.fast()),
     lambda: population_dynamics(0.3 + 0.2j, 1.3, 2001, 2, 10, np.random.default_rng(2)),
-    lambda: ks.assemble_P(1.1, 16),
+    lambda: ks.assemble_P(1.1, 32),
 ], ids=["eval_F", "population_dynamics", "assemble_P"])
 def test_no_pool_thread_outlives_its_call(call):
     fp.difference_integral.cache_clear()  # so that eval_F builds D on a pool
@@ -619,10 +619,10 @@ def test_threaded_eval_F_keeps_scratch_per_thread(monkeypatch):
 
 
 def test_threaded_assemble_P_under_fast_switching(monkeypatch):
-    # four threads on the kernel rows after the calling thread took the
-    # row integrals, switching often: the matrix of one thread
+    # four threads on the blocks of kernel entries, switching often: the
+    # matrix of one thread
     def build():
-        return ks.assemble_P(1.5 + 5j, 16).matrix
+        return ks.assemble_P(1.5 + 5j, 32).matrix
     ref = _run_with_workers(monkeypatch, 1, build)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -649,13 +649,17 @@ def _serial_P(alpha, n_nodes):
     return mat
 
 
-@pytest.mark.parametrize("alpha", [1.5, 1.5 + 5j])
-def test_assemble_P_is_the_serial_loop_for_any_worker_count(alpha, monkeypatch):
+@pytest.mark.parametrize("alpha, n_nodes", [
+    pytest.param(1.5, 32, id="1.5"), pytest.param(1.5 + 5j, 32, id="(1.5+5j)"),
+    pytest.param(0.7, 32, id="0.7"), pytest.param(0.7, 64, id="0.7-64"),
+    pytest.param(1.5 + 5j, 64, id="(1.5+5j)-64")])
+def test_assemble_P_is_the_serial_loop_for_any_worker_count(alpha, n_nodes, monkeypatch):
     # one, two and four workers, switching often: each matrix is bit for
-    # bit that of the serial loop
+    # bit that of the serial loop; on 64 nodes the 2016 entries are several
+    # blocks, the last one short
     def build():
-        return ks.assemble_P(alpha, 32).matrix
-    ref = _serial_P(alpha, 32)
+        return ks.assemble_P(alpha, n_nodes).matrix
+    ref = _serial_P(alpha, n_nodes)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

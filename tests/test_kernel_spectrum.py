@@ -42,7 +42,7 @@ def test_kernel_argument_validation():
 @pytest.mark.parametrize("alpha", [2.0, 0.0 + 1j, -0.5])
 def test_re_alpha_guards(alpha):
     with pytest.raises(ValueError, match=re.escape("Re(alpha) must lie in (0, 2)")):
-        ks.assemble_P(alpha, 16)
+        ks.assemble_P(alpha, 32)
     with pytest.raises(ValueError, match=re.escape("Re(alpha) must lie in (0, 2)")):
         ks.band_power(complex(alpha).real)
 
@@ -127,6 +127,68 @@ def test_kernel_row_equals_scalar_calls(alpha):
     assert isinstance(ks.kernel_k(alpha, 0.3, 0.9), complex)
 
 
+def _upper_half_pairs(n):
+    """(row, column) of assemble_P's upper-half off-diagonal entries, in row order."""
+    return np.nonzero(np.arange(n // 2)[:, None] != np.arange(n))
+
+
+@pytest.mark.parametrize("n", [48, 96])
+@pytest.mark.parametrize("alpha", [0.3, 0.9, 1.5, 1.95, 1.2 + 0.3j, 1.5 + 5j])
+def test_kernel_k_does_not_depend_on_the_batch(alpha, n):
+    # the whole upper half in one call, and in blocks that cut rows in two,
+    # are bit for bit the calls of one Nystrom row each
+    nodes, _ = ks.graded_mesh(n, complex(alpha).real)
+    rows, cols = _upper_half_pairs(n)
+    per_row = np.concatenate([ks.kernel_k(alpha, nodes[i], nodes[cols[rows == i]])
+                              for i in range(n // 2)])
+    assert np.array_equal(ks.kernel_k(alpha, nodes[rows], nodes[cols]), per_row)
+    for size in (100, 677):
+        blocks = [ks.kernel_k(alpha, nodes[rows[s:s + size]], nodes[cols[s:s + size]])
+                  for s in range(0, rows.size, size)]
+        assert np.array_equal(np.concatenate(blocks), per_row)
+
+
+@pytest.mark.parametrize("alpha", [0.9, 1.5 + 5j])
+def test_kernel_k_integrates_only_the_middle_panels_with_width(alpha, monkeypatch):
+    # each entry's geometric recurrence min(ratio * edge, 3L/4) from t1,
+    # counted per entry: one Gauss-Legendre row per panel of positive width
+    nodes, _ = ks.graded_mesh(48, complex(alpha).real)
+    rows, cols = _upper_half_pairs(48)
+    om, ps = nodes[rows], nodes[cols]
+    a2 = 0.5 * complex(alpha)
+    ratio = 2.0 if a2.imag == 0.0 else min(2.0, np.exp(1.5 / abs(a2.imag)))
+    flip = ps < om
+    o, p = np.where(flip, HALF_PI - om, om), np.where(flip, HALF_PI - ps, ps)
+    counts = []
+    for edge, hi in zip(np.minimum(2.0 * (p - o), 0.5 * (HALF_PI - p)), 0.75 * (HALF_PI - p)):
+        counts.append(0)
+        while edge < hi:
+            edge, counts[-1] = min(ratio * edge, hi), counts[-1] + 1
+    shapes = []
+
+    def counting(breaks, order):
+        shapes.append(np.shape(breaks))
+        return quadrature.gauss_legendre_panels(breaks, order)
+
+    monkeypatch.setattr(ks, "gauss_legendre_panels", counting)
+    ks.kernel_k(alpha, om, ps)
+    assert shapes == [(sum(counts), 2)]
+    # padding every entry to the longest recurrence would integrate far more
+    assert 2 * sum(counts) < len(counts) * max(counts)
+
+
+@pytest.mark.parametrize("n_nodes, nearest", [(8, "32"), (16, "32"), (40, "32 or 48"),
+                                              (100, "96 or 112")])
+def test_a_node_count_the_mesh_cannot_give_is_refused(n_nodes, nearest):
+    # graded_mesh has a multiple of 16 nodes, at least 32; any other count
+    # is refused with the nearest ones, not rounded to one of them
+    message = rf"cannot have {n_nodes} nodes .*; nearest: {nearest}$"
+    with pytest.raises(ValueError, match=message):
+        ks.assemble_P(1.5, n_nodes)
+    with pytest.raises(ValueError, match=message):
+        ks.graded_mesh(n_nodes, 1.5)
+
+
 @pytest.mark.parametrize("alpha", [0.6, 1.0, 1.4])
 def test_kernel_three_regime_bound(alpha):
     # |k| <= C * shape with one constant per regime on a coarse grid
@@ -175,14 +237,14 @@ def test_assemble_P_mirror_is_exact(alpha):
     assert np.array_equal(M, M[::-1, ::-1])
 
 
-def _complex_P16():
-    return ks.assemble_P(1.5 + 5j, 16).matrix
+def _complex_P():
+    return ks.assemble_P(1.5 + 5j, 32).matrix
 
 
 def test_forked_child_assembles_on_its_own_pool():
-    expected = _complex_P16()  # forked after a threaded call of the parent
+    expected = _complex_P()  # forked after a threaded call of the parent
     with multiprocessing.get_context("fork").Pool(1) as workers:
-        assert np.array_equal(workers.apply_async(_complex_P16).get(timeout=60), expected)
+        assert np.array_equal(workers.apply_async(_complex_P).get(timeout=60), expected)
 
 
 def test_assemble_P_near_re_alpha_two_is_finite():
@@ -225,8 +287,8 @@ def test_non_finite_entries_raise_and_scan_skips(monkeypatch):
 
     monkeypatch.setattr(ks, "kernel_k", nan_in_the_last_entry)
     with pytest.raises(ValueError, match=r"alpha=\(1\.95\+0\.3j\)"):
-        ks.assemble_P(1.95 + 0.3j, 16)
-    results, failures = ks.alpha_scan([1.95 + 0.3j], n_nodes=16, refine=False)
+        ks.assemble_P(1.95 + 0.3j, 32)
+    results, failures = ks.alpha_scan([1.95 + 0.3j], n_nodes=32, refine=False)
     assert not results and failures[0][1].startswith("ValueError: ")
 
 

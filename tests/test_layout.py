@@ -149,5 +149,5 @@ def test_solve_and_determinant_load_no_scipy_special_or_linalg():
             "from levylab.fixed_point import solve_tilde_gamma\n"
             "from levylab.kernel_spectrum import assemble_H, fredholm_det\n"
             "solve_tilde_gamma(0.2j, 1.0)\n"
-            "fredholm_det(assemble_H(1.5, 16), 2, refine=False)")
+            "fredholm_det(assemble_H(1.5, 32), 2, refine=False)")
     assert _loaded_after(code, ("scipy.special", "scipy.linalg")) == []
