@@ -25,6 +25,7 @@ from .experiments import (
     run_transition_sweep,
 )
 from .fixed_point import (
+    ETA_LADDER,
     QuadratureConfig,
     pool_moment,
     population_dynamics,
@@ -123,10 +124,10 @@ def density(cfg, args) -> RunRecord:
         raise ValueError(f"--points must be at least 1, got {args.points}")
     quad = QuadratureConfig().scaled(cfg.quad_scale)
     es = np.linspace(0.0, args.e_max, args.points)
-    vals, errs = spectral_density(es, cfg.alpha, cfg.eta_ladder, quad=quad)
+    vals, errs = spectral_density(es, cfg.alpha, quad=quad)
     return RunRecord("density", cfg,
                      columns=("E", "f_star", "eta_used", "extrapolation_error"),
-                     rows=tuple((e, val, cfg.eta_ladder[-1], err)
+                     rows=tuple((e, val, ETA_LADDER[-1], err)
                                 for e, val, err in zip(es, vals, errs)))
 
 

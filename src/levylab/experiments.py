@@ -54,7 +54,6 @@ class ExperimentConfig:
     energies: tuple[float, ...] = (0.0,)
     interval_rule: str = "rho_prime"  # one of INTERVAL_RULES
     fixed_width: float = 0.25
-    eta_ladder: tuple[float, ...] = (0.1, 0.05, 0.025)
     quad_scale: float = 1.0
 
     def __post_init__(self):
@@ -74,11 +73,13 @@ class ExperimentConfig:
             raise ValueError(f"config key 'interval_rule' must be one of "
                              f"{', '.join(map(repr, INTERVAL_RULES))}, "
                              f"got {self.interval_rule!r}")
-        # zero quad_scale would run the 9-node floor of every rule
-        for key in ("fixed_width", "quad_scale"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"config key {key!r} must be positive, "
-                                 f"got {getattr(self, key)}")
+        # json reads Infinity and NaN, which would fail deep in a solve or write
+        # E=inf rows; zero quad_scale would run the 9-node floor of every rule
+        for key in ("energies", "fixed_width", "quad_scale"):
+            if not np.all(np.isfinite(value := getattr(self, key))):
+                raise ValueError(f"config key {key!r} must be finite, got {json.dumps(value)}")
+            if key != "energies" and not value > 0:
+                raise ValueError(f"config key {key!r} must be positive, got {value}")
 
     def interval_width(self, n: int) -> float:
         """Window width per rule; the theorem exponents are
@@ -282,8 +283,7 @@ def run_local_law(cfg: ExperimentConfig) -> RunRecord:
     w = cfg.interval_width(max(cfg.n_list))
     energies = np.array(cfg.energies, dtype=float)
     mu_star = dict(zip(cfg.energies, stieltjes_mass(
-        energies - 0.5 * w, energies + 0.5 * w, cfg.alpha,
-        eta_ladder=cfg.eta_ladder, quad=quad).tolist()))
+        energies - 0.5 * w, energies + 0.5 * w, cfg.alpha, quad=quad).tolist()))
 
     def row(n, seed, sd, e):
         a, b = e - 0.5 * w, e + 0.5 * w

@@ -353,6 +353,8 @@ MAX_ITER = 200
 DAMPING = 0.5
 #: |F(x)| at which the scalar solve stops
 TILDE_GAMMA_TOL = 1e-12
+#: heights eta of the Stieltjes inversion, highest first
+ETA_LADDER = (0.1, 0.05, 0.025)
 
 
 def solve_gamma_star(z: complex, alpha: float, tol: float = 1e-7, *, m: int = 65,
@@ -539,12 +541,11 @@ def solve_tilde_gamma(z, alpha: float, x0=None,
     return complex(x) if x.ndim == 0 else x
 
 
-def spectral_density(E, alpha: float, eta_ladder=(0.1, 0.05, 0.025),
-                     quad: QuadratureConfig = QuadratureConfig()):
+def spectral_density(E, alpha: float, quad: QuadratureConfig = QuadratureConfig()):
     """Limiting spectral density at energy E by Stieltjes inversion.
 
-    Evaluates (1/pi) Im[i s_{1, E+i eta}(gamma~*_{E+i eta})] on a
-    decreasing eta ladder and removes the O(eta) smoothing bias by
+    Evaluates (1/pi) Im[i s_{1, E+i eta}(gamma~*_{E+i eta})] at each eta
+    of ``ETA_LADDER`` and removes the O(eta) smoothing bias by
     first-order Richardson extrapolation.  Returns the extrapolated
     value and the change of the last extrapolation step as its error:
     two floats for a scalar E, two arrays of E's shape otherwise.
@@ -552,21 +553,18 @@ def spectral_density(E, alpha: float, eta_ladder=(0.1, 0.05, 0.025),
     The consistency equation grows spurious attracting roots at moderate
     E and small eta; the physical branch (the one matching the
     population dynamics and a nonnegative density) is selected by
-    starting high in the upper half-plane, where the map is a strong
+    starting at height max(4, 2|E|), where the map is a strong
     contraction with a unique root, and tracking the analytic branch
     down through every ladder eta with warm-started Newton steps, in one
     continuation per energy.  A negative density at a rung means the
     track jumped.
     """
-    etas = tuple(float(e) for e in eta_ladder)
-    if len(etas) < 2 or any(b >= a for a, b in zip(etas, etas[1:])):
-        raise ValueError("eta ladder must strictly decrease, length >= 2")
     shape = np.shape(E)
     E = np.asarray(E, dtype=float).ravel()
-    h = np.maximum(max(4.0, etas[0]), 2.0 * np.abs(E))
+    h = np.maximum(4.0, 2.0 * np.abs(E))
     x = solve_tilde_gamma(E + 1j * h, alpha, quad=quad)
     f_eta = []
-    for eta in etas:
+    for eta in ETA_LADDER:
         # every energy starts at its own height; only those above eta step
         while np.any(above := h > eta):
             h[above] = np.maximum(eta, 0.75 * h[above])
@@ -579,23 +577,22 @@ def spectral_density(E, alpha: float, eta_ladder=(0.1, 0.05, 0.025),
             raise FixedPointError(
                 f"branch tracking lost the physical root at z={complex(z[lost[0]])}")
         f_eta.append(m.imag / np.pi)
-    extrap = [(ea * fb - eb * fa) / (ea - eb)
-              for (ea, fa), (eb, fb) in zip(zip(etas, f_eta), zip(etas[1:], f_eta[1:]))]
+    extrap = [(ea * fb - eb * fa) / (ea - eb) for ea, eb, fa, fb
+              in zip(ETA_LADDER, ETA_LADDER[1:], f_eta, f_eta[1:])]
     value = extrap[-1]
-    err = np.abs(extrap[-1] - extrap[-2]) if len(extrap) > 1 else np.abs(value - f_eta[-1])
+    err = np.abs(extrap[-1] - extrap[-2])
     if not shape:
         return float(value[0]), float(err[0])
     return value.reshape(shape), err.reshape(shape)
 
 
 def stieltjes_mass(a, b, alpha: float, n_points: int = 33,
-                   eta_ladder=(0.1, 0.05, 0.025),
                    quad: QuadratureConfig = QuadratureConfig()):
     """Mass of the limiting measure on [a, b] by Simpson over the density
     at an odd number ``n_points`` of equally spaced energies; a and b
     broadcast into one density call, scalars give a float."""
     xs = np.linspace(a, b, n_points, axis=-1)
-    fs = spectral_density(xs, alpha, eta_ladder, quad)[0]
+    fs = spectral_density(xs, alpha, quad)[0]
     mass = simpson(fs, a, b)
     return float(mass) if np.ndim(mass) == 0 else mass
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -372,6 +373,15 @@ def test_empty_sample_grid_in_config_exits_1(command, key, value, reason, tmp_pa
     ("density", "alpha", -1, "config key 'alpha' must lie strictly inside (0, 2), got -1"),
     ("local-law", "alpha", 2.5,
      "config key 'alpha' must lie strictly inside (0, 2), got 2.5"),
+    # json reads Infinity: quad_scale overflowed QuadratureConfig.scaled,
+    # fixed_width failed a scalar solve at z=nan, energies wrote E=inf rows
+    ("solve-fixed-point", "quad_scale", math.inf,
+     "config key 'quad_scale' must be finite, got Infinity"),
+    ("density", "quad_scale", math.nan, "config key 'quad_scale' must be finite, got NaN"),
+    ("local-law", "fixed_width", math.inf,
+     "config key 'fixed_width' must be finite, got Infinity"),
+    ("localization-sweep", "energies", [0.0, -math.inf],
+     "config key 'energies' must be finite, got [0.0, -Infinity]"),
 ])
 def test_config_value_out_of_range_exits_1(command, key, value, reason, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
@@ -422,18 +432,22 @@ def test_config_that_is_not_an_object_is_refused():
         ExperimentConfig.from_json("[1.0]")
 
 
-def test_config_with_unknown_key_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("command, key, value", [
     # a config written when ExperimentConfig still had output_dir
+    ("localization-sweep", "output_dir", "runs"),
+    # a config written when it still had eta_ladder; this negative rung
+    # kept density's continuation stepping for ever
+    ("density", "eta_ladder", [0.1, -0.05]),
+], ids=["output_dir", "eta_ladder"])
+def test_config_with_unknown_key_exits_1(command, key, value, tmp_path, capsys):
     cfg_path = tmp_path / "old.json"
-    cfg_path.write_text(json.dumps({**json.loads(small_cfg().to_json()),
-                                    "output_dir": "runs"}))
-    with pytest.raises(ValueError, match="output_dir"):
+    cfg_path.write_text(json.dumps({**json.loads(small_cfg().to_json()), key: value}))
+    with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_json(cfg_path.read_text())
-    rc = main(["localization-sweep", "--config", str(cfg_path),
-               "--out", str(tmp_path / "out")])
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "output_dir" in captured.err and captured.out == ""
+    assert key in captured.err and captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

@@ -777,8 +777,6 @@ def test_density_symmetry_and_known_scale():
     assert 0.25 < f0 < 0.4  # bounded density, same scale as the semicircle
     assert abs(spectral_density(0.4, 1.0)[0]
                - spectral_density(-0.4, 1.0)[0]) < 1e-6
-    with pytest.raises(ValueError):
-        spectral_density(0.0, 1.0, eta_ladder=(0.1,))
 
 
 def test_density_near_alpha_two():
@@ -791,17 +789,18 @@ def test_density_near_alpha_two():
     assert np.all(np.abs(doubled - value) <= err)
 
 
-def test_density_ladder_above_the_start():
-    # eta = 6 lies above max(4, 2|E|): its root must be solved at 6i, not 4i
-    etas = (6.0, 5.0)
+def test_density_is_richardson_on_the_eta_ladder():
+    # each rung solved on its own at E = 0, without the continuation
     f = []
-    for eta in etas:
+    for eta in fp.ETA_LADDER:
         x = solve_tilde_gamma(1j * eta, 1.0)
         f.append((1j * fp.s_p(1j * eta, x, 1.0, 1.0)).imag / np.pi)
-    direct = (etas[0] * f[1] - etas[1] * f[0]) / (etas[0] - etas[1])
-    value, err = spectral_density(0.0, 1.0, eta_ladder=etas)
-    assert abs(value - direct) <= 1e-10 * abs(direct)
-    assert abs(err - abs(direct - f[1])) <= 1e-10 * abs(direct)
+    (e0, e1, e2), (f0, f1, f2) = fp.ETA_LADDER, f
+    first = (e0 * f1 - e1 * f0) / (e0 - e1)
+    last = (e1 * f2 - e2 * f1) / (e1 - e2)
+    value, err = spectral_density(0.0, 1.0)
+    assert abs(value - last) <= 1e-10 * abs(last)
+    assert abs(err - abs(last - first)) <= 1e-10 * abs(last)
 
 
 def _flip_s1(monkeypatch, re_s1, at=None):
