@@ -51,12 +51,21 @@ def _load_config(args) -> ExperimentConfig:
     return cfg.with_overrides(alpha=alpha, master_seed=args.seed)
 
 
+def finite(text: str) -> float:
+    """argparse type of every float option: a float that is finite, so
+    that ``inf`` or ``nan`` stops at parsing under the option's name."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _common(parser, with_alpha=True):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--out", default="out", help="output directory")
     if with_alpha:
-        parser.add_argument("--alpha", type=float, default=None)
+        parser.add_argument("--alpha", type=finite, default=None)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -77,29 +86,29 @@ def _parser() -> argparse.ArgumentParser:
 
     fx = sub.add_parser("solve-fixed-point", help="order-parameter fixed point")
     _common(fx)
-    fx.add_argument("--z-re", type=float, default=0.0)
-    fx.add_argument("--z-im", type=float, default=0.1)
-    fx.add_argument("--tol", type=float, default=1e-7)
+    fx.add_argument("--z-re", type=finite, default=0.0)
+    fx.add_argument("--z-im", type=finite, default=0.1)
+    fx.add_argument("--tol", type=finite, default=1e-7)
     fx.add_argument("--grid", type=int, default=65)
 
     de = sub.add_parser("density", help="limiting spectral density table")
     _common(de)
-    de.add_argument("--e-max", type=float, default=2.0)
+    de.add_argument("--e-max", type=finite, default=2.0)
     de.add_argument("--points", type=int, default=21)
 
     pd = sub.add_parser("population-dynamics", help="pool for the recursive law")
     _common(pd)
-    pd.add_argument("--z-re", type=float, default=0.0)
-    pd.add_argument("--z-im", type=float, default=0.2)
+    pd.add_argument("--z-re", type=finite, default=0.0)
+    pd.add_argument("--z-im", type=finite, default=0.2)
     pd.add_argument("--pool", type=int, default=100000)
     pd.add_argument("--sweeps", type=int, default=30)
     pd.add_argument("--K", type=int, default=200)
 
     ks = sub.add_parser("kernel-scan", help="Fredholm determinant scan over alpha")
     _common(ks, with_alpha=False)
-    ks.add_argument("--alpha-min", type=float, default=1.1)
-    ks.add_argument("--alpha-max", type=float, default=1.9)
-    ks.add_argument("--step", type=float, default=0.05)
+    ks.add_argument("--alpha-min", type=finite, default=1.1)
+    ks.add_argument("--alpha-max", type=finite, default=1.9)
+    ks.add_argument("--step", type=finite, default=0.05)
     ks.add_argument("--nodes", type=int, default=64)
     ks.add_argument("--no-refine", action="store_true")
     return p

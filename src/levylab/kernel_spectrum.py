@@ -14,18 +14,35 @@ panels with an exact moment rule whose nodes all lie above x = 0.  The
 row integrals that fix P's diagonal depend on the two angles only
 through cos(theta - omega), so their y integral is one interpolated
 profile on [0, 1] and no (theta, y, omega) tensor is formed.
-``assemble_P`` takes them after its kernel entries (blocks on
-``fixed_point.WORKERS`` threads), as their BLAS call leaves OpenBLAS
-spinning on a core, and raises ValueError on a non-finite entry.  The
-determinants never solve H whole: in the components (f, g+h, g-h) H is
-block upper-triangular with exact zeros, so its eigenvalues come from a
-2n- and an n-square block, in real arithmetic when alpha is real.
+``assemble_P`` computes its kernel entries in blocks on
+``fixed_point.WORKERS`` threads and raises ValueError on a non-finite
+entry.  The determinants never solve H whole: in the components
+(f, g+h, g-h) H is block upper-triangular with exact zeros, so its
+eigenvalues come from a 2n- and an n-square block, in real arithmetic
+when alpha is real.
+
+The module's own dense linear algebra (the row integrals' products and
+the two eigensolves) runs inside ``one_blas_thread``, which sets every
+loaded OpenBLAS to one thread and restores its count on exit.  A
+threaded OpenBLAS call leaves a worker busy-waiting on a core: about
+127 ms of CPU after one eigensolve at 96 nodes on a 2-core Intel Xeon,
+longer than a determinant with its refinement, so the kernel pool that
+followed shared the cores with it.  At these sizes one thread is also
+the faster solver (6.7 against 8.0 ms at alpha = 1.5 and 15.6 against
+18.1 ms at 1.5+5i for the eigenvalues on 96 nodes).  The thread count
+is process-wide: while the context is open, BLAS calls from other
+threads of the process run on one thread too.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -44,6 +61,79 @@ def c_prime(alpha) -> complex:
     alpha = complex(alpha)
     a0_sq = gamma_fn(1.0 - 0.5 * alpha) / gamma_fn(1.0 + 0.5 * alpha)
     return c_alpha(alpha) * 2.0 / (alpha * a0_sq)
+
+
+# ---------------------------------------------------------------------------
+# the BLAS thread count
+# ---------------------------------------------------------------------------
+
+#: (get, set) thread-count entry points of an OpenBLAS library: the names
+#: numpy's scipy-openblas wheels export, then plain OpenBLAS's
+OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@cache
+def _openblas_threads() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS the process has
+    loaded, found by path in ``/proc/self/maps``; empty where there is
+    no such file or no loaded library exports a pair of those symbols."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {fields[5].strip() for fields in (line.split(maxsplit=5) for line in fh)
+                     if len(fields) == 6}
+    except OSError:
+        return ()
+    found = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+_blas_lock = threading.Lock()
+#: contexts open now, and the counts the last one to close restores
+_blas_depth = 0
+_blas_saved: list[int] = []
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread.
+
+    The first context to open reads each library's thread count and sets
+    it to 1; the last to close restores the counts, also when the body
+    raises.  The count is process-wide, so BLAS calls from other threads
+    run on one thread while a context is open.  Where no OpenBLAS
+    thread-count symbol is found the context does nothing.
+    """
+    global _blas_depth
+    apis = _openblas_threads()
+    with _blas_lock:
+        if not _blas_depth:
+            _blas_saved[:] = [get() for get, _ in apis]
+            for _, set_ in apis:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if not _blas_depth:
+                for (_, set_), count in zip(apis, _blas_saved):
+                    set_(count)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +294,8 @@ def kernel_row_integrals(alpha, omegas: np.ndarray, n_theta: int = 96) -> np.nda
     a = alpha if alpha.imag else alpha.real
     th, wsin = sin2_theta_rule(n_theta, 0.5 * a - 1.0)
     omegas = np.asarray(omegas, dtype=float)
-    return wsin @ row_profile(alpha, np.cos(th[:, None] - omegas[None, :]))
+    with one_blas_thread():
+        return wsin @ row_profile(alpha, np.cos(th[:, None] - omegas[None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +524,8 @@ def _eigenvalues(mat: np.ndarray) -> np.ndarray:
         mat = mat.real
     top = np.block([[blk(0, 0), 0.5 * (blk(0, 1) + blk(0, 2))],
                     [2.0 * blk(1, 0), blk(1, 2)]])
-    return np.concatenate([np.linalg.eigvals(top), np.linalg.eigvals(-blk(1, 2))])
+    with one_blas_thread():
+        return np.concatenate([np.linalg.eigvals(top), np.linalg.eigvals(-blk(1, 2))])
 
 
 def _dets(mu: np.ndarray, m: int, alpha: complex) -> tuple[complex, complex, int]:

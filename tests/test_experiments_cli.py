@@ -407,6 +407,25 @@ def test_alpha_override_out_of_range_exits_1(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, option, text", [
+    # wrote "z_re": Infinity into the metadata and exited 0
+    (["population-dynamics", "--z-re", "inf", "--pool", "100", "--sweeps", "2", "--K", "10"],
+     "--z-re", "inf"),
+    # failed deep in a scalar solve at z=(nan+nanj), naming no option
+    (["density", "--e-max", "nan", "--points", "3"], "--e-max", "nan"),
+    # failed with "last residual nan"
+    (["solve-fixed-point", "--z-im", "nan"], "--z-im", "nan"),
+])
+def test_non_finite_float_option_is_refused_by_name(argv, option, text, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert f"argument {option}: must be a finite number, got '{text}'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_kernel_scan_too_few_nodes_exits_1(tmp_path, capsys):
     # no alpha can be assembled on 8 nodes: one argument error before the
     # scan, not a partial run of 17 identical skips

@@ -1,6 +1,8 @@
 import dataclasses
 import multiprocessing
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -500,3 +502,96 @@ def test_alpha_scan_refinement_stable():
         assert np.isfinite(abs(r.det_deflated))
         assert r.refinement_delta <= 0.05
         assert r.n_structural == 2
+
+
+# ---------------------------------------------------------------------------
+# the BLAS thread count
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def blas_at_two_threads():
+    """The loaded OpenBLAS libraries' (get, set) pairs, each set to 2
+    threads for the test and reset to its own count after it."""
+    apis = ks._openblas_threads()
+    if not apis:
+        pytest.skip("no loaded OpenBLAS exports a thread-count symbol")
+    before = [get() for get, _ in apis]
+    for _, set_ in apis:
+        set_(2)
+    yield apis
+    for (_, set_), count in zip(apis, before):
+        set_(count)
+
+
+def _counts(apis):
+    return [get() for get, _ in apis]
+
+
+def test_one_blas_thread_restores_the_count(blas_at_two_threads):
+    apis = blas_at_two_threads
+    with ks.one_blas_thread():
+        assert _counts(apis) == [1] * len(apis)
+    assert _counts(apis) == [2] * len(apis)
+    with pytest.raises(RuntimeError, match="raised inside"):
+        with ks.one_blas_thread():
+            raise RuntimeError("raised inside")
+    assert _counts(apis) == [2] * len(apis)
+    # contexts of two threads overlap without nesting: the last to close restores
+    first, second = ks.one_blas_thread(), ks.one_blas_thread()
+    first.__enter__()
+    second.__enter__()
+    first.__exit__(None, None, None)
+    assert _counts(apis) == [1] * len(apis)
+    second.__exit__(None, None, None)
+    assert _counts(apis) == [2] * len(apis)
+    ks.fredholm_det(ks.assemble_H(1.5 + 5j, 32), 2, refine=True)
+    assert _counts(apis) == [2] * len(apis)
+
+
+def test_one_blas_thread_from_many_threads(blas_at_two_threads):
+    # more threads than cores open and close contexts under fast thread
+    # switching: each body sees one thread, and the count is back at the end
+    apis = blas_at_two_threads
+    seen = []
+
+    def loop():
+        for _ in range(200):
+            with ks.one_blas_thread():
+                seen.append(_counts(apis))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=loop) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 800 and all(c == [1] * len(apis) for c in seen)
+    assert _counts(apis) == [2] * len(apis)
+
+
+def test_one_blas_thread_does_nothing_without_the_symbols(monkeypatch):
+    apis = ks._openblas_threads()
+    before = _counts(apis)
+    monkeypatch.setattr(ks, "_openblas_threads", lambda: ())
+    with ks.one_blas_thread():
+        assert _counts(apis) == before
+    with pytest.raises(ValueError, match="raised inside"):
+        with ks.one_blas_thread():
+            raise ValueError("raised inside")
+    assert _counts(apis) == before
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_real_eigenvalues_do_not_depend_on_the_blas_threads(alpha, blas_at_two_threads,
+                                                           monkeypatch):
+    H = ks.assemble_H(alpha, 48).matrix
+    inside = ks._eigenvalues(H)
+    with monkeypatch.context() as m:
+        m.setattr(ks, "_openblas_threads", lambda: ())
+        outside = ks._eigenvalues(H)  # on the fixture's two threads
+    assert np.array_equal(inside, outside)
