@@ -2,8 +2,9 @@
 
 Each run leaves ``<kind>-<hash>.meta.json`` (plus ``<kind>-<hash>.csv``
 for tabular results) and prints every path on its own line.
-Exit codes: 0 success, 2 partial (some samples skipped), 1 failure
-(a ``RuntimeError`` or ``ValueError``, including a bad config file).
+Exit codes: 0 success, 2 partial (some samples skipped, files
+written), 1 failure (a ``RuntimeError`` or ``ValueError``, including a
+bad config file, or an option argparse refuses; no files written).
 """
 
 from __future__ import annotations
@@ -68,9 +69,17 @@ def _common(parser, with_alpha=True):
         parser.add_argument("--alpha", type=finite, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that refuses an option with exit code 1, not 2, so that 2
+    means only a partial run; its subcommand parsers are of this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="levylab",
-                                description="heavy-tailed random matrix laboratory")
+    p = _Parser(prog="levylab", description="heavy-tailed random matrix laboratory")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -637,10 +637,13 @@ def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
     sweep resamples every slot of a sub-pool with fresh truncated weights
     and members chosen uniformly from the same sub-pool (synchronous
     update), drawing the indices and then the exponentials.  A sub-pool
-    runs all of its sweeps as one task on a thread pool, so results are
-    independent of work scheduling.  Convergence is tracked through the
-    fractional moment mean (Im R)^(alpha/2), with a 1%-per-sweep
-    criterion on top of the fixed sweep count.
+    fills one (n, K) buffer with each sweep's exponentials and overwrites
+    them with the weights (``arrival_weights``), so a sweep allocates no
+    (n, K) float array.  A sub-pool runs all of its sweeps as one task on
+    a thread pool, so results are independent of work scheduling.
+    Convergence is tracked through the fractional moment mean
+    (Im R)^(alpha/2), with a 1%-per-sweep criterion on top of the fixed
+    sweep count.
     """
     z = complex(z)
     if z.imag <= 0:
@@ -663,10 +666,11 @@ def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
         # indices without a copy
         members = np.full(n, -1.0 / (z + 1j))
         indptr = np.arange(0, n * K + 1, K, dtype=np.int32)
+        buffer = np.empty((n, K))
         sums = []
         for _ in range(sweeps):
             idx = sub_rng.integers(0, n, size=(n, K), dtype=np.int32)
-            xi = arrival_weights(alpha, sub_rng.standard_exponential((n, K)))
+            xi = arrival_weights(alpha, sub_rng.standard_exponential(out=buffer))
             gather = csr_array((xi.ravel(), idx.ravel(), indptr), shape=(n, n))
             S = (gather @ np.ascontiguousarray(members.real)
                  + 1j * (gather @ np.ascontiguousarray(members.imag)))

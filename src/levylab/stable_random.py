@@ -75,8 +75,14 @@ def arrival_weights(alpha: float, exponentials: np.ndarray) -> np.ndarray:
     """xi_k = Gamma_k^(-2/alpha) along the last axis, in place.
 
     Gamma_k = E_1 + ... + E_k are the partial sums of the given unit
-    exponentials, which are overwritten by the weights.
+    exponentials, which are overwritten by the weights; the buffer itself
+    is returned.  The sums are a recurrence over columns, Gamma_k =
+    Gamma_(k-1) + E_k, one vector add per k across all rows: the same
+    additions in the same order as ``np.cumsum(axis=-1)``, so bit for bit
+    its result, without its scalar loop along each row.
     """
     _check_alpha(alpha)
-    arrivals = np.cumsum(exponentials, axis=-1, out=exponentials)
-    return np.power(arrivals, -2.0 / alpha, out=arrivals)
+    e = exponentials
+    for k in range(1, e.shape[-1]):
+        np.add(e[..., k - 1], e[..., k], out=e[..., k])
+    return np.power(e, -2.0 / alpha, out=e)

@@ -420,10 +420,35 @@ def test_non_finite_float_option_is_refused_by_name(argv, option, text, tmp_path
     with pytest.raises(SystemExit) as exit_info:
         main(argv + ["--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
-    assert exit_info.value.code == 2
+    assert exit_info.value.code == 1
     assert f"argument {option}: must be a finite number, got '{text}'" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["population-dynamics", "--no-such-option"],
+    ["population-dynamics", "--pool", "many"],
+    ["no-such-command"],
+    [],
+])
+def test_refused_arguments_exit_1_with_usage(argv, tmp_path, capsys):
+    # 2 is left to a partial run, which has written its files
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path / "out")] if argv else argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 1
+    assert captured.err.startswith("usage: levylab") and "error: " in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["kernel-scan", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out
 
 
 def test_kernel_scan_too_few_nodes_exits_1(tmp_path, capsys):

@@ -521,9 +521,9 @@ def test_population_dynamics_rejects_empty_sizes(field):
 
 def _serial_pool(z, alpha, pool_size, sweeps, K, rng):
     """The one-thread loop over the sub-pools that the threaded run must
-    reproduce bit for bit: each sub-pool's sweeps on its own stream, S by
-    np.einsum; and the plain pool mean of (Im R)^(alpha/2) per sweep."""
-    from levylab.stable_random import poisson_weights_matrix
+    reproduce bit for bit: each sub-pool's sweeps on its own stream, the
+    weights by np.cumsum and S by np.einsum, none of it the package's
+    code; and the plain pool mean of (Im R)^(alpha/2) per sweep."""
     pool = np.empty(pool_size, dtype=complex)
     history = np.zeros(sweeps)
     for sub_rng, sl in zip(rng.spawn(fp.SUBPOOLS), fp.subpool_slices(pool_size)):
@@ -531,7 +531,8 @@ def _serial_pool(z, alpha, pool_size, sweeps, K, rng):
         members = np.full(n, -1.0 / (z + 1j))
         for sweep in range(sweeps):
             idx = sub_rng.integers(0, n, size=(n, K))
-            xi = poisson_weights_matrix(alpha, (n, K), sub_rng)
+            xi = np.power(np.cumsum(sub_rng.standard_exponential((n, K)), axis=-1),
+                          -2.0 / alpha)
             members = -1.0 / (z + np.einsum("rk,rk->r", xi, members[idx]))
             history[sweep] += np.sum(members.imag ** (alpha / 2)) / pool_size
         pool[sl] = members

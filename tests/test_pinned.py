@@ -84,6 +84,10 @@ FREDHOLM_ALPHAS = [1.1, 1.5 + 5j]
 FREDHOLM_NODES = 32
 #: pool members kept from a run of eight sub-pools (every 250th slot)
 POOL_Z = [0.2j, 0.3 + 0.2j]
+#: a pool at the bench's K, recorded before the arrival sums became a
+#: recurrence over columns and the sweep reused its exponentials' buffer
+POOL_BENCH_Z = 0.5 + 0.2j
+POOL_BENCH_K = 200
 DENSITY_ALPHAS = [0.8, 1.0]
 DENSITY_E = [0.0, 0.5, 1.0, 2.5, 5.0]
 R_P_Z = [0.25j, 1j]
@@ -137,8 +141,8 @@ def _fredholm(alpha, field):
     return np.array([getattr(res, field)], dtype=complex)
 
 
-def _pool(z):
-    pool = fp.population_dynamics(z, 1.0, pool_size=3001, sweeps=4, K=60,
+def _pool(z, sweeps=4, K=60):
+    pool = fp.population_dynamics(z, 1.0, pool_size=3001, sweeps=sweeps, K=K,
                                   rng=np.random.default_rng(17))
     return pool.pool[::250]
 
@@ -189,6 +193,8 @@ def cases() -> dict:
                 partial(_fredholm, a, field)
     for z in POOL_Z:
         out[f"population_dynamics z={z}"] = partial(_pool, z)
+    out[f"population_dynamics z={POOL_BENCH_Z} K={POOL_BENCH_K}"] = \
+        partial(_pool, POOL_BENCH_Z, sweeps=3, K=POOL_BENCH_K)
     for a in DENSITY_ALPHAS:
         out[f"spectral_density alpha={a}"] = partial(_density, a)
     out["stieltjes_mass(-0.1, 0.1, 1.0, n_points=9)"] = \

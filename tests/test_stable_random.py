@@ -3,6 +3,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from levylab.stable_random import (
+    arrival_weights,
     poisson_weights_matrix,
     sample_standard_stable,
     substream,
@@ -48,6 +49,16 @@ def test_characteristic_function(alpha):
     for t in (0.5, 1.0, 2.0):
         emp = np.mean(np.cos(t * x))
         assert abs(emp - np.exp(-tail_one_sigma_alpha(alpha) * t ** alpha)) < 4 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 1.8])
+@pytest.mark.parametrize("shape", [(200,), (1, 200), (300, 1), (300, 200)])
+def test_arrival_weights_are_the_power_of_cumsum_in_place(alpha, shape):
+    exponentials = substream(48).standard_exponential(shape)
+    expected = np.power(np.cumsum(exponentials, axis=-1), -2.0 / alpha)
+    got = arrival_weights(alpha, exponentials)
+    assert got is exponentials
+    assert np.array_equal(got, expected)
 
 
 def test_poisson_weights_contract():
