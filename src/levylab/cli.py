@@ -126,15 +126,16 @@ def _parser() -> argparse.ArgumentParser:
 def sample_spectrum(cfg, args) -> RunRecord:
     seed = derived_seed(cfg.master_seed, args.n, 0)
     lam = eigenvalues(build_levy_matrix(args.n, cfg.alpha, seed))
-    return RunRecord("sample-spectrum", cfg, columns=("index", "eigenvalue"),
-                     rows=tuple(enumerate(lam)))
+    return RunRecord("sample-spectrum", cfg.select("alpha", "master_seed"),
+                     columns=("index", "eigenvalue"), rows=tuple(enumerate(lam)))
 
 
 def solve_fixed_point(cfg, args) -> RunRecord:
     quad = QuadratureConfig().scaled(cfg.quad_scale)
     sol = solve_gamma_star(complex(args.z_re, args.z_im), cfg.alpha,
                            tol=args.tol, m=args.grid, quad=quad)
-    return RunRecord("solve-fixed-point", cfg, fields=sol.checkpoint(quad))
+    return RunRecord("solve-fixed-point", cfg.select("alpha", "quad_scale"),
+                     fields=sol.checkpoint(quad))
 
 
 def density(cfg, args) -> RunRecord:
@@ -143,7 +144,7 @@ def density(cfg, args) -> RunRecord:
     quad = QuadratureConfig().scaled(cfg.quad_scale)
     es = np.linspace(0.0, args.e_max, args.points)
     vals, errs = spectral_density(es, cfg.alpha, quad=quad)
-    return RunRecord("density", cfg,
+    return RunRecord("density", cfg.select("alpha", "quad_scale"),
                      columns=("E", "f_star", "eta_used", "extrapolation_error"),
                      rows=tuple((e, val, ETA_LADDER[-1], err)
                                 for e, val, err in zip(es, vals, errs)))
@@ -155,7 +156,7 @@ def pool_run(cfg, args) -> RunRecord:
                                substream(cfg.master_seed, 0xB0D))
     m1, se1 = pool_moment(pool, 1.0, "abs")
     m2, se2 = pool_moment(pool, 2.0, "abs")
-    return RunRecord("population-dynamics", cfg, fields={
+    return RunRecord("population-dynamics", cfg.select("alpha", "master_seed"), fields={
         "z_re": z.real, "z_im": z.imag, "alpha": cfg.alpha,
         "pool_size": args.pool, "sweeps": args.sweeps, "K": args.K,
         "converged": pool.converged, "m_history": list(pool.m_history),

@@ -121,12 +121,23 @@ class ExperimentConfig:
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
+    def select(self, *keys: str) -> dict:
+        """The given keys and their values: the config of a record whose
+        run reads only these keys."""
+        return {key: getattr(self, key) for key in keys}
+
+
+#: every config key, all of which ``local-law`` reads
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+
 
 @dataclass(frozen=True)
 class RunRecord:
     """One run of one subcommand: what was asked and what came out.
 
-    ``config`` is None for a run that reads no config (``kernel-scan``);
+    ``config`` holds the config keys the run reads and their values
+    (``ExperimentConfig.select``), so a key it never reads cannot change
+    its name; it is None for a run that reads no config (``kernel-scan``).
     ``args`` are the subcommand's own arguments (never the output
     directory or the config path); ``fields`` are result values written
     at the top level of the metadata file; ``skipped`` holds one
@@ -134,7 +145,7 @@ class RunRecord:
     """
 
     kind: str
-    config: ExperimentConfig | None
+    config: dict | None
     args: dict = field(default_factory=dict)
     columns: tuple[str, ...] = ()
     rows: tuple[tuple, ...] = ()
@@ -143,8 +154,7 @@ class RunRecord:
 
     @property
     def config_hash(self) -> str:
-        config = self.config.to_json() if self.config else "null"
-        text = config + json.dumps(self.args, sort_keys=True)
+        text = json.dumps(self.config, sort_keys=True) + json.dumps(self.args, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -160,9 +170,9 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 _HELD: dict[tuple[int, float, int], SpectralDecomposition] = {}
 
 
-def _batch(kind: str, cfg: ExperimentConfig, columns, row, aggregate) -> RunRecord:
+def _batch(kind: str, cfg: ExperimentConfig, read, columns, row, aggregate) -> RunRecord:
     """The record of ``row(n, seed, sd, E)`` in (n, seed, E) order, with
-    aggregates ``aggregate(rows)``.
+    aggregates ``aggregate(rows)``; its config holds the keys ``read``.
 
     A sample whose build or eigensolve raises one of ``SAMPLE_ERRORS`` is
     noted in ``skipped``; more than 10% skipped fails the run.
@@ -201,7 +211,7 @@ def _batch(kind: str, cfg: ExperimentConfig, columns, row, aggregate) -> RunReco
         rows.extend(row(n, seed, sd, e) for e in cfg.energies)
     if len(skipped) > 0.1 * len(keys):
         raise RuntimeError(f"{len(skipped)}/{len(keys)} samples failed")
-    return RunRecord(kind, cfg, columns=columns, rows=tuple(rows),
+    return RunRecord(kind, cfg.select(*read), columns=columns, rows=tuple(rows),
                      fields={"aggregates": aggregate(rows)},
                      skipped=tuple(skipped))
 
@@ -250,7 +260,8 @@ def run_transition_sweep(cfg: ExperimentConfig) -> RunRecord:
         stats = ("", "", "") if st.is_empty else (st.Q, st.Pi, st.renyi_half)
         return (cfg.alpha, n, seed, e, 0.5 * w, st.count) + stats
 
-    return _batch("localization-sweep", cfg, SWEEP_COLUMNS, row, aggregate_sweep)
+    read = tuple(key for key in CONFIG_KEYS if key != "quad_scale")
+    return _batch("localization-sweep", cfg, read, SWEEP_COLUMNS, row, aggregate_sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +303,7 @@ def run_local_law(cfg: ExperimentConfig) -> RunRecord:
         return (cfg.alpha, n, seed, e, a, b, frac,
                 float(np.mean(np.abs(rd.values) ** 2)))
 
-    return _batch("local-law", cfg, LOCAL_LAW_COLUMNS, row,
+    return _batch("local-law", cfg, CONFIG_KEYS, LOCAL_LAW_COLUMNS, row,
                   lambda rows: aggregate_local_law(rows, mu_star))
 
 
@@ -337,7 +348,7 @@ def emit(record: RunRecord, output_dir: str | Path) -> list[Path]:
     stem = f"{record.kind}-{record.config_hash}"
     meta = {
         "kind": record.kind,
-        "config": asdict(record.config) if record.config else None,
+        "config": record.config,
         "args": record.args,
         "config_hash": record.config_hash,
         "version": __version__,

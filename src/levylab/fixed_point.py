@@ -50,7 +50,7 @@ import numpy as np
 from . import halfplane
 from .halfplane import HALF_PI, HomogeneousFn, dot
 from .quadrature import gamma as gamma_fn, power_rule, simpson, sin2_theta_rule, tanh_sinh
-from .stable_random import _check_alpha, arrival_weights
+from .stable_random import _check_alpha, poisson_weights_matrix
 
 class QuadratureError(RuntimeError):
     pass
@@ -636,11 +636,11 @@ def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
     starts at -1/(z + i), the mean of R if S were standard Cauchy; each
     sweep resamples every slot of a sub-pool with fresh truncated weights
     and members chosen uniformly from the same sub-pool (synchronous
-    update), drawing the indices and then the exponentials.  A sub-pool
-    fills one (n, K) buffer with each sweep's exponentials and overwrites
-    them with the weights (``arrival_weights``), so a sweep allocates no
-    (n, K) float array.  A sub-pool runs all of its sweeps as one task on
-    a thread pool, so results are independent of work scheduling.
+    update), drawing the indices and then the weights, which
+    ``poisson_weights_matrix`` writes into one (n, K) buffer per sub-pool,
+    so a sweep allocates no (n, K) float array.  A sub-pool runs all of
+    its sweeps as one task on a thread pool, so results are independent
+    of work scheduling.
     Convergence is tracked through the fractional moment mean
     (Im R)^(alpha/2), with a 1%-per-sweep criterion on top of the fixed
     sweep count.
@@ -670,7 +670,7 @@ def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
         sums = []
         for _ in range(sweeps):
             idx = sub_rng.integers(0, n, size=(n, K), dtype=np.int32)
-            xi = arrival_weights(alpha, sub_rng.standard_exponential(out=buffer))
+            xi = poisson_weights_matrix(alpha, sub_rng, buffer)
             gather = csr_array((xi.ravel(), idx.ravel(), indptr), shape=(n, n))
             S = (gather @ np.ascontiguousarray(members.real)
                  + 1j * (gather @ np.ascontiguousarray(members.imag)))

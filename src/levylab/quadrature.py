@@ -148,14 +148,10 @@ def gauss_jacobi(n: int, b: float):
     return x, w * (2.0 ** (b + 1.0) / (b + 1.0) / w.sum())
 
 
-@lru_cache(maxsize=64)
-def _gl(n: int):
-    return gauss_jacobi(n, 0.0)
-
-
 @lru_cache(maxsize=256)
 def cached_roots_jacobi(n: int, b: float):
-    """Gauss-Jacobi rule on [-1, 1] for the weight (1 + x)^b."""
+    """Gauss-Jacobi rule on [-1, 1] for the weight (1 + x)^b; every Gauss
+    rule the package uses comes from here, Gauss-Legendre as b = 0."""
     return gauss_jacobi(n, b)
 
 
@@ -231,7 +227,7 @@ def _moment_tail(expo: complex, u1: float, order: int):
     from the modified moments mu_k = int_0^1 t^expo P_k(2t - 1) dt
     (Piessens & Branders, BIT 13 (1973) 443), in closed form
     prod_{j<k} (expo - j) / prod_{j=1..k+1} (expo + j)."""
-    x, w = _gl(order)
+    x, w = cached_roots_jacobi(order, 0.0)
     k = np.arange(order)
     mu = np.cumprod(np.concatenate([[1.0 / (1.0 + expo)],
                                     (expo - k[:-1]) / (expo + k[1:] + 1.0)]))
@@ -291,7 +287,7 @@ def gauss_legendre_panels(breaks, order: int):
     rule); nodes and weights then keep the leading axes, panel by panel.
     A zero-width panel contributes nodes with zero weight.
     """
-    x, w = _gl(order)
+    x, w = cached_roots_jacobi(order, 0.0)
     breaks = np.asarray(breaks, dtype=float)
     lo = breaks[..., :-1, None]
     hi = breaks[..., 1:, None]

@@ -59,30 +59,21 @@ def sample_standard_stable(alpha: float, rng: np.random.Generator, size):
     return sigma * x
 
 
-def poisson_weights_matrix(alpha: float, shape: tuple[int, int],
-                           rng: np.random.Generator) -> np.ndarray:
-    """Rows of independent weight vectors xi_1 >= ... >= xi_K, one per row.
+def poisson_weights_matrix(alpha: float, rng: np.random.Generator,
+                           out: np.ndarray) -> np.ndarray:
+    """Rows of independent weight vectors xi_1 >= ... >= xi_K, one per row
+    of ``out``, which is filled in place and returned.
 
-    xi_k = (E_1 + ... + E_k) ** (-2/alpha) with i.i.d. unit exponentials
-    E_i, the K largest points of the weight process: #{k : xi_k >= u} is
-    Poisson with mean u^(-alpha/2).
+    xi_k = Gamma_k ** (-2/alpha) with Gamma_k = E_1 + ... + E_k the partial
+    sums of i.i.d. unit exponentials E_i, the K largest points of the
+    weight process: #{k : xi_k >= u} is Poisson with mean u^(-alpha/2).
+    ``out`` takes the exponentials, then the sums by a recurrence over
+    columns, Gamma_k = Gamma_(k-1) + E_k, one vector add per k across all
+    rows: the same additions in the same order as ``np.cumsum(axis=-1)``,
+    so bit for bit its result, without its scalar loop along each row.
     """
     _check_alpha(alpha)
-    return arrival_weights(alpha, rng.standard_exponential(shape))
-
-
-def arrival_weights(alpha: float, exponentials: np.ndarray) -> np.ndarray:
-    """xi_k = Gamma_k^(-2/alpha) along the last axis, in place.
-
-    Gamma_k = E_1 + ... + E_k are the partial sums of the given unit
-    exponentials, which are overwritten by the weights; the buffer itself
-    is returned.  The sums are a recurrence over columns, Gamma_k =
-    Gamma_(k-1) + E_k, one vector add per k across all rows: the same
-    additions in the same order as ``np.cumsum(axis=-1)``, so bit for bit
-    its result, without its scalar loop along each row.
-    """
-    _check_alpha(alpha)
-    e = exponentials
+    e = rng.standard_exponential(out=out)
     for k in range(1, e.shape[-1]):
         np.add(e[..., k - 1], e[..., k], out=e[..., k])
     return np.power(e, -2.0 / alpha, out=e)

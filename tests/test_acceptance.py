@@ -54,7 +54,8 @@ def test_02_levy_khintchine_truncated():
     details = []
     ok = True
     for alpha in (0.5, 1.0):
-        xi = poisson_weights_matrix(alpha, (100_000, 200), substream(102, int(10 * alpha)))
+        xi = poisson_weights_matrix(alpha, substream(102, int(10 * alpha)),
+                                    np.empty((100_000, 200)))
         s = xi.sum(axis=1)
         for w in (1.0, 2.0):
             emp = np.mean(np.exp(-w * s))

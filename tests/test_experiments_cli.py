@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import re
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +48,7 @@ def test_config_json_round_trip():
     cfg = small_cfg()
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
-    assert RunRecord("k", back).config_hash == RunRecord("k", cfg).config_hash
+    assert RunRecord("k", asdict(back)).config_hash == RunRecord("k", asdict(cfg)).config_hash
 
 
 def test_derived_seeds_are_stable_and_distinct():
@@ -92,7 +94,7 @@ def test_metadata_names_the_numeric_environment(tmp_path, monkeypatch):
     import scipy
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    rec = RunRecord("k", small_cfg(), args={"n": 40})
+    rec = RunRecord("k", asdict(small_cfg()), args={"n": 40})
     meta = json.loads(emit(rec, tmp_path)[0].read_text())
     env = meta["environment"]
     assert env["python"] == platform.python_version()
@@ -110,9 +112,9 @@ def test_metadata_names_the_numeric_environment(tmp_path, monkeypatch):
 
 def test_hash_covers_config_and_arguments():
     cfg = small_cfg()
-    base = RunRecord("k", cfg, args={"n": 40})
-    assert RunRecord("k", cfg, args={"n": 41}).config_hash != base.config_hash
-    assert RunRecord("k", small_cfg(master_seed=4), args={"n": 40}).config_hash \
+    base = RunRecord("k", asdict(cfg), args={"n": 40})
+    assert RunRecord("k", asdict(cfg), args={"n": 41}).config_hash != base.config_hash
+    assert RunRecord("k", asdict(small_cfg(master_seed=4)), args={"n": 40}).config_hash \
         != base.config_hash
 
 
@@ -257,6 +259,58 @@ def test_cli_rerun_is_byte_identical(command, tmp_path, capsys):
         assert meta["E_abs_R"] > 0 and meta["K"] == 50
     if command == "kernel-scan":
         assert meta["config"] is None
+
+
+ALL_KEYS = {f.name for f in fields(ExperimentConfig)}
+
+#: subcommand -> (the config keys it reads, a change to a key it never reads)
+CONFIG_READS = {
+    "sample-spectrum": ({"alpha", "master_seed"}, {"n_list": [60]}),
+    "population-dynamics": ({"alpha", "master_seed"}, {"n_list": [60]}),
+    "solve-fixed-point": ({"alpha", "quad_scale"}, {"master_seed": 4}),
+    "density": ({"alpha", "quad_scale"}, {"master_seed": 4}),
+    "localization-sweep": (ALL_KEYS - {"quad_scale"}, {"quad_scale": 0.5}),
+}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_READS))
+def test_a_config_key_the_run_never_reads_does_not_rename_it(command, tmp_path, capsys):
+    keys, unread = CONFIG_READS[command]
+    extra = [a for a in CLI_CASES[command][0] if a not in ("--config", "{sweep}")]
+    base = json.loads(small_cfg(n_list=(50,), n_seeds=2).to_json())
+    runs = []
+    for i, change in enumerate(({}, unread)):
+        cfg_path = tmp_path / f"cfg{i}.json"
+        cfg_path.write_text(json.dumps({**base, **change}))
+        experiments._HELD.clear()
+        rc, printed = _cli([command, "--config", str(cfg_path), *extra,
+                            "--out", str(tmp_path / str(i))], capsys)
+        assert rc == 0
+        runs.append({p.name: p.read_bytes() for p in printed})
+        (meta,) = [json.loads(b) for n, b in runs[-1].items() if n.endswith(".meta.json")]
+        assert set(meta["config"]) == keys
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", ["density", "solve-fixed-point"])
+def test_a_master_seed_the_run_never_reads_does_not_rename_it(command, tmp_path, capsys):
+    runs = []
+    for seed in ("1", "2"):
+        rc, printed = _cli([command, *CLI_CASES[command][0], "--seed", seed,
+                            "--out", str(tmp_path / seed)], capsys)
+        assert rc == 0
+        runs.append({p.name: p.read_bytes() for p in printed})
+    assert runs[0] == runs[1]
+
+
+def test_local_law_keeps_the_name_of_its_whole_config():
+    # local-law reads every key: its name hashes the whole config's JSON
+    # plus its arguments, so the names of files written earlier still match
+    cfg = small_cfg(n_list=(40,), n_seeds=1)
+    rec = run_local_law(cfg)
+    assert rec.config == asdict(cfg)
+    text = cfg.to_json() + json.dumps(rec.args, sort_keys=True)
+    assert rec.config_hash == hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_cli_localization_sweep_with_config(tmp_path, capsys):

@@ -700,7 +700,7 @@ def test_population_levy_khintchine_closure():
     pool = population_dynamics(0.3j, alpha, pool_size=40_000, sweeps=25,
                                K=200, rng=rng)
     from levylab.stable_random import poisson_weights_matrix
-    xi = poisson_weights_matrix(alpha, (40_000, 200), rng)
+    xi = poisson_weights_matrix(alpha, rng, np.empty((40_000, 200)))
     w = -1j * pool.pool[rng.integers(0, pool.size, (40_000, 200))]
     lhs = np.mean(np.exp(-(xi * w).sum(axis=1)))
     rhs = np.exp(-gamma_fn(1 - alpha / 2) * np.mean((-1j * pool.pool) ** (alpha / 2)))

@@ -198,7 +198,7 @@ def _tail(expo):
     """The unit rule's moment tail as ``(x, w, u1)``: its last 8 nodes
     u1 * (t_j + 1) / 2 for the Gauss-Legendre points t_j."""
     x, w = quadrature._log_power_unit_rule(expo)
-    t = quadrature._gl(8)[0]
+    t = quadrature.cached_roots_jacobi(8, 0.0)[0]
     return x[-8:], w[-8:], 2.0 * x[-1] / (1.0 + t[-1])
 
 

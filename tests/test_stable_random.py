@@ -3,7 +3,6 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from levylab.stable_random import (
-    arrival_weights,
     poisson_weights_matrix,
     sample_standard_stable,
     substream,
@@ -54,27 +53,30 @@ def test_characteristic_function(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 1.8])
 @pytest.mark.parametrize("shape", [(200,), (1, 200), (300, 1), (300, 200)])
 def test_arrival_weights_are_the_power_of_cumsum_in_place(alpha, shape):
+    # the weights of the Poisson arrivals Gamma_k, drawn into ``out``, are
+    # bit for bit those of np.cumsum over the same stream's exponentials
     exponentials = substream(48).standard_exponential(shape)
     expected = np.power(np.cumsum(exponentials, axis=-1), -2.0 / alpha)
-    got = arrival_weights(alpha, exponentials)
-    assert got is exponentials
+    out = np.empty(shape)
+    got = poisson_weights_matrix(alpha, substream(48), out)
+    assert got is out
     assert np.array_equal(got, expected)
 
 
 def test_poisson_weights_contract():
     rng = substream(47)
-    xi = poisson_weights_matrix(0.8, (20, 50), rng)
+    xi = poisson_weights_matrix(0.8, rng, np.empty((20, 50)))
     assert xi.shape == (20, 50)
     assert np.all(np.diff(xi, axis=1) <= 0) and np.all(xi > 0)
     with pytest.raises(ValueError):
-        poisson_weights_matrix(2.0, (20, 50), rng)
+        poisson_weights_matrix(2.0, rng, np.empty((20, 50)))
 
 
 def test_largest_weight_distribution():
     # P(xi_1 <= x) = P(E_1 >= x^(-a/2)) = exp(-x^(-a/2))
     alpha = 1.2
     rng = substream(48)
-    xi1 = poisson_weights_matrix(alpha, (200_000, 1), rng)[:, 0]
+    xi1 = poisson_weights_matrix(alpha, rng, np.empty((200_000, 1)))[:, 0]
     for x in (0.5, 1.0, 2.0):
         target = np.exp(-x ** (-0.5 * alpha))
         emp = np.mean(xi1 <= x)
@@ -86,7 +88,7 @@ def test_largest_weight_distribution():
 def test_levy_khintchine_identity(alpha, w):
     # E exp(-sum xi_k w) = exp(-Gamma(1-a/2) w^(a/2)), real part compared
     rng = substream(49, int(alpha * 10))
-    xi = poisson_weights_matrix(alpha, (100_000, 200), rng)
+    xi = poisson_weights_matrix(alpha, rng, np.empty((100_000, 200)))
     emp = np.mean(np.exp(-xi.sum(axis=1) * w))
     target = levy_khintchine_rhs(alpha, w)
     se = np.std(np.exp(-xi.sum(axis=1) * w).real) / np.sqrt(xi.shape[0])
@@ -99,7 +101,7 @@ def test_levy_khintchine_heavy_truncation_compensated():
     # compensating by the mean lost mass restores the identity
     alpha, K, w = 1.5, 200, 1.0
     rng = substream(50)
-    xi = poisson_weights_matrix(alpha, (100_000, K), rng)
+    xi = poisson_weights_matrix(alpha, rng, np.empty((100_000, K)))
     emp = np.mean(np.exp(-xi.sum(axis=1) * w))
     tail = truncated_weight_tail_mean(alpha, K)
     target = np.exp(-gamma_fn(1 - 0.5 * alpha) * w ** (0.5 * alpha) + w * tail)
@@ -113,7 +115,7 @@ def test_alpha_one_exponential_check():
     rng = substream(51)
     vals = []
     for _ in range(30):
-        xi = poisson_weights_matrix(1.0, (1000, 10_000), rng)
+        xi = poisson_weights_matrix(1.0, rng, np.empty((1000, 10_000)))
         vals.append(np.exp(-xi.sum(axis=1)))
     emp = np.mean(np.concatenate(vals))
     assert abs(emp - np.exp(-np.sqrt(np.pi))) < 0.02 * np.exp(-np.sqrt(np.pi))
