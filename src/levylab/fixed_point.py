@@ -27,20 +27,21 @@ Quadrature layout (one shared design for every integral):
   angular profile: the integrands of ``eval_F`` and of the linearized
   map are both |w|^(-alpha/2) times a function of arg w.
 
-Three loops each open a thread pool of ``WORKERS`` threads for the length
-of the call and map their items in order: the output-angle rows of
-``difference_integral``, the sub-pools of a population run (each with all
-of its sweeps and its own random stream) and the blocks of kernel
-entries of ``kernel_spectrum.assemble_P``.  Each item is computed by
-the same arithmetic as in a serial loop, so results are bit for bit
-independent of the worker count.  The items make no large BLAS call
-(BLAS threads would compete with the pool's).
+Every parallel loop maps its items in order through ``parallel_map``:
+the output-angle rows of ``difference_integral``, the sub-pools of a
+population run (each with its sweeps and its own random stream), and the
+kernel blocks of ``kernel_spectrum.assemble_P`` and alpha values of its
+``alpha_scan``; a call on a pool thread runs inline, so pools never nest.
+Each item is computed by the same arithmetic as in a serial loop, so
+results are bit for bit independent of the worker count.  The items make
+no large BLAS call (BLAS threads would compete with the pool's).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -66,6 +67,20 @@ SAMPLE_ERRORS = (ValueError, np.linalg.LinAlgError, QuadratureError, FixedPointE
 
 #: threads of each parallel loop's pool: the cores this process may use
 WORKERS = len(os.sched_getaffinity(0))
+#: ``on_pool`` is set on the threads of a ``parallel_map`` pool as they start
+_pool_thread = threading.local()
+
+
+def parallel_map(fn, items) -> list:
+    """[fn(item) for item in items] on a pool of ``WORKERS`` threads opened
+    and joined inside the call; inline on one of its own pool threads, so
+    pools never nest, and for one item or one worker."""
+    items = list(items)
+    if WORKERS < 2 or len(items) < 2 or getattr(_pool_thread, "on_pool", False):
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(WORKERS, thread_name_prefix="levylab", initializer=setattr,
+                            initargs=(_pool_thread, "on_pool", True)) as pool:
+        return list(pool.map(fn, items))
 
 
 def c_alpha(alpha) -> complex:
@@ -226,7 +241,7 @@ def difference_integral(alpha: float, knots: tuple, out_thetas: tuple,
     relative), and the near difference cancels in D's entries as y -> 0:
     against phi at every node F differs by 3e-14 relative at alpha = 1
     and 1e-11 at 1.95, far inside the quadrature's error.  Rows are
-    built on a thread pool, one per output angle; D is read-only and cached.
+    built by ``parallel_map``, one per output angle; D is read-only and cached.
     """
     th, wt = sin2_theta_rule(n_theta, 0.5 * alpha - 1.0)
     e_th = np.exp(1j * th)
@@ -248,8 +263,7 @@ def difference_integral(alpha: float, knots: tuple, out_thetas: tuple,
         return (at_e - spread(e_th[:, None] + yj * u, near)
                 - spread(wj * e_th[:, None] + u, wt[:, None] * ww))
 
-    with ThreadPoolExecutor(WORKERS, thread_name_prefix="levylab") as pool:
-        D = np.array(list(pool.map(row, out_thetas)))
+    D = np.array(parallel_map(row, out_thetas))
     D.flags.writeable = False
     return D
 
@@ -681,11 +695,10 @@ def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
     slices = subpool_slices(pool_size)
     pool = np.empty(pool_size, dtype=complex)
     totals = np.zeros(sweeps)
-    with ThreadPoolExecutor(WORKERS, thread_name_prefix="levylab") as threads:
-        results = threads.map(run, rng.spawn(SUBPOOLS), [sl.stop - sl.start for sl in slices])
-        for sl, (members, sums) in zip(slices, results):
-            pool[sl] = members
-            totals += sums
+    jobs = zip(rng.spawn(SUBPOOLS), [sl.stop - sl.start for sl in slices])
+    for sl, (members, sums) in zip(slices, parallel_map(lambda job: run(*job), jobs)):
+        pool[sl] = members
+        totals += sums
     history = totals / pool_size
     # drift criterion on a 3-sweep moving average (raw sweeps carry MC noise)
     if len(history) >= 6:

@@ -14,12 +14,13 @@ panels with an exact moment rule whose nodes all lie above x = 0.  The
 row integrals that fix P's diagonal depend on the two angles only
 through cos(theta - omega), so their y integral is one interpolated
 profile on [0, 1] and no (theta, y, omega) tensor is formed.
-``assemble_P`` computes its kernel entries in blocks on
-``fixed_point.WORKERS`` threads and raises ValueError on a non-finite
-entry.  The determinants never solve H whole: in the components
-(f, g+h, g-h) H is block upper-triangular with exact zeros, so its
-eigenvalues come from a 2n- and an n-square block, in real arithmetic
-when alpha is real.
+``assemble_P`` maps blocks of kernel entries, and ``alpha_scan`` its
+alpha values, through ``fixed_point.parallel_map`` (inline on a pool
+thread, so a one-alpha scan spreads its kernel blocks over the cores);
+``assemble_H`` writes H's blocks into one 3n x 3n array in place.  The
+determinants never solve H whole: in the components (f, g+h, g-h) H is
+block upper-triangular with exact zeros, so its eigenvalues come from a
+2n- and an n-square block, in real arithmetic when alpha is real.
 
 The module's own dense linear algebra (the row integrals' products and
 the two eigensolves) runs inside ``one_blas_thread``, which sets every
@@ -39,7 +40,6 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -355,11 +355,11 @@ def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
     entry is set so the row acts exactly on constants (the accurate row
     integral minus the off-diagonal quadrature), which integrates the
     weak |psi-omega|^(alpha-1) singularity against a locally constant
-    density.  The upper half's off-diagonal entries run on a thread pool
-    in blocks of ``KERNEL_BLOCK`` endpoint-rule nodes, each entry by the
-    arithmetic of a per-row loop, so the matrix depends on neither the
-    worker count nor the blocks.  A node count ``graded_mesh`` cannot give
-    exactly, or a non-finite entry, raises ValueError.
+    density.  The upper half's off-diagonal entries run through
+    ``fixed_point.parallel_map`` in blocks of ``KERNEL_BLOCK`` nodes of the
+    endpoint rules, each entry by a per-row loop's arithmetic, so the matrix
+    depends on neither the worker count nor the blocks.  A node count
+    ``graded_mesh`` cannot give exactly, or a non-finite entry, raises ValueError.
     """
     alpha = complex(alpha)
     if not 0.0 < alpha.real < 2.0:
@@ -381,8 +381,7 @@ def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
         return weights[j] * kernel_k(alpha, nodes[i], nodes[j])
 
     mat = np.zeros((n, n), dtype=complex)
-    with ThreadPoolExecutor(fixed_point.WORKERS, thread_name_prefix="levylab") as pool:
-        mat[rows, cols] = np.concatenate(list(pool.map(block, range(0, rows.size, step))))
+    mat[rows, cols] = np.concatenate(fixed_point.parallel_map(block, range(0, rows.size, step)))
     rowints = kernel_row_integrals(alpha, nodes[:half],
                                    n_theta=96 + 8 * int(abs(alpha.imag)))
     np.fill_diagonal(mat[:half], rowints - mat[:half].sum(axis=-1))
@@ -419,22 +418,23 @@ def assemble_H(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
     PN0 = P.matrix * (one_u ** (-alpha - 1.0))[None, :]
     PN1 = P.matrix * (one_u ** (-alpha))[None, :]
 
-    Z = np.zeros((n, n), dtype=complex)
-    row0 = [(-2.0 * one_u)[:, None] * PN0, (2.0 / alpha) * c[:, None] * PN1,
-            (2.0 / alpha) * s[:, None] * PN1]
-    row1 = [-alpha * PN0, PN1, Z]
-    row2 = [-alpha * PN0, Z, PN1]
-    S = np.block([row0, row1, row2])
-
     # J: angle reflection (index reversal on the symmetric mesh) composed
-    # with the swap of the two derivative components, applied as the
-    # column permutation S @ J = S[:, perm]
-    rev = np.arange(n)[::-1]
-    H = c_prime(alpha) * S[:, np.concatenate([rev, 2 * n + rev, n + rev])]
+    # with the swap of the two derivative components, so H's block (r, k)
+    # is block (r, (0, 2, 1)[k]) of the product with its columns reversed;
+    # the seven non-zero blocks go straight into H, scaled there in place
+    H = np.zeros((3 * n, 3 * n), dtype=complex)
+    blocks = {(0, 0): (-2.0 * one_u)[:, None] * PN0, (0, 2): (2.0 / alpha) * c[:, None] * PN1,
+              (0, 1): (2.0 / alpha) * s[:, None] * PN1, (1, 0): -alpha * PN0,
+              (1, 2): PN1, (2, 1): PN1}
+    blocks[2, 0] = blocks[1, 0]
+    for (r, k), block in blocks.items():
+        H[r * n:(r + 1) * n, k * n:(k + 1) * n] = block[:, ::-1]
+    np.multiply(c_prime(alpha), H, out=H)
     if kappa != 0.0:
         d = np.abs(c - s) ** kappa
         dd = np.concatenate([np.ones(n), d, d])
-        H = dd[:, None] * H / dd[None, :]
+        np.multiply(dd[:, None], H, out=H)
+        np.divide(H, dd[None, :], out=H)
     return NystromOperator(alpha=alpha, nodes=nodes, matrix=H, kappa=kappa)
 
 
@@ -580,20 +580,21 @@ def alpha_scan(alpha_grid, n_nodes: int = 64, refine: bool = True):
 
     ``failures`` holds ``(alpha, "<ExceptionType>: alpha=...: <message>")``
     for each alpha whose determinant raised one of ``SAMPLE_ERRORS``.
+    Alpha values run side by side through ``fixed_point.parallel_map``,
+    each catching its own failure; both lists keep the grid's order.
     Local minima of |det| are exploratory candidates for fixed-point
     stability exceptions, never a claim about the true exceptional set.
     """
-    results: list[FredholmResult] = []
-    failures: list[tuple[float, str]] = []
-    for a in alpha_grid:
+    def one(a):
         try:
             m = band_power(float(np.real(a)))
-            H = assemble_H(a, n_nodes)
-            results.append(fredholm_det(H, m, refine=refine))
+            return fredholm_det(assemble_H(a, n_nodes), m, refine=refine), None
         except SAMPLE_ERRORS as exc:
-            failures.append((float(np.real(a)),
-                             f"{type(exc).__name__}: alpha={a}: {exc}"))
-    return results, failures
+            return None, (float(np.real(a)), f"{type(exc).__name__}: alpha={a}: {exc}")
+
+    outcomes = fixed_point.parallel_map(one, alpha_grid)
+    return ([r for r, _ in outcomes if r is not None],
+            [f for _, f in outcomes if f is not None])
 
 
 def flag_minima(results) -> list[int]:

@@ -162,6 +162,34 @@ def row_integrals_tensor(alpha, omegas: np.ndarray, n_theta: int = 96,
     return near + far
 
 
+def assemble_H_block(P, kappa: float) -> np.ndarray:
+    """``assemble_H``'s matrix from the ``assemble_P`` operator ``P``, built
+    as it was before H was written in place: the 3x3 blocks joined by
+    ``np.block``, then a permuted copy for J, then scaled copies for
+    c'_alpha and the kappa similarity."""
+    alpha = complex(P.alpha)
+    nodes = P.nodes
+    n = nodes.size
+    c = np.cos(nodes)
+    s = np.sin(nodes)
+    one_u = c + s
+    PN0 = P.matrix * (one_u ** (-alpha - 1.0))[None, :]
+    PN1 = P.matrix * (one_u ** (-alpha))[None, :]
+    Z = np.zeros((n, n), dtype=complex)
+    row0 = [(-2.0 * one_u)[:, None] * PN0, (2.0 / alpha) * c[:, None] * PN1,
+            (2.0 / alpha) * s[:, None] * PN1]
+    row1 = [-alpha * PN0, PN1, Z]
+    row2 = [-alpha * PN0, Z, PN1]
+    S = np.block([row0, row1, row2])
+    rev = np.arange(n)[::-1]
+    H = c_prime(alpha) * S[:, np.concatenate([rev, 2 * n + rev, n + rev])]
+    if kappa != 0.0:
+        d = np.abs(c - s) ** kappa
+        dd = np.concatenate([np.ones(n), d, d])
+        H = dd[:, None] * H / dd[None, :]
+    return H
+
+
 # ---------------------------------------------------------------------------
 # fixed points, moments and the stable law
 # ---------------------------------------------------------------------------

@@ -426,7 +426,8 @@ def test_scalar_solve_iteration_cap(monkeypatch):
 
 def test_scalar_solve_failures_name_alpha(monkeypatch):
     # z = 8+0.16i at alpha = 1.8 is a stall of the density over [0, 10]:
-    # Newton and the Picard rescue stop near |F| = 1e-6
+    # line-searched Newton stops at |F| = 8.7e-7 after MAX_ITER steps,
+    # without entering the Picard rescue
     with pytest.raises(FixedPointError,
                        match=r"did not reach .* at z=\(8\+0\.16j\), alpha=1\.8: \|F\|="):
         solve_tilde_gamma(8.0 + 0.16j, 1.8)
@@ -555,7 +556,17 @@ THREADED = {
     # blocks of kernel entries on the pool, then the row integrals
     "assemble_P 1.1": lambda: ks.assemble_P(1.1, 32).matrix,
     "assemble_P 1.5+5i": lambda: ks.assemble_P(1.5 + 5j, 32).matrix,
+    # alpha values side by side, each one's kernel blocks inline
+    "alpha_scan": lambda: _scan_values([1.1, 1.5, 1.9, 1.5 + 5j]),
 }
+
+
+def _scan_values(grid):
+    """Every number of an ``alpha_scan`` with refinement, as one array."""
+    results, failures = ks.alpha_scan(grid, n_nodes=32, refine=True)
+    assert not failures
+    return np.array([(r.alpha, r.det_value, r.det_deflated, r.refinement_delta)
+                     for r in results])
 
 
 def _run_with_workers(monkeypatch, workers, fn):
@@ -597,11 +608,40 @@ def test_forked_child_starts_its_own_pool():
     lambda: eval_F(0.2 + 0.3j, gamma_star_zero(1.0, 33), QuadratureConfig.fast()),
     lambda: population_dynamics(0.3 + 0.2j, 1.3, 2001, 2, 10, np.random.default_rng(2)),
     lambda: ks.assemble_P(1.1, 32),
-], ids=["eval_F", "population_dynamics", "assemble_P"])
+    lambda: _scan_values([1.1, 1.5, 1.9, 1.5 + 5j]),
+], ids=["eval_F", "population_dynamics", "assemble_P", "alpha_scan"])
 def test_no_pool_thread_outlives_its_call(call):
     fp.difference_integral.cache_clear()  # so that eval_F builds D on a pool
     call()
     assert [t.name for t in threading.enumerate() if t.name.startswith("levylab")] == []
+
+
+def test_parallel_map_runs_inline_on_its_own_pool_threads(monkeypatch):
+    # the outer call opens the one pool; each task's own map runs on the
+    # thread of that task and opens none
+    opened = []
+
+    class Spy(fp.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(threading.current_thread().name)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fp, "WORKERS", 2)
+    monkeypatch.setattr(fp, "ThreadPoolExecutor", Spy)
+
+    def inner(k):
+        return fp.parallel_map(lambda j: (k, j, threading.current_thread().name), range(3))
+
+    got = fp.parallel_map(inner, range(5))
+    assert opened == [threading.current_thread().name]
+    assert [[(k, j) for k, j, _ in row] for row in got] == \
+        [[(k, j) for j in range(3)] for k in range(5)]
+    for row in got:
+        assert len({name for _, _, name in row}) == 1 and row[0][2].startswith("levylab")
+    # the caller is no pool thread: its next map opens a pool again, while
+    # one item runs inline
+    assert fp.parallel_map(str, range(2)) == ["0", "1"] and len(opened) == 2
+    assert fp.parallel_map(str, [7]) == ["7"] and len(opened) == 2
 
 
 def test_threaded_eval_F_keeps_scratch_per_thread(monkeypatch):
@@ -629,6 +669,21 @@ def test_threaded_assemble_P_under_fast_switching(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         got = _run_with_workers(monkeypatch, 4, build)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, ref)
+
+
+def test_threaded_alpha_scan_under_fast_switching(monkeypatch):
+    # four threads on the alpha values, each opening and closing the shared
+    # one-BLAS-thread context, switching often: the scan of one thread
+    def scan():
+        return _scan_values([1.1, 1.5 + 5j, 1.9])
+    ref = _run_with_workers(monkeypatch, 1, scan)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _run_with_workers(monkeypatch, 4, scan)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(got, ref)

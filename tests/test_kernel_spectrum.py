@@ -14,6 +14,7 @@ from levylab import quadrature
 from levylab.halfplane import HALF_PI, HomogeneousFn, default_grid
 from oracles import (
     apply_linearized,
+    assemble_H_block,
     lift_eigenvector,
     linearization_matrix,
     log_power_unit_rule_lumped,
@@ -312,6 +313,18 @@ def test_kappa_is_exact_similarity():
     assert np.max(np.abs(ea - eb)) < 1e-8
 
 
+@pytest.mark.parametrize("alpha", [0.7, 1.1, 1.5, 1.9, 1.5 + 5j, 1.2 + 0.3j])
+@pytest.mark.parametrize("n_nodes", [32, 48])
+def test_H_in_place_is_the_block_construction(alpha, n_nodes):
+    # the blocks written into one array, J, c' and the similarity applied
+    # there, give np.block's matrix and its copies bit for bit
+    P = ks.assemble_P(alpha, n_nodes)
+    for kappa in (0.0, 0.5):
+        H = ks.assemble_H(alpha, n_nodes, kappa=kappa).matrix
+        ref = assemble_H_block(P, kappa)
+        assert H.tobytes() == ref.tobytes()
+
+
 def test_H_block_sparsity():
     H = ks.assemble_H(1.2, 48, kappa=0.5)
     n = H.n_nodes
@@ -476,9 +489,17 @@ def test_alpha_scan_smoke():
     for r in results:
         assert r.m == 2
         assert np.isfinite(abs(r.det_deflated))
-    # a grid point at a band boundary is recorded as a failure, scan continues
-    results, failures = ks.alpha_scan([1.3, 0.5], n_nodes=48, refine=False)
-    assert len(results) == 1 and len(failures) == 1
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_alpha_scan_keeps_the_grid_order_around_failures(workers, monkeypatch):
+    # grid points at band boundaries are recorded as failures between good
+    # ones, and the scan continues; with two workers the alpha values run
+    # side by side and both lists still keep the grid's order
+    monkeypatch.setattr(fp, "WORKERS", workers)
+    results, failures = ks.alpha_scan([1.3, 0.5, 1.45, 0.25, 1.6], n_nodes=48, refine=False)
+    assert [r.alpha for r in results] == [1.3, 1.45, 1.6]
+    assert [a for a, _ in failures] == [0.5, 0.25]
+    assert failures[0][1].startswith("ValueError: alpha=0.5: Re(alpha)=0.5 too close")
 
 
 def test_flag_minima_stays_within_one_band():
