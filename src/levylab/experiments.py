@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import platform
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +91,6 @@ class ExperimentConfig:
         else:
             rho = min(self.alpha / (4.0 + self.alpha), 0.25)
         return n ** (-rho) * np.log(n) ** 2
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":

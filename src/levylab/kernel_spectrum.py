@@ -140,7 +140,12 @@ def one_blas_thread():
 # the kernel
 # ---------------------------------------------------------------------------
 
-def kernel_k(alpha, omega, psi, n_jac: int = 24, gl_order: int = 12):
+#: Gauss-Jacobi nodes of each endpoint rule in kernel_k, which also size
+#: assemble_P's kernel blocks
+KERNEL_N_JAC = 24
+
+
+def kernel_k(alpha, omega, psi, n_jac: int = KERNEL_N_JAC, gl_order: int = 12):
     """The kernel k(omega, psi), omega != psi, on (0, pi/2)^2.
 
     For psi > omega:
@@ -228,22 +233,6 @@ def kernel_k(alpha, omega, psi, n_jac: int = 24, gl_order: int = 12):
     return complex(val) if val.ndim == 0 else val
 
 
-def kernel_bound(alpha, omega: float, psi: float) -> tuple[float, str]:
-    """Envelope shape from the three-regime kernel estimate (constant-free).
-
-    Returns (shape, regime) with regimes keyed by Re(alpha) below, at,
-    or above 1; the at-1 regime carries the logarithmic factor.
-    """
-    b = complex(alpha).real
-    s = min(np.sin(2.0 * psi), np.sin(2.0 * omega))
-    gap = abs(psi - omega)
-    if b < 1.0:
-        return gap ** (b - 1.0) * s ** (-0.5 * b), "subcritical"
-    if b == 1.0:
-        return s ** (-0.5) * max(1.0, np.log(np.sin(2.0 * psi) / gap)), "log"
-    return s ** (0.5 * b - 1.0), "supercritical"
-
-
 # ---------------------------------------------------------------------------
 # row integrals (the kernel applied to the constant function)
 # ---------------------------------------------------------------------------
@@ -278,7 +267,7 @@ def row_profile(alpha, c) -> np.ndarray:
     return np.einsum("...k,...k->...", coef, samples[cols])
 
 
-def kernel_row_integrals(alpha, omegas: np.ndarray, n_theta: int = 96) -> np.ndarray:
+def kernel_row_integrals(alpha, omegas: np.ndarray) -> np.ndarray:
     """int_0^(pi/2) k(omega, psi) dpsi through the original (theta, y) form.
 
     Identity: the row integral equals
@@ -289,10 +278,16 @@ def kernel_row_integrals(alpha, omegas: np.ndarray, n_theta: int = 96) -> np.nda
     which lies in (0, 1] as theta and omega lie in (0, pi/2); the row
     integrals are the theta rule's weights times J at the n_theta x
     n_omega values of c.  No (theta, y, omega) tensor is formed.
+
+    The theta rule is ``sin2_theta_rule`` on n_theta = 96 + 8 int(|Im alpha|)
+    nodes: off the real axis its weight carries sin(2 theta)^(i Im alpha/2),
+    which oscillates in log theta toward both ends, so the rule needs nodes
+    in proportion to |Im alpha|.  96 nodes at every alpha would move the
+    row integrals by 1.3e-8 relative at 1.5+5i and 2.0e-3 at 1.9+10i.
     """
     alpha = complex(alpha)
     a = alpha if alpha.imag else alpha.real
-    th, wsin = sin2_theta_rule(n_theta, 0.5 * a - 1.0)
+    th, wsin = sin2_theta_rule(96 + 8 * int(abs(alpha.imag)), 0.5 * a - 1.0)
     omegas = np.asarray(omegas, dtype=float)
     with one_blas_thread():
         return wsin @ row_profile(alpha, np.cos(th[:, None] - omegas[None, :]))
@@ -355,8 +350,10 @@ def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
     entry is set so the row acts exactly on constants (the accurate row
     integral minus the off-diagonal quadrature), which integrates the
     weak |psi-omega|^(alpha-1) singularity against a locally constant
-    density.  The upper half's off-diagonal entries run through
-    ``fixed_point.parallel_map`` in blocks of ``KERNEL_BLOCK`` nodes of the
+    density; the row integrals come from ``kernel_row_integrals``, which
+    picks its own theta count from alpha.  The upper half's off-diagonal
+    entries run through ``fixed_point.parallel_map`` in blocks of
+    ``KERNEL_BLOCK`` nodes of ``kernel_k``'s two ``KERNEL_N_JAC``-node
     endpoint rules, each entry by a per-row loop's arithmetic, so the matrix
     depends on neither the worker count nor the blocks.  A node count
     ``graded_mesh`` cannot give exactly, or a non-finite entry, raises ValueError.
@@ -374,7 +371,8 @@ def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
     # KERNEL_BLOCK theta nodes of kernel_k's two endpoint rules
     rows, cols = np.nonzero(np.arange(half)[:, None] != np.arange(n))
     a2 = 0.5 * (alpha if alpha.imag else alpha.real)
-    step = max(1, KERNEL_BLOCK // sum(power_rule(e, 1.0, 24)[0].size for e in (-a2, a2 - 1)))
+    rule_size = sum(power_rule(e, 1.0, KERNEL_N_JAC)[0].size for e in (-a2, a2 - 1))
+    step = max(1, KERNEL_BLOCK // rule_size)
 
     def block(start):
         i, j = rows[start:start + step], cols[start:start + step]
@@ -382,9 +380,8 @@ def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
 
     mat = np.zeros((n, n), dtype=complex)
     mat[rows, cols] = np.concatenate(fixed_point.parallel_map(block, range(0, rows.size, step)))
-    rowints = kernel_row_integrals(alpha, nodes[:half],
-                                   n_theta=96 + 8 * int(abs(alpha.imag)))
-    np.fill_diagonal(mat[:half], rowints - mat[:half].sum(axis=-1))
+    np.fill_diagonal(mat[:half], kernel_row_integrals(alpha, nodes[:half])
+                     - mat[:half].sum(axis=-1))
     if not np.all(np.isfinite(mat[:half])):
         raise ValueError(f"non-finite Nystrom entries at alpha={alpha}")
     mat[half:] = mat[half - 1::-1, ::-1]

@@ -112,6 +112,23 @@ def lift_eigenvector(f: HomogeneousFn, nodes: np.ndarray) -> np.ndarray:
 LUMPED_V_FLAT = 40.0
 
 
+def kernel_bound(alpha, omega: float, psi: float) -> tuple[float, str]:
+    """Envelope shape of ``kernel_k`` from the three-regime kernel estimate
+    (constant-free).
+
+    Returns (shape, regime) with regimes keyed by Re(alpha) below, at,
+    or above 1; the at-1 regime carries the logarithmic factor.
+    """
+    b = complex(alpha).real
+    s = min(np.sin(2.0 * psi), np.sin(2.0 * omega))
+    gap = abs(psi - omega)
+    if b < 1.0:
+        return gap ** (b - 1.0) * s ** (-0.5 * b), "subcritical"
+    if b == 1.0:
+        return s ** (-0.5) * max(1.0, np.log(np.sin(2.0 * psi) / gap)), "log"
+    return s ** (0.5 * b - 1.0), "supercritical"
+
+
 def log_power_unit_rule_lumped(expo: complex):
     """The log-power unit rule on panels alone, the reference for
     ``quadrature._log_power_unit_rule``: the same order-8 panels in

@@ -27,7 +27,7 @@ from levylab.stable_random import (
     sample_standard_stable,
     substream,
 )
-from oracles import levy_khintchine_rhs, sup_distance
+from oracles import kernel_bound, levy_khintchine_rhs, sup_distance
 
 
 def report(num, ok, detail):
@@ -214,7 +214,7 @@ def test_11_kernel_bound_three_regimes():
         def fitted(n_jac, gl_order):
             c = 0.0
             for om in grid:
-                shapes = np.array([ks.kernel_bound(alpha, om, p)[0] for p in psi_grid])
+                shapes = np.array([kernel_bound(alpha, om, p)[0] for p in psi_grid])
                 vals = np.array([abs(ks.kernel_k(alpha, om, p, n_jac, gl_order))
                                  for p in psi_grid])
                 c = max(c, np.max(vals / shapes))
@@ -222,7 +222,7 @@ def test_11_kernel_bound_three_regimes():
         c1 = fitted(24, 12)
         c2 = fitted(48, 20)
         stable = abs(c1 - c2) / c2
-        regime = ks.kernel_bound(alpha, grid[3], psi_grid[5])[1]
+        regime = kernel_bound(alpha, grid[3], psi_grid[5])[1]
         details.append(f"alpha={alpha} [{regime}]: C={c1:.3f}, refinement {100 * stable:.2f}%")
         ok &= np.isfinite(c1) and stable <= 0.1
     report(11, ok, "; ".join(details))

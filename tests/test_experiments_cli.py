@@ -31,6 +31,12 @@ def small_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def config_json(cfg: ExperimentConfig) -> str:
+    """The config file text for cfg: its fields as sorted-key JSON, the
+    form whose hash names local-law's files."""
+    return json.dumps(asdict(cfg), sort_keys=True)
+
+
 def test_interval_rule_arithmetic():
     cfg = ExperimentConfig(alpha=0.5, interval_rule="rho")
     # rho = 0.5/3.5 = 1/7 and rho' = 0.5/4.5 = 1/9
@@ -46,7 +52,7 @@ def test_interval_rule_arithmetic():
 
 def test_config_json_round_trip():
     cfg = small_cfg()
-    back = ExperimentConfig.from_json(cfg.to_json())
+    back = ExperimentConfig.from_json(config_json(cfg))
     assert back == cfg
     assert RunRecord("k", asdict(back)).config_hash == RunRecord("k", asdict(cfg)).config_hash
 
@@ -222,7 +228,7 @@ def test_cli_rerun_is_byte_identical(command, tmp_path, capsys):
         "local_law": small_cfg(n_list=(80,), n_seeds=3, fixed_width=0.4),
     }
     for name, cfg in configs.items():
-        (tmp_path / f"{name}.json").write_text(cfg.to_json())
+        (tmp_path / f"{name}.json").write_text(config_json(cfg))
     extra, header, n_lines = CLI_CASES[command]
     argv = [command] + [a.format(**{k: tmp_path / f"{k}.json" for k in configs})
                         for a in extra]
@@ -277,7 +283,7 @@ CONFIG_READS = {
 def test_a_config_key_the_run_never_reads_does_not_rename_it(command, tmp_path, capsys):
     keys, unread = CONFIG_READS[command]
     extra = [a for a in CLI_CASES[command][0] if a not in ("--config", "{sweep}")]
-    base = json.loads(small_cfg(n_list=(50,), n_seeds=2).to_json())
+    base = json.loads(config_json(small_cfg(n_list=(50,), n_seeds=2)))
     runs = []
     for i, change in enumerate(({}, unread)):
         cfg_path = tmp_path / f"cfg{i}.json"
@@ -309,13 +315,13 @@ def test_local_law_keeps_the_name_of_its_whole_config():
     cfg = small_cfg(n_list=(40,), n_seeds=1)
     rec = run_local_law(cfg)
     assert rec.config == asdict(cfg)
-    text = cfg.to_json() + json.dumps(rec.args, sort_keys=True)
+    text = config_json(cfg) + json.dumps(rec.args, sort_keys=True)
     assert rec.config_hash == hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_cli_localization_sweep_with_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(small_cfg().to_json())
+    cfg_path.write_text(config_json(small_cfg()))
     rc, out = _cli(["localization-sweep", "--config", str(cfg_path),
                     "--out", str(tmp_path)], capsys)
     assert rc == 0 and all(p.exists() for p in out)
@@ -330,7 +336,7 @@ def test_density_honours_quad_scale(tmp_path, capsys):
     values = []
     for scale in (1.0, 0.5):
         cfg_path = tmp_path / f"cfg{scale}.json"
-        cfg_path.write_text(ExperimentConfig(alpha=1.0, quad_scale=scale).to_json())
+        cfg_path.write_text(config_json(ExperimentConfig(alpha=1.0, quad_scale=scale)))
         rc, (csv_path, _) = _cli(["density", "--config", str(cfg_path),
                                   "--e-max", "0.0", "--points", "1",
                                   "--out", str(tmp_path)], capsys)
@@ -399,7 +405,7 @@ def test_empty_grid_exits_1(argv, reason, tmp_path, capsys):
 ])
 def test_empty_sample_grid_in_config_exits_1(command, key, value, reason, tmp_path, capsys):
     cfg_path = tmp_path / "empty.json"
-    cfg_path.write_text(json.dumps({**json.loads(small_cfg().to_json()), key: value}))
+    cfg_path.write_text(json.dumps({**json.loads(config_json(small_cfg())), key: value}))
     with pytest.raises(ValueError, match=re.escape(reason)):
         ExperimentConfig.from_json(cfg_path.read_text())
     with pytest.raises(ValueError, match=re.escape(reason)):
@@ -439,7 +445,7 @@ def test_empty_sample_grid_in_config_exits_1(command, key, value, reason, tmp_pa
 ])
 def test_config_value_out_of_range_exits_1(command, key, value, reason, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({**json.loads(small_cfg().to_json()), key: value}))
+    cfg_path.write_text(json.dumps({**json.loads(config_json(small_cfg())), key: value}))
     with pytest.raises(ValueError, match=re.escape(reason)):
         ExperimentConfig.from_json(cfg_path.read_text())
     with pytest.raises(ValueError, match=re.escape(reason)):
@@ -539,7 +545,7 @@ def test_config_that_is_not_an_object_is_refused():
 ], ids=["output_dir", "eta_ladder"])
 def test_config_with_unknown_key_exits_1(command, key, value, tmp_path, capsys):
     cfg_path = tmp_path / "old.json"
-    cfg_path.write_text(json.dumps({**json.loads(small_cfg().to_json()), key: value}))
+    cfg_path.write_text(json.dumps({**json.loads(config_json(small_cfg())), key: value}))
     with pytest.raises(ValueError, match=key):
         ExperimentConfig.from_json(cfg_path.read_text())
     rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
@@ -553,7 +559,7 @@ def test_config_with_unknown_key_exits_1(command, key, value, tmp_path, capsys):
                                         ("n_seeds", "2")])
 def test_config_with_a_mistyped_key_exits_1(tmp_path, capsys, key, value):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({**json.loads(small_cfg().to_json()), key: value}))
+    cfg_path.write_text(json.dumps({**json.loads(config_json(small_cfg())), key: value}))
     rc = main(["localization-sweep", "--config", str(cfg_path),
                "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
@@ -566,7 +572,7 @@ def test_kernel_scan_ignores_config(tmp_path, capsys):
     # kernel-scan reads no config: an outdated file neither fails the scan
     # nor changes a byte of its output
     cfg_path = tmp_path / "old.json"
-    cfg_path.write_text(json.dumps({**json.loads(small_cfg().to_json()),
+    cfg_path.write_text(json.dumps({**json.loads(config_json(small_cfg())),
                                     "output_dir": "runs"}))
     argv = ["kernel-scan"] + CLI_CASES["kernel-scan"][0]
     runs = []
@@ -619,7 +625,7 @@ HELD_CFG = dict(n_list=(40, 80), n_seeds=2)
 
 def test_local_law_reuses_the_sweeps_decompositions(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(small_cfg(**HELD_CFG).to_json())
+    cfg_path.write_text(config_json(small_cfg(**HELD_CFG)))
     calls = _count_eigendecompose(monkeypatch)
     warm, cold = {}, {}
     for command in ("localization-sweep", "local-law"):

@@ -408,6 +408,14 @@ def test_scalar_solve_rescue_reaches_the_root(z, alpha, monkeypatch):
     assert abs(got - expected) <= 1e-14
 
 
+@pytest.mark.parametrize("alpha, e_max", [(1.9, 9.5), (1.7, 8.0)])
+def test_density_completes_through_the_picard_rescue(alpha, e_max):
+    # on these 41-point grids one point's line-searched Newton steps all
+    # fail once, and only the damped Picard rescue lets the density finish
+    f, _ = spectral_density(np.linspace(0.0, e_max, 41), alpha)
+    assert np.all(f >= 0.0)
+
+
 def test_scalar_solve_divergence_guard(monkeypatch):
     def infinite(z, x, p, alpha, quad=None):
         return np.full(np.shape(z), np.inf, dtype=complex)
@@ -694,8 +702,7 @@ def _serial_P(alpha, n_nodes):
     alpha = complex(alpha)
     nodes, weights = ks.graded_mesh(n_nodes, alpha.real)
     n, cols = nodes.size, np.arange(nodes.size)
-    rowints = ks.kernel_row_integrals(alpha, nodes[:n // 2],
-                                      n_theta=96 + 8 * int(abs(alpha.imag)))
+    rowints = ks.kernel_row_integrals(alpha, nodes[:n // 2])
     mat = np.zeros((n, n), dtype=complex)
     for i in range(n // 2):
         off = cols != i

@@ -1,15 +1,19 @@
-"""What ``src/levylab`` may hold: every module-level function and class
-has a caller, every parameter default is overridden by some call, and
-importing the package loads no heavy scipy subpackage.
+"""What ``src/levylab`` may hold: every module-level function and class,
+and every method of such a class, has a caller, every parameter default
+is overridden by some call, and importing the package loads no heavy
+scipy subpackage.
 
 A definition counts as used when its name appears in ``src/levylab`` or in
 ``perfbench/`` outside its own definition and outside ``__init__.py``
 (whose exports are not uses).  A name appears as a name, an attribute, or
 a dotted part of a string (perfbench's tracer names its targets in
-strings).  Code that only tests call belongs in ``tests/oracles.py``.
+strings).  Dunder methods and methods that override a base class's are
+called by the language or the base class, so they need no caller.  Code
+that only tests call belongs in ``tests/oracles.py``.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -26,8 +30,6 @@ ALLOWED = {
     "eval_G_error_estimate": "to give solve-fixed-point its quadrature error",
     "empirical_gamma": "the order parameter from resolvent samples, named by "
                        "acceptance criterion 05",
-    "kernel_bound": "the three-regime kernel envelope, named by acceptance "
-                    "criterion 11",
 }
 
 
@@ -54,19 +56,34 @@ def _modules():
             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
 
 
+def _definitions(path: Path, tree: ast.Module):
+    """``(node, label)`` for each module-level function and class, and
+    each method of such a class that is neither a dunder nor an override
+    of a base class's method."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node, node.name
+        if isinstance(node, ast.ClassDef):
+            bases = getattr(importlib.import_module(f"levylab.{path.stem}"),
+                            node.name).__mro__[1:]
+            for method in node.body:
+                if (isinstance(method, ast.FunctionDef) and not method.name.startswith("__")
+                        and not any(hasattr(base, method.name) for base in bases)):
+                    yield method, f"{node.name}.{method.name}"
+
+
 def test_every_definition_has_a_caller_outside_tests():
     modules = _modules()
     bench = set().union(*(_names(ast.parse(p.read_text()))
                           for p in sorted((ROOT / "perfbench").glob("*.py"))))
     unused = []
     for path, tree in modules.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for node, label in _definitions(path, tree):
             used = bench | set().union(*(_names(other, skip=node)
                                          for other in modules.values()))
             if node.name not in used and node.name not in ALLOWED:
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+                unused.append(f"{path.name}:{node.lineno} {label}")
     assert not unused, "defined in src/levylab but only tests use: " + ", ".join(unused)
 
 

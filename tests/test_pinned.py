@@ -30,7 +30,11 @@ its own s-rule, one truncation for all angles and no contour rotation,
 for ``radial_integral_rotated`` (``RADIAL_REPINNED``) are re-recorded
 under their names plus ``ONE_RADIAL``; off the imaginary axis each angle
 now turns its contour where that leaves less phase, and on the axis
-each has its own truncation.
+each has its own truncation.  The row integrals at 1.5+5i were recorded
+on 96 theta nodes, a count the package never used at that alpha; they
+are re-recorded under their name plus ``THETA_FROM_ALPHA`` on the count
+``kernel_row_integrals`` now picks itself (136 nodes there), which moved
+them by 1.3e-8 relative.
 
 Record the cases missing from the file (existing entries are never
 rewritten; to re-record one on purpose, delete its entry first):
@@ -121,6 +125,11 @@ RADIAL_REPINNED = {
     "eval_G alpha=0.8 z=(0.2+0.1j) default", "eval_G alpha=1.0 z=(0.2+0.1j) fast",
     "eval_G alpha=1.0 z=(0.2+0.1j) default",
 }
+
+#: suffix of the key of the complex-alpha row integrals, re-recorded when
+#: kernel_row_integrals came to pick its theta count from alpha
+THETA_FROM_ALPHA = ", theta count from alpha"
+THETA_REPINNED = {"kernel_row_integrals alpha=(1.5+5j)"}
 
 
 def _eval_G(alpha, z, quad):
@@ -242,6 +251,8 @@ def key(name: str) -> str:
         return name + SUB_POOLS
     if name in RADIAL_REPINNED:
         return name + ONE_RADIAL
+    if name in THETA_REPINNED:
+        return name + THETA_FROM_ALPHA
     return name + PROFILE if name in REPINNED else name
 
 
