@@ -23,22 +23,18 @@ block upper-triangular with exact zeros, so its eigenvalues come from a
 2n- and an n-square block, in real arithmetic when alpha is real.
 
 The module's own dense linear algebra (the row integrals' products and
-the two eigensolves) runs inside ``one_blas_thread``, which sets every
-loaded OpenBLAS to one thread and restores its count on exit.  A
-threaded OpenBLAS call leaves a worker busy-waiting on a core: about
-127 ms of CPU after one eigensolve at 96 nodes on a 2-core Intel Xeon,
-longer than a determinant with its refinement, so the kernel pool that
-followed shared the cores with it.  At these sizes one thread is also
-the faster solver (6.7 against 8.0 ms at alpha = 1.5 and 15.6 against
-18.1 ms at 1.5+5i for the eigenvalues on 96 nodes).  The thread count
-is process-wide: while the context is open, BLAS calls from other
+the two eigensolves) runs inside ``one_blas_thread``, which sets the
+OpenBLAS that numpy calls to one thread and restores its count on exit:
+a threaded OpenBLAS call leaves a worker busy-waiting on a core, which
+the kernel pool that follows would share, and at these sizes one thread
+is also the faster solver (``BENCH_28.json``).  The thread count is
+process-wide: while the context is open, numpy's BLAS calls from other
 threads of the process run on one thread too.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -76,64 +72,54 @@ OPENBLAS_THREAD_SYMBOLS = (
 
 
 @cache
-def _openblas_threads() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS the process has
-    loaded, found by path in ``/proc/self/maps``; empty where there is
-    no such file or no loaded library exports a pair of those symbols."""
+def _openblas_threads() -> tuple | None:
+    """(get, set) thread-count functions of the OpenBLAS numpy calls, looked
+    up on a handle to numpy's linalg extension (a lookup on a handle also
+    searches the libraries it links); None where the extension cannot be
+    opened or exports neither pair of symbols."""
     try:
-        with open("/proc/self/maps") as fh:
-            paths = {fields[5].strip() for fields in (line.split(maxsplit=5) for line in fh)
-                     if len(fields) == 6}
-    except OSError:
-        return ()
-    found = []
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return tuple(found)
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 _blas_lock = threading.Lock()
-#: contexts open now, and the counts the last one to close restores
+#: contexts open now, and the count the last one to close restores
 _blas_depth = 0
-_blas_saved: list[int] = []
+_blas_saved = 0
 
 
 @contextmanager
 def one_blas_thread():
-    """Run the body with every loaded OpenBLAS on one thread.
+    """Run the body with numpy's OpenBLAS (see ``_openblas_threads``) on one thread.
 
-    The first context to open reads each library's thread count and sets
-    it to 1; the last to close restores the counts, also when the body
-    raises.  The count is process-wide, so BLAS calls from other threads
-    run on one thread while a context is open.  Where no OpenBLAS
-    thread-count symbol is found the context does nothing.
+    The first context to open reads the library's thread count and sets
+    it to 1; the last to close restores it, also when the body raises.
+    The count is process-wide, so numpy's BLAS calls from other threads
+    run on one thread while a context is open.  Where no thread-count
+    symbol is found the context does nothing.
     """
-    global _blas_depth
-    apis = _openblas_threads()
+    global _blas_depth, _blas_saved
+    api = _openblas_threads()
     with _blas_lock:
-        if not _blas_depth:
-            _blas_saved[:] = [get() for get, _ in apis]
-            for _, set_ in apis:
-                set_(1)
+        if api and not _blas_depth:
+            _blas_saved = api[0]()
+            api[1](1)
         _blas_depth += 1
     try:
         yield
     finally:
         with _blas_lock:
             _blas_depth -= 1
-            if not _blas_depth:
-                for (_, set_), count in zip(apis, _blas_saved):
-                    set_(count)
+            if api and not _blas_depth:
+                api[1](_blas_saved)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +323,7 @@ def graded_mesh(n_nodes: int, re_alpha: float):
     grad = max(1.0, 2.0 / re_alpha)
     left = 0.25 * np.pi * (np.arange(panels + 1) / panels) ** grad
     breaks = np.concatenate([left, (HALF_PI - left[:-1])[::-1]])
-    nodes, weights = gauss_legendre_panels(breaks, order=MESH_ORDER)
-    if np.min(np.abs(nodes - 0.25 * np.pi)) < 1e-12:
-        raise RuntimeError("mesh node collided with pi/4")
-    return nodes, weights
+    return gauss_legendre_panels(breaks, order=MESH_ORDER)
 
 
 def assemble_P(alpha, n_nodes: int = 64) -> NystromOperator:
@@ -481,8 +464,7 @@ def band_power(re_alpha: float) -> int:
         raise ValueError("Re(alpha) must lie in (0, 2)")
     level = -np.log2(re_alpha)
     nearest = np.round(level)
-    if abs(level - nearest) < 1e-12 or \
-            abs(re_alpha - 2.0 ** (-nearest)) < BAND_MARGIN:
+    if abs(re_alpha - 2.0 ** (-nearest)) < BAND_MARGIN:
         raise ValueError(
             f"Re(alpha)={re_alpha} too close to a dyadic band boundary")
     ell = int(np.floor(level)) + 1

@@ -1,8 +1,12 @@
 import dataclasses
+import json
 import multiprocessing
+import os
 import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +242,15 @@ def test_graded_mesh_mirror_symmetry(n, re_alpha):
     assert np.all(np.abs(weights - weights[::-1]) <= 4 * ulp)
 
 
+def test_graded_mesh_keeps_off_the_middle():
+    # a node on pi/4 would zero the kappa similarity |cos omega - sin omega|^kappa,
+    # which assemble_H divides by; the nearest node is 0.2496/n away
+    for n in (32, 48, 64, 96, 128, 256, 1024, 4096):
+        for re_alpha in (0.05, 0.5, 1.0, 1.5, 1.999):
+            nodes, _ = ks.graded_mesh(n, re_alpha)
+            assert np.min(np.abs(nodes - 0.25 * np.pi)) >= 0.2 / n, (n, re_alpha)
+
+
 @pytest.mark.parametrize("alpha", [1.1, 1.5 + 5j])
 def test_assemble_P_mirror_is_exact(alpha):
     M = ks.assemble_P(alpha, 32).matrix
@@ -418,6 +431,23 @@ def test_band_power_rule():
         ks.band_power(0.5)
     with pytest.raises(ValueError):
         ks.band_power(1.01)
+    # the refusals are those of the rule that also refused Re(alpha) within
+    # 1e-12 of a dyadic level, on a fine grid and at the domain's top edge
+
+    def refused_before(re_alpha):
+        level = -np.log2(re_alpha)
+        nearest = np.round(level)
+        return abs(level - nearest) < 1e-12 or abs(re_alpha - 2.0 ** (-nearest)) < ks.BAND_MARGIN
+
+    grid = np.concatenate([np.linspace(0.0, 2.0, 20001)[1:-1], np.linspace(1.98, 2.0, 2001)[:-1],
+                           [2.0 ** -k for k in range(12)], [np.nextafter(2.0, 0.0)]])
+    for re_alpha in grid:
+        try:
+            ks.band_power(re_alpha)
+            refused = False
+        except ValueError:
+            refused = True
+        assert refused == refused_before(re_alpha), re_alpha
 
 
 def test_fredholm_finite_dimensional_identity():
@@ -535,54 +565,49 @@ def test_alpha_scan_refinement_stable():
 
 @pytest.fixture
 def blas_at_two_threads():
-    """The loaded OpenBLAS libraries' (get, set) pairs, each set to 2
-    threads for the test and reset to its own count after it."""
-    apis = ks._openblas_threads()
-    if not apis:
-        pytest.skip("no loaded OpenBLAS exports a thread-count symbol")
-    before = [get() for get, _ in apis]
-    for _, set_ in apis:
-        set_(2)
-    yield apis
-    for (_, set_), count in zip(apis, before):
-        set_(count)
-
-
-def _counts(apis):
-    return [get() for get, _ in apis]
+    """Numpy's OpenBLAS (get, set) pair, set to 2 threads for the test and
+    reset to its own count after it."""
+    api = ks._openblas_threads()
+    if api is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count symbol")
+    get, set_ = api
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
 
 
 def test_one_blas_thread_restores_the_count(blas_at_two_threads):
-    apis = blas_at_two_threads
+    count = blas_at_two_threads
     with ks.one_blas_thread():
-        assert _counts(apis) == [1] * len(apis)
-    assert _counts(apis) == [2] * len(apis)
+        assert count() == 1
+    assert count() == 2
     with pytest.raises(RuntimeError, match="raised inside"):
         with ks.one_blas_thread():
             raise RuntimeError("raised inside")
-    assert _counts(apis) == [2] * len(apis)
+    assert count() == 2
     # contexts of two threads overlap without nesting: the last to close restores
     first, second = ks.one_blas_thread(), ks.one_blas_thread()
     first.__enter__()
     second.__enter__()
     first.__exit__(None, None, None)
-    assert _counts(apis) == [1] * len(apis)
+    assert count() == 1
     second.__exit__(None, None, None)
-    assert _counts(apis) == [2] * len(apis)
+    assert count() == 2
     ks.fredholm_det(ks.assemble_H(1.5 + 5j, 32), 2, refine=True)
-    assert _counts(apis) == [2] * len(apis)
+    assert count() == 2
 
 
 def test_one_blas_thread_from_many_threads(blas_at_two_threads):
     # more threads than cores open and close contexts under fast thread
     # switching: each body sees one thread, and the count is back at the end
-    apis = blas_at_two_threads
+    count = blas_at_two_threads
     seen = []
 
     def loop():
         for _ in range(200):
             with ks.one_blas_thread():
-                seen.append(_counts(apis))
+                seen.append(count())
 
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -595,20 +620,81 @@ def test_one_blas_thread_from_many_threads(blas_at_two_threads):
     finally:
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
-    assert len(seen) == 800 and all(c == [1] * len(apis) for c in seen)
-    assert _counts(apis) == [2] * len(apis)
+    assert len(seen) == 800 and all(c == 1 for c in seen)
+    assert count() == 2
 
 
-def test_one_blas_thread_does_nothing_without_the_symbols(monkeypatch):
-    apis = ks._openblas_threads()
-    before = _counts(apis)
-    monkeypatch.setattr(ks, "_openblas_threads", lambda: ())
-    with ks.one_blas_thread():
-        assert _counts(apis) == before
-    with pytest.raises(ValueError, match="raised inside"):
-        with ks.one_blas_thread():
-            raise ValueError("raised inside")
-    assert _counts(apis) == before
+def test_numpy_openblas_has_the_thread_switch():
+    # the fixture above skips where the lookup finds nothing; where numpy
+    # reports an OpenBLAS, finding nothing is a broken lookup, not a skip
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name", "")).lower():
+        pytest.skip(f"numpy's BLAS is {blas.get('name')}, not OpenBLAS")
+    assert ks._openblas_threads() is not None
+
+
+#: run in a fresh process: scipy's OpenBLAS is loaded before levylab, and
+#: numpy's own library is read through its path, not through the lookup
+_SECOND_OPENBLAS = """
+import ctypes, json, os, sys
+import scipy.linalg
+import numpy as np
+from levylab import kernel_spectrum as ks
+
+numpy_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+with open("/proc/self/maps") as fh:
+    paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
+ours = [p for p in paths if os.path.dirname(p) == numpy_libs and "openblas" in p.lower()]
+theirs = [p for p in paths if "openblas" in p.lower() and p not in ours]
+if len(ours) != 1 or not theirs:
+    print(json.dumps(None))
+    sys.exit()
+lib = ctypes.CDLL(ours[0])
+get, set_ = (getattr(lib, name) for name in ks.OPENBLAS_THREAD_SYMBOLS[0])
+get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+set_(2)
+with ks.one_blas_thread():
+    inside = get()
+print(json.dumps([inside, get()]))
+"""
+
+
+def test_one_blas_thread_switches_numpy_openblas_beside_scipy_openblas():
+    pytest.importorskip("scipy.linalg")
+    run = subprocess.run([sys.executable, "-c", _SECOND_OPENBLAS], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(ks.__file__).parents[1])},
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    counts = json.loads(run.stdout)
+    if counts is None:
+        pytest.skip("numpy and scipy do not each load their own wheel's OpenBLAS")
+    assert counts == [1, 2]
+
+
+def test_one_blas_thread_does_nothing_without_the_symbols(blas_at_two_threads, monkeypatch):
+    # no pair found, no linalg extension, or an extension that cannot be
+    # opened: the lookup gives None and the context leaves the count alone
+    count = blas_at_two_threads
+
+    def refuse(*args, **kwargs):
+        raise OSError("cannot open shared object file")
+
+    try:
+        for remove in (lambda m: m.setattr(ks, "_openblas_threads", lambda: None),
+                       lambda m: m.delattr(np.linalg, "_umath_linalg"),
+                       lambda m: m.setattr(ks.ctypes, "CDLL", refuse)):
+            ks._openblas_threads.cache_clear()
+            with monkeypatch.context() as m:
+                remove(m)
+                assert ks._openblas_threads() is None
+                with ks.one_blas_thread():
+                    assert count() == 2
+                with pytest.raises(ValueError, match="raised inside"):
+                    with ks.one_blas_thread():
+                        raise ValueError("raised inside")
+                assert count() == 2
+    finally:
+        ks._openblas_threads.cache_clear()
 
 
 @pytest.mark.parametrize("alpha", [0.7, 1.5])
@@ -617,6 +703,6 @@ def test_real_eigenvalues_do_not_depend_on_the_blas_threads(alpha, blas_at_two_t
     H = ks.assemble_H(alpha, 48).matrix
     inside = ks._eigenvalues(H)
     with monkeypatch.context() as m:
-        m.setattr(ks, "_openblas_threads", lambda: ())
+        m.setattr(ks, "_openblas_threads", lambda: None)
         outside = ks._eigenvalues(H)  # on the fixture's two threads
     assert np.array_equal(inside, outside)
