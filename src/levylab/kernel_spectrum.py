@@ -19,11 +19,12 @@ alpha values, through ``fixed_point.parallel_map`` (inline on a pool
 thread, so a one-alpha scan spreads its kernel blocks over the cores);
 ``assemble_H`` writes H's blocks into one 3n x 3n array in place.  The
 determinants never solve H whole: in the components (f, g+h, g-h) H is
-block upper-triangular with exact zeros, so its eigenvalues come from a
-2n- and an n-square block, in real arithmetic when alpha is real.
+block upper-triangular with exact zeros, and its upper diagonal block
+has rank n, so its eigenvalues are n zeros and those of the n-square
+block -H12 twice, from one solve, in real arithmetic when alpha is real.
 
 The module's own dense linear algebra (the row integrals' products and
-the two eigensolves) runs inside ``one_blas_thread``, which sets the
+the eigensolve) runs inside ``one_blas_thread``, which sets the
 OpenBLAS that numpy calls to one thread and restores its count on exit:
 a threaded OpenBLAS call leaves a worker busy-waiting on a core, which
 the kernel pool that follows would share, and at these sizes one thread
@@ -426,14 +427,16 @@ def assemble_H(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
 class FredholmResult:
     """Determinant of I - H^m on one grid, with a node-doubling check.
 
-    ``det_value`` is the literal product over all 3n Nystrom eigenvalues,
-    taken from H's two diagonal blocks in the (f, g+h, g-h) basis.
+    ``det_value`` is the literal product over all 3n Nystrom eigenvalues:
+    n exact zeros and the eigenvalues of -H12 twice (see ``_eigenvalues``).
     The linearized map has two exact structural eigenvalues at -1 for
     every alpha (the fixed point itself is an eigenvector because the
     map is homogeneous of degree -1 in its argument, plus a reflection
-    partner), so for even m the literal determinant vanishes
-    identically; ``det_deflated`` excludes the structural pair and is
-    the quantity whose near-zeros carry information.  The +1 signal
+    partner); in H they are one eigenvalue of -H12 near -1, counted once
+    in each diagonal block of the (f, g+h, g-h) basis.  So for even m the
+    literal determinant vanishes identically; ``det_deflated`` excludes
+    the structural pair and is the quantity whose near-zeros carry
+    information.  The +1 signal
     that flags genuine stability exceptions is never inside the
     deflation disc.  ``refinement_delta`` is measured on the deflated
     value; the literal one is an exact zero up to discretization noise,
@@ -475,16 +478,31 @@ def band_power(re_alpha: float) -> int:
 STRUCTURAL_TOL = 0.05
 
 
-def _eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of an ``assemble_H`` matrix from its two diagonal blocks.
+#: tolerance of _eigenvalues' factorization checks, relative to max |H|
+FACTOR_RTOL = 1e-12
+
+
+def _eigenvalues(H: NystromOperator) -> np.ndarray:
+    """Eigenvalues of an ``assemble_H`` operator: n zeros, then those of
+    -H12 twice, from one n-square solve.
 
     H = [[A, B, C], [D, 0, E], [D, E, 0]] by blocks; conjugated by
     T = [[I, 0, 0], [0, I, I], [0, I, -I]] (components f, g+h, g-h) it is
     [[A, (B+C)/2, (B-C)/2], [2D, E, 0], [0, 0, -E]], block upper-triangular,
     so its spectrum is that of [[A, (B+C)/2], [2D, E]] joined with that
-    of -E.  Real matrices go to the real solver.  Raises ValueError
-    naming the first block condition ``mat`` breaks.
+    of -E.  That top block is [W; I] [2D, E] with
+    W = diag((cos omega + sin omega) |cos omega - sin omega|^(-kappa)) / alpha
+    at the nodes omega, so its eigenvalues are n zeros and those of
+    [2D, E] [W; I] = 2DW + E; and 2DW = -2E, since N0 (cos omega + sin omega)
+    = N1 and J's index reversal maps both factors of W onto themselves on
+    the mirror-symmetric mesh.  Hence eig(H) = {0}^n, eig(-E), eig(-E),
+    from one n-square solve: n^3 of the eigensolver's work, against 9n^3
+    for the two diagonal blocks; real matrices go to the real solver.  Raises
+    ValueError naming the first condition H breaks: the exact copies and
+    zeros, then the three identities at ``FACTOR_RTOL`` * max |H| (they
+    hold to about 1e-15 of it).
     """
+    mat = H.matrix
     size = mat.shape[0]
     if size % 3:
         raise ValueError(f"H has size {size}, not a multiple of 3")
@@ -499,12 +517,22 @@ def _eigenvalues(mat: np.ndarray) -> np.ndarray:
                           (not np.any(blk(2, 2)), "H22 == 0")):
         if not ok:
             raise ValueError(f"H breaks {condition}: not an assemble_H block structure")
-    if not np.any(mat.imag):
-        mat = mat.real
-    top = np.block([[blk(0, 0), 0.5 * (blk(0, 1) + blk(0, 2))],
-                    [2.0 * blk(1, 0), blk(1, 2)]])
+    c, s = np.cos(H.nodes), np.sin(H.nodes)
+    w = (c + s) * np.abs(c - s) ** -H.kappa / H.alpha
+    D2, E = 2.0 * blk(1, 0), blk(1, 2)
+    tol = FACTOR_RTOL * np.max(np.abs(mat))
+    for gap, identity in ((blk(0, 0) - w[:, None] * D2, "H00 == W 2H10"),
+                          (0.5 * (blk(0, 1) + blk(0, 2)) - w[:, None] * E,
+                           "(H01 + H02)/2 == W H12"),
+                          (D2 * w + 2.0 * E, "2H10 W == -2H12")):
+        if not np.max(np.abs(gap)) <= tol:
+            raise ValueError(f"H breaks {identity} beyond {FACTOR_RTOL:g} max|H|: "
+                             f"not an assemble_H factorization")
+    if not np.any(E.imag):
+        E = E.real
     with one_blas_thread():
-        return np.concatenate([np.linalg.eigvals(top), np.linalg.eigvals(-blk(1, 2))])
+        mu = np.linalg.eigvals(-E)
+    return np.concatenate([np.zeros(n, dtype=mu.dtype), mu, mu])
 
 
 def _dets(mu: np.ndarray, m: int, alpha: complex) -> tuple[complex, complex, int]:
@@ -528,25 +556,27 @@ def fredholm_det(H: NystromOperator, m: int,
     ``H`` is an ``assemble_H`` operator; the check reassembles it on twice
     the nodes at the same kappa.  m must be even and at least the band
     prescription for Re(alpha); the continuum determinant is undefined
-    below that power.  The eigenvalues are those of [[H00, (H01+H02)/2],
-    [2 H10, H12]] and of -H12 (see ``_eigenvalues``), about a third of
-    the work of the full 3n-square solve and real for real alpha; a
-    matrix without ``assemble_H``'s block structure (size a multiple of
-    3, H10 == H20, H12 == H21, zero H11 and H22) raises ValueError, and so
-    does a determinant that is not finite (at 1.5+20i on 96 nodes max |mu|
-    is 218 and the product of the 288 factors overflows).  See
-    FredholmResult for the literal/deflated distinction.
+    below that power.  The eigenvalues are n zeros and those of -H12
+    twice (see ``_eigenvalues``): one n-square solve, about a 27th of the
+    work of the full 3n-square solve, and real for real alpha.  A matrix
+    without ``assemble_H``'s block structure (size a multiple of 3,
+    H10 == H20, H12 == H21, zero H11 and H22, and the factorization
+    identities of ``_eigenvalues``) raises ValueError, and so does a
+    determinant that is not finite (at 1.5+20i on 96 nodes max |mu| is
+    218 and the product of the 192 factors 1 - mu^m besides the zeros'
+    ones overflows).  See FredholmResult for the literal/deflated
+    distinction.
     """
     if m < 1 or m % 2 != 0:
         raise ValueError("power m must be a positive even integer")
     m_min = band_power(H.alpha.real)
     if m < m_min:
         raise ValueError(f"power m={m} below the band prescription {m_min}")
-    det, det_defl, n_struct = _dets(_eigenvalues(H.matrix), m, H.alpha)
+    det, det_defl, n_struct = _dets(_eigenvalues(H), m, H.alpha)
     delta = np.nan
     if refine:
         H2 = assemble_H(H.alpha, 2 * H.n_nodes, H.kappa)
-        _, det_defl2, _ = _dets(_eigenvalues(H2.matrix), m, H.alpha)
+        _, det_defl2, _ = _dets(_eigenvalues(H2), m, H.alpha)
         delta = abs(det_defl - det_defl2) / max(abs(det_defl2), 1e-300)
     return FredholmResult(alpha=H.alpha, m=m, det_value=det,
                           det_deflated=det_defl, n_structural=n_struct,

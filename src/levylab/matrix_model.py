@@ -12,6 +12,18 @@ from .quadrature import gamma as gamma_fn
 from .stable_random import sample_standard_stable, substream
 
 
+#: side of the square tiles that build_levy_matrix mirrors and LevyMatrix
+#: compares, small enough that a tile and its transpose stay in cache
+TILE = 256
+
+
+def _tiles(n: int):
+    """(rows, cols) slice pairs of the TILE-square tiles on and above the
+    diagonal of an n x n matrix."""
+    edges = [slice(lo, min(lo + TILE, n)) for lo in range(0, n, TILE)]
+    return [(r, c) for i, r in enumerate(edges) for c in edges[i:]]
+
+
 @dataclass(frozen=True)
 class LevyMatrix:
     """Symmetric n x n matrix with i.i.d. n^(-1/alpha)-scaled stable entries."""
@@ -25,7 +37,8 @@ class LevyMatrix:
         a = np.asarray(self.entries)
         if a.shape != (self.n, self.n):
             raise ValueError("entry matrix shape does not match n")
-        if not np.array_equal(a, a.T):
+        if not all(np.array_equal(a[cols, rows], a[rows, cols].T)
+                   for rows, cols in _tiles(self.n)):
             raise ValueError("entries must be exactly symmetric")
 
 
@@ -59,13 +72,22 @@ def build_levy_matrix(n: int, alpha: float, seed: int) -> LevyMatrix:
     if n < 1:
         raise ValueError("matrix dimension must be positive")
     rng = substream(seed, n)
-    m = n * (n + 1) // 2
-    draws = sample_standard_stable(alpha, rng, size=m) * n ** (-1.0 / alpha)
-    # a boolean mask takes the draws in the row-major order of triu_indices
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    a = np.zeros((n, n))
-    a[upper] = draws
-    a = np.where(upper, a, a.T)
+    draws = sample_standard_stable(alpha, rng, size=n * (n + 1) // 2)
+    draws *= n ** (-1.0 / alpha)
+    # row i of the upper triangle takes the next n - i draws, the row-major
+    # order of triu_indices; the lower triangle is copied tile by tile
+    a = np.empty((n, n))
+    start = 0
+    for i in range(n):
+        a[i, i:] = draws[start:start + n - i]
+        start += n - i
+    for rows, cols in _tiles(n):
+        if rows == cols:
+            tile = a[rows, cols]
+            below = np.tril_indices(tile.shape[0], -1)
+            tile[below] = tile.T[below]
+        else:
+            a[cols, rows] = a[rows, cols].T
     return LevyMatrix(n=n, alpha=alpha, seed=seed, entries=a)
 
 

@@ -207,6 +207,24 @@ def assemble_H_block(P, kappa: float) -> np.ndarray:
     return H
 
 
+def two_block_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Eigenvalues of an ``assemble_H`` matrix from its two diagonal blocks
+    in the components (f, g+h, g-h), as ``kernel_spectrum._eigenvalues``
+    found them before it used the top block's factorization: those of
+    [[H00, (H01+H02)/2], [2 H10, H12]] joined with those of -H12, real
+    matrices on the real solver."""
+    n = mat.shape[0] // 3
+
+    def blk(r, c):
+        return mat[r * n:(r + 1) * n, c * n:(c + 1) * n]
+
+    if not np.any(mat.imag):
+        mat = mat.real
+    top = np.block([[blk(0, 0), 0.5 * (blk(0, 1) + blk(0, 2))],
+                    [2.0 * blk(1, 0), blk(1, 2)]])
+    return np.concatenate([np.linalg.eigvals(top), np.linalg.eigvals(-blk(1, 2))])
+
+
 # ---------------------------------------------------------------------------
 # fixed points, moments and the stable law
 # ---------------------------------------------------------------------------

@@ -278,9 +278,10 @@ def test_12_determinant_decay_large_imaginary_alpha():
     they sum: the (theta, y, omega) tensor sum that J replaced gave values
     up to 2.5% apart.  One and two OpenBLAS threads give the same bits on
     one build; another build or summation order moves them.  At t = 20 on
-    96 nodes H's eigenvalues reach 218 in modulus, the product of the 288
-    factors 1 - mu^2 overflows, and ``fredholm_det`` raises ValueError, so
-    the test fails there before it reaches its assertion.
+    96 nodes H's eigenvalues reach 218 in modulus, the product of the 192
+    factors 1 - mu^2 besides the 96 zeros' overflows, and ``fredholm_det``
+    raises ValueError, so the test fails there before it reaches its
+    assertion (CI runs it under ``--runxfail`` and checks that message).
     """
     dets = []
     for t in (5.0, 10.0, 20.0):

@@ -25,6 +25,7 @@ from oracles import (
     log_power_unit_rule_lumped,
     partials_on_circle,
     row_integrals_tensor,
+    two_block_eigenvalues,
 )
 
 
@@ -470,7 +471,7 @@ def test_block_eigenvalues_match_the_full_solve(alpha, kappa):
     H = ks.assemble_H(alpha, 32, kappa=kappa)
     m = ks.band_power(complex(alpha).real)
     ref = np.linalg.eigvals(H.matrix)
-    mu = ks._eigenvalues(H.matrix)
+    mu = ks._eigenvalues(H)
     assert mu.size == ref.size
     gap = np.abs(mu[:, None] - ref[None, :])
     tol = 1e-10 * np.max(np.abs(ref))
@@ -481,6 +482,27 @@ def test_block_eigenvalues_match_the_full_solve(alpha, kappa):
     assert abs(res.det_deflated - ref_defl) <= 1e-12 * abs(ref_defl)
 
 
+@pytest.mark.parametrize("n_nodes", [32, 48, 96])
+@pytest.mark.parametrize("alpha", [0.7, 1.1, 1.5, 1.9, 1.2 + 0.3j, 1.5 + 5j])
+def test_one_block_eigenvalues_match_the_two_block_solve(alpha, n_nodes):
+    # H's spectrum is n zeros and -H12's twice: it matches the full 3n
+    # solve, and the deflated determinant is the two-block solve's
+    m = ks.band_power(complex(alpha).real)
+    for kappa in (0.0, 0.5):
+        H = ks.assemble_H(alpha, n_nodes, kappa=kappa)
+        ref = np.linalg.eigvals(H.matrix)
+        mu = ks._eigenvalues(H)
+        assert mu.size == ref.size
+        assert np.all(mu[:n_nodes] == 0.0)
+        gap = np.abs(mu[:, None] - ref[None, :])
+        tol = 1e-10 * np.max(np.abs(ref))
+        assert np.max(gap.min(axis=1)) <= tol and np.max(gap.min(axis=0)) <= tol
+        _, two_block_defl, _ = ks._dets(two_block_eigenvalues(H.matrix), m, H.alpha)
+        res = ks.fredholm_det(H, m, refine=False)
+        assert res.n_structural == 2
+        assert abs(res.det_deflated - two_block_defl) <= 1e-12 * abs(two_block_defl)
+
+
 def test_fredholm_det_refuses_a_matrix_without_the_block_structure():
     H = ks.assemble_H(1.5, 32, kappa=0.5)
     n = H.n_nodes
@@ -488,6 +510,21 @@ def test_fredholm_det_refuses_a_matrix_without_the_block_structure():
                               ((1, 1), "H11 == 0"), ((2, 2), "H22 == 0")]:
         mat = H.matrix.copy()
         mat[r * n + 3, c * n + 5] += 1e-14
+        with pytest.raises(ValueError, match=re.escape(condition)):
+            ks.fredholm_det(dataclasses.replace(H, matrix=mat), 2, refine=False)
+    # a change of 1e-6 max|H| that keeps the exact copies and zeros breaks
+    # one factorization identity: in H00, in H01, and in H10 = H20 with H00
+    # moved along so that only 2H10 W == -2H12 is broken
+    cos, sin = np.cos(H.nodes), np.sin(H.nodes)
+    w = (cos + sin) * np.abs(cos - sin) ** -H.kappa / 1.5
+    eps = 1e-6 * np.max(np.abs(H.matrix))
+    for cells, condition in [([(0, 0, eps)], "H00 == W 2H10"),
+                             ([(0, 1, eps)], "(H01 + H02)/2 == W H12"),
+                             ([(1, 0, eps), (2, 0, eps), (0, 0, 2 * w[3] * eps)],
+                              "2H10 W == -2H12")]:
+        mat = H.matrix.copy()
+        for r, c, step in cells:
+            mat[r * n + 3, c * n + 5] += step
         with pytest.raises(ValueError, match=re.escape(condition)):
             ks.fredholm_det(dataclasses.replace(H, matrix=mat), 2, refine=False)
     mat = np.zeros((3 * n + 1, 3 * n + 1), dtype=complex)
@@ -700,7 +737,7 @@ def test_one_blas_thread_does_nothing_without_the_symbols(blas_at_two_threads, m
 @pytest.mark.parametrize("alpha", [0.7, 1.5])
 def test_real_eigenvalues_do_not_depend_on_the_blas_threads(alpha, blas_at_two_threads,
                                                            monkeypatch):
-    H = ks.assemble_H(alpha, 48).matrix
+    H = ks.assemble_H(alpha, 48)
     inside = ks._eigenvalues(H)
     with monkeypatch.context() as m:
         m.setattr(ks, "_openblas_threads", lambda: None)

@@ -35,6 +35,17 @@ def test_exact_symmetry_and_determinism():
         LevyMatrix(n=2, alpha=0.8, seed=1, entries=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_symmetry_check_covers_every_tile():
+    # one broken entry, in a diagonal tile, in a tile above the diagonal,
+    # in one below it and in the partial last tile, is refused
+    a = build_levy_matrix(300, 0.8, seed=9)
+    for i, j in ((3, 200), (100, 20), (5, 260), (280, 10), (299, 298)):
+        entries = a.entries.copy()
+        entries[i, j] += 1.0
+        with pytest.raises(ValueError, match="exactly symmetric"):
+            LevyMatrix(n=300, alpha=0.8, seed=9, entries=entries)
+
+
 def test_large_entry_fraction():
     # P(|A_ij| >= 1) = P(|X| >= n^(1/alpha)) ~ 1/n
     n, alpha, reps = 1000, 1.1, 40
@@ -89,10 +100,13 @@ def test_resolvent_against_linear_solve():
         resolvent_diagonal(sd, 0.5 - 0.1j)
 
 
-@pytest.mark.parametrize("n", [1, 7, 300])
+@pytest.mark.parametrize("n", [1, 7, 255, 256, 257, 300, 513])
 def test_mask_fill_is_the_triu_indices_fill(n):
-    a = build_levy_matrix(n, 1.3, seed=11)
-    assert np.array_equal(a.entries, triu_indices_fill(n, 1.3, seed=11))
+    # the row fill and the tile-by-tile mirror, on either side of the tile
+    # size and across a partial last tile, give the triu_indices fill bit for bit
+    for alpha in (0.7, 1.0, 1.3, 1.5):
+        a = build_levy_matrix(n, alpha, seed=11)
+        assert np.array_equal(a.entries, triu_indices_fill(n, alpha, seed=11))
 
 
 def test_resolvent_real_products_match_the_complex_product():
