@@ -21,25 +21,16 @@ thread, so a one-alpha scan spreads its kernel blocks over the cores);
 determinants never solve H whole: in the components (f, g+h, g-h) H is
 block upper-triangular with exact zeros, and its upper diagonal block
 has rank n, so its eigenvalues are n zeros and those of the n-square
-block -H12 twice, from one solve, in real arithmetic when alpha is real.
-
-The module's own dense linear algebra (the row integrals' products and
-the eigensolve) runs inside ``one_blas_thread``, which sets the
-OpenBLAS that numpy calls to one thread and restores its count on exit:
-a threaded OpenBLAS call leaves a worker busy-waiting on a core, which
-the kernel pool that follows would share, and at these sizes one thread
-is also the faster solver (``BENCH_28.json``).  The thread count is
-process-wide: while the context is open, numpy's BLAS calls from other
-threads of the process run on one thread too.
+block -H12 twice; -H12 commutes with the mesh's index reversal, so they
+are those of two n/2-square blocks, real when alpha is real.  No call
+here is large enough for OpenBLAS to start its threads: the eigensolves
+are at most 64-square on the default mesh's refinement, and the row
+integrals sum with ``np.einsum``, which calls no BLAS.
 """
 
 from __future__ import annotations
 
-import ctypes
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -58,69 +49,6 @@ def c_prime(alpha) -> complex:
     alpha = complex(alpha)
     a0_sq = gamma_fn(1.0 - 0.5 * alpha) / gamma_fn(1.0 + 0.5 * alpha)
     return c_alpha(alpha) * 2.0 / (alpha * a0_sq)
-
-
-# ---------------------------------------------------------------------------
-# the BLAS thread count
-# ---------------------------------------------------------------------------
-
-#: (get, set) thread-count entry points of an OpenBLAS library: the names
-#: numpy's scipy-openblas wheels export, then plain OpenBLAS's
-OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@cache
-def _openblas_threads() -> tuple | None:
-    """(get, set) thread-count functions of the OpenBLAS numpy calls, looked
-    up on a handle to numpy's linalg extension (a lookup on a handle also
-    searches the libraries it links); None where the extension cannot be
-    opened or exports neither pair of symbols."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    for get_name, set_name in OPENBLAS_THREAD_SYMBOLS:
-        if hasattr(lib, get_name) and hasattr(lib, set_name):
-            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
-
-
-_blas_lock = threading.Lock()
-#: contexts open now, and the count the last one to close restores
-_blas_depth = 0
-_blas_saved = 0
-
-
-@contextmanager
-def one_blas_thread():
-    """Run the body with numpy's OpenBLAS (see ``_openblas_threads``) on one thread.
-
-    The first context to open reads the library's thread count and sets
-    it to 1; the last to close restores it, also when the body raises.
-    The count is process-wide, so numpy's BLAS calls from other threads
-    run on one thread while a context is open.  Where no thread-count
-    symbol is found the context does nothing.
-    """
-    global _blas_depth, _blas_saved
-    api = _openblas_threads()
-    with _blas_lock:
-        if api and not _blas_depth:
-            _blas_saved = api[0]()
-            api[1](1)
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if api and not _blas_depth:
-                api[1](_blas_saved)
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +166,19 @@ def row_profile(alpha, c) -> np.ndarray:
     c = cos(theta - omega), split at y = 1 with y = 1/w on the far piece
     (the same form with weight w^(alpha-1)), each piece on ``ROW_N_Y``
     Gauss-Jacobi nodes.  The base is >= 1 for c >= 0 and vanishes only at
-    real c <= -1, so J is analytic off (-inf, -1].  It is summed at
-    ``fixed_point.profile_angles(ROW_KNOTS)`` (80 points) and interpolated
-    at c by ``profile_interpolation``: to within 1.3e-15 of sum |terms| at
-    2000 random c for alpha in {0.7, 1.5, 1.95, 1.2+0.3i, 1.5+5i, 1.9+10i,
-    1.5+20i}.  Real alpha stays in real arithmetic.
+    real c <= -1, so J is analytic off (-inf, -1].  It is summed by
+    ``np.einsum`` (no BLAS call) at ``fixed_point.profile_angles(ROW_KNOTS)``
+    (80 points) and interpolated at c by ``profile_interpolation``: to
+    within 1.3e-15 of sum |terms| at 2000 random c for alpha in {0.7, 1.5,
+    1.95, 1.2+0.3i, 1.5+5i, 1.9+10i, 1.5+20i}.  Real alpha stays in real
+    arithmetic.
     """
     alpha = complex(alpha)
     a = alpha if alpha.imag else alpha.real
     near, far = power_rule(-0.5 * a, 1.0, ROW_N_Y), power_rule(a - 1.0, 1.0, ROW_N_Y)
     y, wy = np.concatenate([near[0], far[0]]), np.concatenate([near[1], far[1]])
     base = (1.0 + y * y) + (2.0 * y) * profile_angles(ROW_KNOTS)[:, None]
-    samples = np.exp((-0.5 - 0.25 * a) * np.log(base)) @ wy
+    samples = np.einsum("ky,y->k", np.exp((-0.5 - 0.25 * a) * np.log(base)), wy)
     cols, coef = profile_interpolation(ROW_KNOTS, c)
     return np.einsum("...k,...k->...", coef, samples[cols])
 
@@ -264,7 +193,8 @@ def kernel_row_integrals(alpha, omegas: np.ndarray) -> np.ndarray:
     integral is the profile J of ``row_profile`` at c = cos(theta - omega),
     which lies in (0, 1] as theta and omega lie in (0, pi/2); the row
     integrals are the theta rule's weights times J at the n_theta x
-    n_omega values of c.  No (theta, y, omega) tensor is formed.
+    n_omega values of c, summed by ``np.einsum`` (no BLAS call).  No
+    (theta, y, omega) tensor is formed.
 
     The theta rule is ``sin2_theta_rule`` on n_theta = 96 + 8 int(|Im alpha|)
     nodes: off the real axis its weight carries sin(2 theta)^(i Im alpha/2),
@@ -275,9 +205,8 @@ def kernel_row_integrals(alpha, omegas: np.ndarray) -> np.ndarray:
     alpha = complex(alpha)
     a = alpha if alpha.imag else alpha.real
     th, wsin = sin2_theta_rule(96 + 8 * int(abs(alpha.imag)), 0.5 * a - 1.0)
-    omegas = np.asarray(omegas, dtype=float)
-    with one_blas_thread():
-        return wsin @ row_profile(alpha, np.cos(th[:, None] - omegas[None, :]))
+    c = np.cos(th[:, None] - np.asarray(omegas, dtype=float)[None, :])
+    return np.einsum("t,to->o", wsin, row_profile(alpha, c))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +322,7 @@ def assemble_H(alpha, n_nodes: int = 64, kappa: float = 0.5) -> NystromOperator:
     alpha = complex(alpha)
     nodes = P.nodes
     n = nodes.size
-    c = np.cos(nodes)
-    s = np.sin(nodes)
+    c, s = np.cos(nodes), np.sin(nodes)
     one_u = c + s
     PN0 = P.matrix * (one_u ** (-alpha - 1.0))[None, :]
     PN1 = P.matrix * (one_u ** (-alpha))[None, :]
@@ -433,14 +361,14 @@ class FredholmResult:
     every alpha (the fixed point itself is an eigenvector because the
     map is homogeneous of degree -1 in its argument, plus a reflection
     partner); in H they are one eigenvalue of -H12 near -1, counted once
-    in each diagonal block of the (f, g+h, g-h) basis.  So for even m the
-    literal determinant vanishes identically; ``det_deflated`` excludes
-    the structural pair and is the quantity whose near-zeros carry
-    information.  The +1 signal
-    that flags genuine stability exceptions is never inside the
-    deflation disc.  ``refinement_delta`` is measured on the deflated
-    value; the literal one is an exact zero up to discretization noise,
-    so its digits are round-off and move with the eigensolver's order.
+    in each diagonal block of the (f, g+h, g-h) basis, and ``fredholm_det``
+    refuses other counts.  So for even m the literal determinant vanishes
+    identically; ``det_deflated`` excludes the structural pair and is the
+    quantity whose near-zeros carry information.  The +1 signal that flags
+    genuine stability exceptions is never inside the deflation disc.
+    ``refinement_delta`` is measured on the deflated value; the literal
+    one is an exact zero up to discretization noise, so its digits are
+    round-off and move with the eigensolver's order.
     """
 
     alpha: complex
@@ -476,15 +404,13 @@ def band_power(re_alpha: float) -> int:
 
 #: deflation disc radius around the structural eigenvalue -1
 STRUCTURAL_TOL = 0.05
-
-
-#: tolerance of _eigenvalues' factorization checks, relative to max |H|
+#: tolerance of _eigenvalues' factorization and mirror checks, relative to max |H|
 FACTOR_RTOL = 1e-12
 
 
 def _eigenvalues(H: NystromOperator) -> np.ndarray:
     """Eigenvalues of an ``assemble_H`` operator: n zeros, then those of
-    -H12 twice, from one n-square solve.
+    -H12 twice, from two n/2-square solves.
 
     H = [[A, B, C], [D, 0, E], [D, E, 0]] by blocks; conjugated by
     T = [[I, 0, 0], [0, I, I], [0, I, -I]] (components f, g+h, g-h) it is
@@ -495,18 +421,23 @@ def _eigenvalues(H: NystromOperator) -> np.ndarray:
     at the nodes omega, so its eigenvalues are n zeros and those of
     [2D, E] [W; I] = 2DW + E; and 2DW = -2E, since N0 (cos omega + sin omega)
     = N1 and J's index reversal maps both factors of W onto themselves on
-    the mirror-symmetric mesh.  Hence eig(H) = {0}^n, eig(-E), eig(-E),
-    from one n-square solve: n^3 of the eigensolver's work, against 9n^3
-    for the two diagonal blocks; real matrices go to the real solver.  Raises
-    ValueError naming the first condition H breaks: the exact copies and
-    zeros, then the three identities at ``FACTOR_RTOL`` * max |H| (they
-    hold to about 1e-15 of it).
+    the mirror-symmetric mesh.  Hence eig(H) = {0}^n, eig(-E), eig(-E).
+    P's bottom rows mirror its top ones, and N1 and the kappa similarity
+    are mirror-symmetric, so E[h:] is E[:h] = [E11, E12] (h = n/2)
+    reversed both ways; with r the reversal of h indices, -E is
+    -(E11 + E12 r) on the mirror-even vectors (x, r x) and -(E11 - E12 r)
+    on the mirror-odd ones (x, -r x).  Two h-square solves, 2 (n/2)^3 =
+    n^3/4 of work against 9n^3 for the two diagonal blocks, real for real
+    matrices.  Raises ValueError naming the first condition H breaks: the
+    exact copies and zeros, then four identities at ``FACTOR_RTOL`` *
+    max |H| (they hold to about 3e-14 of it).
     """
     mat = H.matrix
     size = mat.shape[0]
     if size % 3:
         raise ValueError(f"H has size {size}, not a multiple of 3")
     n = size // 3
+    h = n // 2
 
     def blk(r, c):
         return mat[r * n:(r + 1) * n, c * n:(c + 1) * n]
@@ -524,29 +455,37 @@ def _eigenvalues(H: NystromOperator) -> np.ndarray:
     for gap, identity in ((blk(0, 0) - w[:, None] * D2, "H00 == W 2H10"),
                           (0.5 * (blk(0, 1) + blk(0, 2)) - w[:, None] * E,
                            "(H01 + H02)/2 == W H12"),
-                          (D2 * w + 2.0 * E, "2H10 W == -2H12")):
+                          (D2 * w + 2.0 * E, "2H10 W == -2H12"),
+                          (E[h:] - E[:h][::-1, ::-1], "H12[h:] == H12[:h][::-1, ::-1]")):
         if not np.max(np.abs(gap)) <= tol:
             raise ValueError(f"H breaks {identity} beyond {FACTOR_RTOL:g} max|H|: "
                              f"not an assemble_H factorization")
     if not np.any(E.imag):
         E = E.real
-    with one_blas_thread():
-        mu = np.linalg.eigvals(-E)
+    E11, E12r = E[:h, :h], E[:h, h:][:, ::-1]
+    mu = np.concatenate([np.linalg.eigvals(-(E11 + E12r)), np.linalg.eigvals(-(E11 - E12r))])
     return np.concatenate([np.zeros(n, dtype=mu.dtype), mu, mu])
 
 
 def _dets(mu: np.ndarray, m: int, alpha: complex) -> tuple[complex, complex, int]:
     """Literal and deflated det(I - H^m) from H's eigenvalues ``mu``, and
-    the count of structural ones; raises ValueError naming alpha, m and
-    max |mu| when a product is not finite."""
-    keep = np.abs(mu + 1.0) > STRUCTURAL_TOL
+    the count of structural ones.  Raises ValueError naming alpha, m and
+    max |mu| when a product is not finite, then one naming alpha, the
+    node count, the count and min |mu + 1| unless that count is 2."""
+    dist = np.abs(mu + 1.0)
+    keep = dist > STRUCTURAL_TOL
     with np.errstate(over="ignore", invalid="ignore"):
         literal = complex(np.prod(1.0 - mu ** m))
         deflated = complex(np.prod(1.0 - mu[keep] ** m))
     if not (np.isfinite(literal) and np.isfinite(deflated)):
         raise ValueError(f"det(I - H^m) is not finite at alpha={alpha}, m={m}: "
                          f"max |mu| = {np.abs(mu).max():.4g}")
-    return literal, deflated, int(np.count_nonzero(~keep))
+    n_struct = int(np.count_nonzero(~keep))
+    if n_struct != 2:
+        raise ValueError(f"{n_struct} eigenvalues, not the structural pair, lie within "
+                         f"{STRUCTURAL_TOL} of -1 at alpha={alpha} on {mu.size // 3} nodes: "
+                         f"min |mu + 1| = {dist.min():.4g}")
+    return literal, deflated, n_struct
 
 
 def fredholm_det(H: NystromOperator, m: int,
@@ -557,15 +496,15 @@ def fredholm_det(H: NystromOperator, m: int,
     the nodes at the same kappa.  m must be even and at least the band
     prescription for Re(alpha); the continuum determinant is undefined
     below that power.  The eigenvalues are n zeros and those of -H12
-    twice (see ``_eigenvalues``): one n-square solve, about a 27th of the
-    work of the full 3n-square solve, and real for real alpha.  A matrix
-    without ``assemble_H``'s block structure (size a multiple of 3,
-    H10 == H20, H12 == H21, zero H11 and H22, and the factorization
-    identities of ``_eigenvalues``) raises ValueError, and so does a
-    determinant that is not finite (at 1.5+20i on 96 nodes max |mu| is
-    218 and the product of the 192 factors 1 - mu^m besides the zeros'
-    ones overflows).  See FredholmResult for the literal/deflated
-    distinction.
+    twice (see ``_eigenvalues``): two n/2-square solves, about a 108th
+    of the work of the full 3n-square solve, and real for real alpha.  A
+    matrix that breaks a condition ``_eigenvalues`` checks raises
+    ValueError, and so does, on either grid, a determinant that is not
+    finite (at 1.5+20i on 96 nodes max |mu| is 218 and the product of
+    the 192 factors 1 - mu^m besides the zeros' ones overflows) or one
+    whose deflation disc does not hold exactly the structural pair (at
+    1.5+20i on 32 nodes it holds none).  See FredholmResult for the
+    literal/deflated distinction.
     """
     if m < 1 or m % 2 != 0:
         raise ValueError("power m must be a positive even integer")

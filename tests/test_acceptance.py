@@ -276,12 +276,15 @@ def test_12_determinant_decay_large_imaginary_alpha():
     the kernel row integrals are 7e-16 to 1.5e-14 of the sum of their
     terms' moduli (about 7), the size of the round-off of the y profile J
     they sum: the (theta, y, omega) tensor sum that J replaced gave values
-    up to 2.5% apart.  One and two OpenBLAS threads give the same bits on
-    one build; another build or summation order moves them.  At t = 20 on
-    96 nodes H's eigenvalues reach 218 in modulus, the product of the 192
-    factors 1 - mu^2 besides the 96 zeros' overflows, and ``fredholm_det``
-    raises ValueError, so the test fails there before it reaches its
-    assertion (CI runs it under ``--runxfail`` and checks that message).
+    up to 2.5% apart.  They are summed by ``np.einsum``, not BLAS, so one
+    and two OpenBLAS threads give the same bits on one build; another
+    build or summation order moves them.  At t = 20 on 96 nodes H's
+    eigenvalues reach 218 in modulus, the product of the 192 factors
+    1 - mu^2 besides the 96 zeros' overflows, and ``fredholm_det`` raises
+    ValueError, so the test fails there before it reaches its assertion
+    (CI runs it under ``--runxfail`` and checks that message).  Were the
+    product finite, the next check would refuse it too: no eigenvalue of
+    -H12 lies within the deflation disc at t = 20.
     """
     dets = []
     for t in (5.0, 10.0, 20.0):

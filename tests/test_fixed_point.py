@@ -683,8 +683,8 @@ def test_threaded_assemble_P_under_fast_switching(monkeypatch):
 
 
 def test_threaded_alpha_scan_under_fast_switching(monkeypatch):
-    # four threads on the alpha values, each opening and closing the shared
-    # one-BLAS-thread context, switching often: the scan of one thread
+    # four threads on the alpha values, each running its own determinants,
+    # switching often: the scan of one thread
     def scan():
         return _scan_values([1.1, 1.5 + 5j, 1.9])
     ref = _run_with_workers(monkeypatch, 1, scan)

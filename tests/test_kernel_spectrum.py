@@ -1,11 +1,9 @@
 import dataclasses
-import json
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +541,36 @@ def test_fredholm_det_raises_where_the_product_overflows():
     assert failures[0][1].startswith("ValueError: ")
 
 
+def test_fredholm_det_refuses_a_matrix_without_the_mirror_symmetry():
+    # one cell of H12's bottom half (and its copy H21) moves by 1e-6 max|H|,
+    # and H10 = H20, H00 and H01, H02 move along so that every factorization
+    # identity still holds: only H12[h:] == H12[:h][::-1, ::-1] is broken
+    H = ks.assemble_H(1.5, 32, kappa=0.5)
+    n, i, j = H.n_nodes, H.n_nodes // 2 + 3, 5
+    cos, sin = np.cos(H.nodes), np.sin(H.nodes)
+    w = (cos + sin) * np.abs(cos - sin) ** -H.kappa / 1.5
+    eps = 1e-6 * np.max(np.abs(H.matrix))
+    mat = H.matrix.copy()
+    for r, c, step in [(1, 2, eps), (2, 1, eps), (1, 0, -eps / w[j]), (2, 0, -eps / w[j]),
+                       (0, 0, -2.0 * w[i] * eps / w[j]), (0, 1, w[i] * eps), (0, 2, w[i] * eps)]:
+        mat[r * n + i, c * n + j] += step
+    with pytest.raises(ValueError, match=re.escape("H12[h:] == H12[:h][::-1, ::-1]")):
+        ks.fredholm_det(dataclasses.replace(H, matrix=mat), 2, refine=False)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_fredholm_det_refuses_a_grid_without_the_structural_pair(kappa):
+    # at 1.5+20i on 32 nodes no eigenvalue of -H12 lies near -1, so the
+    # deflated determinant would be the literal one
+    H = ks.assemble_H(1.5 + 20j, 32, kappa=kappa)
+    message = r"^0 eigenvalues, not the structural pair, lie within 0\.05 of -1 at " \
+              r"alpha=\(1\.5\+20j\) on 32 nodes: min \|mu \+ 1\| = 1$"
+    with pytest.raises(ValueError, match=message):
+        ks.fredholm_det(H, 2, refine=False)
+    results, failures = ks.alpha_scan([1.5 + 20j], n_nodes=32, refine=False)
+    assert not results and failures[0][1].endswith("on 32 nodes: min |mu + 1| = 1")
+
+
 @pytest.mark.parametrize("alpha", [1.3, 1.5 + 5j])
 def test_refinement_delta_against_the_doubled_grid(alpha):
     # the refinement reassembles H on twice the nodes at the same kappa
@@ -597,149 +625,47 @@ def test_alpha_scan_refinement_stable():
 
 
 # ---------------------------------------------------------------------------
-# the BLAS thread count
+# no call large enough for OpenBLAS to thread
 # ---------------------------------------------------------------------------
 
-@pytest.fixture
-def blas_at_two_threads():
-    """Numpy's OpenBLAS (get, set) pair, set to 2 threads for the test and
-    reset to its own count after it."""
-    api = ks._openblas_threads()
-    if api is None:
-        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count symbol")
-    get, set_ = api
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
-
-
-def test_one_blas_thread_restores_the_count(blas_at_two_threads):
-    count = blas_at_two_threads
-    with ks.one_blas_thread():
-        assert count() == 1
-    assert count() == 2
-    with pytest.raises(RuntimeError, match="raised inside"):
-        with ks.one_blas_thread():
-            raise RuntimeError("raised inside")
-    assert count() == 2
-    # contexts of two threads overlap without nesting: the last to close restores
-    first, second = ks.one_blas_thread(), ks.one_blas_thread()
-    first.__enter__()
-    second.__enter__()
-    first.__exit__(None, None, None)
-    assert count() == 1
-    second.__exit__(None, None, None)
-    assert count() == 2
-    ks.fredholm_det(ks.assemble_H(1.5 + 5j, 32), 2, refine=True)
-    assert count() == 2
-
-
-def test_one_blas_thread_from_many_threads(blas_at_two_threads):
-    # more threads than cores open and close contexts under fast thread
-    # switching: each body sees one thread, and the count is back at the end
-    count = blas_at_two_threads
-    seen = []
-
-    def loop():
-        for _ in range(200):
-            with ks.one_blas_thread():
-                seen.append(count())
-
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=loop) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(switch)
-    assert not any(t.is_alive() for t in threads)
-    assert len(seen) == 800 and all(c == 1 for c in seen)
-    assert count() == 2
-
-
-def test_numpy_openblas_has_the_thread_switch():
-    # the fixture above skips where the lookup finds nothing; where numpy
-    # reports an OpenBLAS, finding nothing is a broken lookup, not a skip
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    if "openblas" not in str(blas.get("name", "")).lower():
-        pytest.skip(f"numpy's BLAS is {blas.get('name')}, not OpenBLAS")
-    assert ks._openblas_threads() is not None
-
-
-#: run in a fresh process: scipy's OpenBLAS is loaded before levylab, and
-#: numpy's own library is read through its path, not through the lookup
-_SECOND_OPENBLAS = """
-import ctypes, json, os, sys
-import scipy.linalg
-import numpy as np
+#: run in a fresh process under a set OPENBLAS_NUM_THREADS: the bytes of
+#: H's eigenvalues and of the row integrals at one alpha on 48 and 64 nodes
+_NYSTROM_BYTES = """
+import sys
 from levylab import kernel_spectrum as ks
 
-numpy_libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-with open("/proc/self/maps") as fh:
-    paths = {line.split(maxsplit=5)[-1].strip() for line in fh}
-ours = [p for p in paths if os.path.dirname(p) == numpy_libs and "openblas" in p.lower()]
-theirs = [p for p in paths if "openblas" in p.lower() and p not in ours]
-if len(ours) != 1 or not theirs:
-    print(json.dumps(None))
-    sys.exit()
-lib = ctypes.CDLL(ours[0])
-get, set_ = (getattr(lib, name) for name in ks.OPENBLAS_THREAD_SYMBOLS[0])
-get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
-set_(2)
-with ks.one_blas_thread():
-    inside = get()
-print(json.dumps([inside, get()]))
+alpha = complex(sys.argv[1])
+for n in (48, 64):
+    H = ks.assemble_H(alpha, n)
+    print(ks._eigenvalues(H).tobytes().hex())
+    print(ks.kernel_row_integrals(alpha, H.nodes).tobytes().hex())
 """
 
 
-def test_one_blas_thread_switches_numpy_openblas_beside_scipy_openblas():
-    pytest.importorskip("scipy.linalg")
-    run = subprocess.run([sys.executable, "-c", _SECOND_OPENBLAS], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(Path(ks.__file__).parents[1])},
-                         timeout=120)
-    assert run.returncode == 0, run.stderr
-    counts = json.loads(run.stdout)
-    if counts is None:
-        pytest.skip("numpy and scipy do not each load their own wheel's OpenBLAS")
-    assert counts == [1, 2]
+@pytest.mark.parametrize("alpha", [0.7, 1.5, 1.5 + 5j])
+def test_nystrom_values_do_not_depend_on_the_blas_threads(alpha):
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(ks.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", _NYSTROM_BYTES, str(alpha)],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 0, run.stderr
+        out.append(run.stdout)
+    assert len(out[0].split()) == 4 and out[0] == out[1]
 
 
-def test_one_blas_thread_does_nothing_without_the_symbols(blas_at_two_threads, monkeypatch):
-    # no pair found, no linalg extension, or an extension that cannot be
-    # opened: the lookup gives None and the context leaves the count alone
-    count = blas_at_two_threads
+@pytest.mark.parametrize("alpha", [1.5, 1.5 + 5j])
+def test_fredholm_det_solves_no_eigenproblem_above_its_node_count(alpha, monkeypatch):
+    # the refinement doubles the nodes to 96, whose mirror halves are 48-square
+    shapes = []
+    eigvals = np.linalg.eigvals
 
-    def refuse(*args, **kwargs):
-        raise OSError("cannot open shared object file")
+    def recorded(a):
+        shapes.append(a.shape)
+        return eigvals(a)
 
-    try:
-        for remove in (lambda m: m.setattr(ks, "_openblas_threads", lambda: None),
-                       lambda m: m.delattr(np.linalg, "_umath_linalg"),
-                       lambda m: m.setattr(ks.ctypes, "CDLL", refuse)):
-            ks._openblas_threads.cache_clear()
-            with monkeypatch.context() as m:
-                remove(m)
-                assert ks._openblas_threads() is None
-                with ks.one_blas_thread():
-                    assert count() == 2
-                with pytest.raises(ValueError, match="raised inside"):
-                    with ks.one_blas_thread():
-                        raise ValueError("raised inside")
-                assert count() == 2
-    finally:
-        ks._openblas_threads.cache_clear()
-
-
-@pytest.mark.parametrize("alpha", [0.7, 1.5])
-def test_real_eigenvalues_do_not_depend_on_the_blas_threads(alpha, blas_at_two_threads,
-                                                           monkeypatch):
     H = ks.assemble_H(alpha, 48)
-    inside = ks._eigenvalues(H)
-    with monkeypatch.context() as m:
-        m.setattr(ks, "_openblas_threads", lambda: None)
-        outside = ks._eigenvalues(H)  # on the fixture's two threads
-    assert np.array_equal(inside, outside)
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    ks.fredholm_det(H, 2, refine=True)
+    assert shapes == [(24, 24)] * 2 + [(48, 48)] * 2
