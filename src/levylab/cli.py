@@ -20,9 +20,9 @@ from . import __version__
 from .experiments import (
     ExperimentConfig,
     RunRecord,
-    derived_seed,
     emit,
     run_local_law,
+    run_sample_spectrum,
     run_transition_sweep,
 )
 from .fixed_point import (
@@ -35,7 +35,7 @@ from .fixed_point import (
     spectral_density,
 )
 from .kernel_spectrum import alpha_scan, check_nodes, flag_minima
-from .matrix_model import build_levy_matrix, eigenvalues
+from .matrix_model import build_levy_matrix  # noqa: F401  (perfbench/selftest.py wraps it here)
 from .stable_random import substream
 
 #: options that locate inputs and outputs or override the config; they
@@ -123,13 +123,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def sample_spectrum(cfg, args) -> RunRecord:
-    seed = derived_seed(cfg.master_seed, args.n, 0)
-    lam = eigenvalues(build_levy_matrix(args.n, cfg.alpha, seed))
-    return RunRecord("sample-spectrum", cfg.select("alpha", "master_seed"),
-                     columns=("index", "eigenvalue"), rows=tuple(enumerate(lam)))
-
-
 def solve_fixed_point(cfg, args) -> RunRecord:
     quad = QuadratureConfig().scaled(cfg.quad_scale)
     sol = solve_gamma_star(complex(args.z_re, args.z_im), cfg.alpha,
@@ -192,7 +185,7 @@ NO_CONFIG = frozenset({"kernel-scan"})
 
 #: subcommand -> compute step returning its RunRecord (without ``args``)
 COMMANDS = {
-    "sample-spectrum": sample_spectrum,
+    "sample-spectrum": lambda cfg, args: run_sample_spectrum(cfg, args.n),
     "localization-sweep": lambda cfg, args: run_transition_sweep(cfg),
     "local-law": lambda cfg, args: run_local_law(cfg),
     "solve-fixed-point": solve_fixed_point,

@@ -167,50 +167,66 @@ def _mean_se(values: list[float]) -> tuple[float, float]:
 _HELD: dict[tuple[int, float, int], SpectralDecomposition] = {}
 
 
-def _batch(kind: str, cfg: ExperimentConfig, read, columns, row, aggregate) -> RunRecord:
-    """The record of ``row(n, seed, sd, E)`` in (n, seed, E) order, with
-    aggregates ``aggregate(rows)``; its config holds the keys ``read``.
+def _batch(kind: str, cfg: ExperimentConfig, read, columns, rows, aggregate=None) -> RunRecord:
+    """The record of ``rows(n, seed, sd)``, each sample's rows, in (n, seed)
+    order, with aggregates ``aggregate(rows)`` if given; its config holds
+    the keys ``read``.
 
     A sample whose build or eigensolve raises one of ``SAMPLE_ERRORS`` is
-    noted in ``skipped``; more than 10% skipped fails the run.
+    noted in ``skipped``; more than 10% skipped fails the run, naming the
+    first note.  Samples are decomposed largest first, so that the smaller
+    ones' arrays fill the blocks a larger eigensolve freed instead of
+    raising the heap's top; rows and notes keep the (n, seed) order.
 
     The process holds the decompositions of the last batch, keyed by
-    (n, alpha, seed), so a following batch over the same samples (a
-    ``local-law`` after a ``localization-sweep`` of one config) builds
-    and decomposes none of them again.  A batch takes over the held
-    samples it asks for and drops the rest before its first build.  It
-    is held only if its eigenvectors fit in the memory one eigensolve of
-    its largest matrix needs anyway, 8 * 4 * n_max**2 bytes (the matrix,
-    LAPACK's copy and 2 n**2 of workspace); a larger batch is not held.
-    A skipped sample is never held, and held arrays are read-only.
-    Separate processes share nothing.
+    (n, alpha, seed), so a following batch over the same samples builds
+    and decomposes none of them again: a ``local-law`` after a
+    ``localization-sweep`` of one config, or a sweep after a
+    ``sample-spectrum`` (sample 0 of its size, a batch of one).  A batch
+    takes over the held samples it asks for and drops the rest before its
+    first build.  It is held only if its eigenvectors fit in the memory
+    one eigensolve of its largest matrix needs anyway, 8 * 4 * n_max**2
+    bytes (the matrix, LAPACK's copy and 2 n**2 of workspace); a larger
+    batch is not held.  A skipped sample is never held, and held arrays
+    are read-only.  Separate processes share nothing.
     """
     keys = [(n, float(cfg.alpha), derived_seed(cfg.master_seed, n, k))
             for n in cfg.n_list for k in range(cfg.n_seeds)]
     reuse = {key: _HELD.get(key) for key in keys}
     _HELD.clear()
     hold = sum(n * n for n, _, _ in keys) <= 4 * max(cfg.n_list) ** 2
-    rows = []
-    skipped = []
-    for key in keys:
-        n, _, seed = key
+    done = [None] * len(keys)  # per sample: its rows, or its skip note
+    for i in sorted(range(len(keys)), key=lambda i: -keys[i][0]):
+        n, _, seed = key = keys[i]
         sd = reuse.pop(key, None)  # None also for a size listed twice
         if sd is None:
             try:
                 sd = eigendecompose(build_levy_matrix(n, cfg.alpha, seed))
             except SAMPLE_ERRORS as exc:
-                skipped.append(f"{type(exc).__name__}: n={n} seed={seed}: {exc}")
+                done[i] = f"{type(exc).__name__}: n={n} seed={seed}: {exc}"
                 continue
         if hold:
             sd.eigenvalues.setflags(write=False)
             sd.eigenvectors.setflags(write=False)
             _HELD[key] = sd
-        rows.extend(row(n, seed, sd, e) for e in cfg.energies)
+        done[i] = list(rows(n, seed, sd))
+    skipped = [d for d in done if isinstance(d, str)]
+    out = [r for d in done if not isinstance(d, str) for r in d]
     if len(skipped) > 0.1 * len(keys):
-        raise RuntimeError(f"{len(skipped)}/{len(keys)} samples failed")
-    return RunRecord(kind, cfg.select(*read), columns=columns, rows=tuple(rows),
-                     fields={"aggregates": aggregate(rows)},
+        raise RuntimeError(f"{len(skipped)}/{len(keys)} samples failed; first: {skipped[0]}")
+    return RunRecord(kind, cfg.select(*read), columns=columns, rows=tuple(out),
+                     fields={"aggregates": aggregate(out)} if aggregate else {},
                      skipped=tuple(skipped))
+
+
+def run_sample_spectrum(cfg: ExperimentConfig, n: int) -> RunRecord:
+    """The ascending eigenvalues of sample 0 at size n, the sample every
+    batch over n at this alpha and master seed starts with."""
+    if n < 1:
+        raise ValueError(f"sample size n must be at least 1, got {n}")
+    return _batch("sample-spectrum", replace(cfg, n_list=(n,), n_seeds=1),
+                  ("alpha", "master_seed"), ("index", "eigenvalue"),
+                  lambda n, seed, sd: enumerate(sd.eigenvalues))
 
 
 def _cells(rows, columns) -> list:
@@ -251,14 +267,15 @@ def run_transition_sweep(cfg: ExperimentConfig) -> RunRecord:
     Per-sample failures (``SAMPLE_ERRORS``) are recorded and skipped; the
     run fails only if more than 10% of the samples fail.
     """
-    def row(n, seed, sd, e):
+    def rows(n, seed, sd):
         w = cfg.interval_width(n)
-        st = interval_stats(sd, (e - 0.5 * w, e + 0.5 * w), cfg.alpha)
-        stats = ("", "", "") if st.is_empty else (st.Q, st.Pi, st.renyi_half)
-        return (cfg.alpha, n, seed, e, 0.5 * w, st.count) + stats
+        for e in cfg.energies:
+            st = interval_stats(sd, (e - 0.5 * w, e + 0.5 * w), cfg.alpha)
+            stats = ("", "", "") if st.is_empty else (st.Q, st.Pi, st.renyi_half)
+            yield (cfg.alpha, n, seed, e, 0.5 * w, st.count) + stats
 
     read = tuple(key for key in CONFIG_KEYS if key != "quad_scale")
-    return _batch("localization-sweep", cfg, read, SWEEP_COLUMNS, row, aggregate_sweep)
+    return _batch("localization-sweep", cfg, read, SWEEP_COLUMNS, rows, aggregate_sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +310,15 @@ def run_local_law(cfg: ExperimentConfig) -> RunRecord:
     mu_star = dict(zip(cfg.energies, stieltjes_mass(
         energies - 0.5 * w, energies + 0.5 * w, cfg.alpha, quad=quad).tolist()))
 
-    def row(n, seed, sd, e):
-        a, b = e - 0.5 * w, e + 0.5 * w
-        frac = eigenvalue_counting(sd, a, b) / n
-        rd = resolvent_diagonal(sd, complex(e, 0.5 * w))
-        return (cfg.alpha, n, seed, e, a, b, frac,
-                float(np.mean(np.abs(rd.values) ** 2)))
+    def rows(n, seed, sd):
+        for e in cfg.energies:
+            a, b = e - 0.5 * w, e + 0.5 * w
+            frac = eigenvalue_counting(sd, a, b) / n
+            rd = resolvent_diagonal(sd, complex(e, 0.5 * w))
+            yield (cfg.alpha, n, seed, e, a, b, frac,
+                   float(np.mean(np.abs(rd.values) ** 2)))
 
-    return _batch("local-law", cfg, CONFIG_KEYS, LOCAL_LAW_COLUMNS, row,
+    return _batch("local-law", cfg, CONFIG_KEYS, LOCAL_LAW_COLUMNS, rows,
                   lambda rows: aggregate_local_law(rows, mu_star))
 
 

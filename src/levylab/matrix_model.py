@@ -91,29 +91,17 @@ def build_levy_matrix(n: int, alpha: float, seed: int) -> LevyMatrix:
     return LevyMatrix(n=n, alpha=alpha, seed=seed, entries=a)
 
 
-def _finite_entries(matrix: LevyMatrix | np.ndarray) -> np.ndarray:
-    a = matrix.entries if isinstance(matrix, LevyMatrix) else np.asarray(matrix)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return a
-
-
 def eigendecompose(matrix: LevyMatrix | np.ndarray) -> SpectralDecomposition:
     """Full symmetric eigendecomposition, eigenvalues ascending.
 
     Eigensolver non-convergence is surfaced as LinAlgError, never
     silently truncated.
     """
-    lam, u = np.linalg.eigh(_finite_entries(matrix))
+    a = matrix.entries if isinstance(matrix, LevyMatrix) else np.asarray(matrix)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    lam, u = np.linalg.eigh(a)
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=u)
-
-
-def eigenvalues(matrix: LevyMatrix | np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues alone, without the vectors ``eigendecompose`` builds.
-
-    Same input check and LinAlgError surface as ``eigendecompose``.
-    """
-    return np.linalg.eigvalsh(_finite_entries(matrix))
 
 
 def resolvent_diagonal(sd: SpectralDecomposition, z: complex) -> ResolventDiagonal:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levylab import cli, experiments, kernel_spectrum
+from levylab import cli, experiments, kernel_spectrum, matrix_model
 from levylab import fixed_point as fp
 from levylab.cli import main
 from levylab.experiments import (
@@ -181,12 +181,25 @@ def test_sample_failures_are_typed_skips(monkeypatch):
     cfg = small_cfg(n_seeds=5)  # 10 samples, so one skip stays within 10%
     _failing_eigendecompose(monkeypatch, np.linalg.LinAlgError)
     rec = run_transition_sweep(cfg)
-    assert rec.skipped == (f"LinAlgError: n=50 seed={derived_seed(3, 50, 0)}: "
+    # the largest samples are decomposed first
+    assert rec.skipped == (f"LinAlgError: n=70 seed={derived_seed(3, 70, 0)}: "
                            "injected failure",)
     assert len(rec.rows) == 9
     _failing_eigendecompose(monkeypatch, ValueError, first_only=False)
-    with pytest.raises(RuntimeError, match="10/10 samples failed"):
+    first = f"ValueError: n=50 seed={derived_seed(3, 50, 0)}: injected failure"
+    with pytest.raises(RuntimeError, match=re.escape(f"10/10 samples failed; first: {first}")):
         run_transition_sweep(cfg)
+
+
+def test_a_failed_sample_spectrum_names_its_sample(monkeypatch, tmp_path, capsys):
+    _failing_eigendecompose(monkeypatch, np.linalg.LinAlgError)
+    out = tmp_path / "out"
+    assert main(["sample-spectrum", "--n", "40", "--seed", "5", "--out", str(out)]) == 1
+    note = f"LinAlgError: n=40 seed={derived_seed(5, 40, 0)}: injected failure"
+    assert capsys.readouterr().err == f"sample-spectrum failed: 1/1 samples failed; first: {note}\n"
+    assert main(["sample-spectrum", "--n", "0", "--out", str(out)]) == 1
+    assert "sample size n must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unexpected_errors_propagate(monkeypatch):
@@ -643,6 +656,58 @@ def test_local_law_reuses_the_sweeps_decompositions(tmp_path, capsys, monkeypatc
         cold.update({p.name: p.read_bytes() for p in printed})
     assert len(calls) == 12
     assert len(warm) == 4 and warm == cold
+
+
+#: sample-spectrum's sample: sample 0 at n = 40 of a batch over HELD_CFG
+SPECTRUM_ARGV = ["sample-spectrum", "--n", "40", "--alpha", "1.0", "--seed", "3"]
+SPECTRUM_KEY = (40, 1.0, derived_seed(3, 40, 0))
+
+
+def _spectrum_csv(printed) -> np.ndarray:
+    (path,) = [p for p in printed if p.suffix == ".csv"]
+    return np.loadtxt(path, delimiter=",", skiprows=1, usecols=1)
+
+
+def test_one_eigensolve_per_sample_from_sample_spectrum_to_local_law(
+        tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(config_json(small_cfg(**HELD_CFG)))
+    argvs = [SPECTRUM_ARGV] + [[command, "--config", str(cfg_path)]
+                               for command in ("localization-sweep", "local-law")]
+    calls = _count_eigendecompose(monkeypatch)
+    warm, cold = {}, {}
+    for argv in argvs:
+        rc, printed = _cli(argv + ["--out", str(tmp_path / "warm")], capsys)
+        assert rc == 0
+        warm.update({p.name: p.read_bytes() for p in printed})
+        if argv is SPECTRUM_ARGV:
+            # it holds its one sample, read-only, and writes its eigenvalues
+            (key, sd), = experiments._HELD.items()
+            assert key == SPECTRUM_KEY
+            assert not (sd.eigenvalues.flags.writeable or sd.eigenvectors.flags.writeable)
+            lam = matrix_model.eigendecompose(matrix_model.build_levy_matrix(
+                40, 1.0, SPECTRUM_KEY[2])).eigenvalues
+            assert np.array_equal(_spectrum_csv(printed), lam)
+    # one eigensolve per sample: the sweep took sample-spectrum's over
+    assert len(set(calls)) == len(calls) == 4 and calls[0] == SPECTRUM_KEY[::2]
+    for argv in argvs:
+        experiments._HELD.clear()
+        rc, printed = _cli(argv + ["--out", str(tmp_path / "cold")], capsys)
+        assert rc == 0
+        cold.update({p.name: p.read_bytes() for p in printed})
+    assert len(calls) == 4 + 1 + 4 + 4
+    assert len(warm) == 6 and warm == cold
+
+
+def test_sample_spectrum_after_a_batch_solves_nothing(tmp_path, capsys, monkeypatch):
+    calls = _count_eigendecompose(monkeypatch)
+    run_local_law(small_cfg(**HELD_CFG))
+    held = experiments._HELD[SPECTRUM_KEY]
+    rc, printed = _cli(SPECTRUM_ARGV + ["--out", str(tmp_path)], capsys)
+    assert rc == 0 and len(calls) == 4
+    # the rest of the batch is dropped
+    assert experiments._HELD == {SPECTRUM_KEY: held}
+    assert np.array_equal(_spectrum_csv(printed), held.eigenvalues)
 
 
 @pytest.mark.parametrize("change, hits", [
