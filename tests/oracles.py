@@ -180,10 +180,11 @@ def row_integrals_tensor(alpha, omegas: np.ndarray, n_theta: int = 96,
 
 
 def assemble_H_block(P, kappa: float) -> np.ndarray:
-    """``assemble_H``'s matrix from the ``assemble_P`` operator ``P``, built
-    as it was before H was written in place: the 3x3 blocks joined by
-    ``np.block``, then a permuted copy for J, then scaled copies for
-    c'_alpha and the kappa similarity."""
+    """The whole 3n x 3n H from the ``assemble_P`` operator ``P``: the 3x3
+    blocks joined by ``np.block``, then a permuted copy for J, then scaled
+    copies for c'_alpha and the kappa similarity.  ``assemble_H``'s matrix
+    is its rows n to n + n/2 in columns 2n to 3n (H12's top half), bit for
+    bit."""
     alpha = complex(P.alpha)
     nodes = P.nodes
     n = nodes.size
@@ -207,10 +208,23 @@ def assemble_H_block(P, kappa: float) -> np.ndarray:
     return H
 
 
+def exact_z0_eigenvalues(alpha, K: int) -> np.ndarray:
+    """mu_0 ... mu_(K-1) of the z = 0 linearization in closed form,
+    mu_k = (-1)^(k+1) (1 - alpha/2)_k / (1 + alpha/2)_k with (x)_k the
+    rising factorial, as one cumulative product of the ratios
+    -(j + 1 - alpha/2) / (j + 1 + alpha/2).  mu_0 = -1 is the structural
+    eigenvalue.  Real alpha gives real values."""
+    alpha = complex(alpha)
+    a2 = 0.5 * (alpha if alpha.imag else alpha.real)
+    j = np.arange(K - 1)
+    return -np.concatenate([[1.0], np.cumprod(-(j + 1.0 - a2) / (j + 1.0 + a2))])
+
+
 def two_block_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of an ``assemble_H`` matrix from its two diagonal blocks
-    in the components (f, g+h, g-h), as ``kernel_spectrum._eigenvalues``
-    found them before it used the top block's factorization: those of
+    """Eigenvalues of the oracle H (``assemble_H_block``) from its two
+    diagonal blocks in the components (f, g+h, g-h), as
+    ``kernel_spectrum._eigenvalues`` found them before it used the top
+    block's factorization: those of
     [[H00, (H01+H02)/2], [2 H10, H12]] joined with those of -H12, real
     matrices on the real solver."""
     n = mat.shape[0] // 3

@@ -27,7 +27,7 @@ from levylab.stable_random import (
     sample_standard_stable,
     substream,
 )
-from oracles import kernel_bound, levy_khintchine_rhs, sup_distance
+from oracles import assemble_H_block, kernel_bound, levy_khintchine_rhs, sup_distance
 
 
 def report(num, ok, detail):
@@ -237,10 +237,11 @@ def H_15_96():
 
 
 def test_12_fredholm_finite_dimensional_identity(H_15_96):
-    H = H_15_96
-    mu = np.linalg.eigvals(H.matrix)
-    lhs = np.prod(1.0 - mu ** 2)
-    rhs = np.linalg.det(np.eye(H.matrix.shape[0]) - H.matrix @ H.matrix)
+    # fredholm_det's product against the direct determinant of the whole
+    # 3n x 3n H, which only the oracle builds
+    lhs = ks.fredholm_det(H_15_96, 2, refine=False).det_value
+    H = assemble_H_block(ks.assemble_P(1.5, 96), 0.5)
+    rhs = np.linalg.det(np.eye(H.shape[0]) - H @ H)
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     report(12, rel <= 1e-8 or abs(lhs - rhs) < 1e-12,
            f"eigenvalue product vs direct determinant: |diff|={abs(lhs - rhs):.2e} "
