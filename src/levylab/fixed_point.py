@@ -652,9 +652,11 @@ def population_dynamics(z: complex, alpha: float, pool_size: int, sweeps: int,
     and members chosen uniformly from the same sub-pool (synchronous
     update), drawing the indices and then the weights, which
     ``poisson_weights_matrix`` writes into one (n, K) buffer per sub-pool,
-    so a sweep allocates no (n, K) float array.  A sub-pool runs all of
-    its sweeps as one task on a thread pool, so results are independent
-    of work scheduling.
+    so a sweep allocates no (n, K) float array.  A slot's K weights are
+    the K largest points of the weight process in random order, which
+    its sum against uniformly chosen members does not see.  A sub-pool
+    runs all of its sweeps as one task on a thread pool, so results are
+    independent of work scheduling.
     Convergence is tracked through the fractional moment mean
     (Im R)^(alpha/2), with a 1%-per-sweep criterion on top of the fixed
     sweep count.

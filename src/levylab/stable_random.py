@@ -1,5 +1,5 @@
-"""Seeded heavy-tailed randomness: symmetric stable draws and ordered
-Poisson-process weights.
+"""Seeded heavy-tailed randomness: symmetric stable draws and the K
+largest points of the Poisson weight process.
 
 Every sampler is a pure function of an explicit ``numpy.random.Generator``
 so identical seeds give bit-identical output sequences.  Independent
@@ -61,19 +61,22 @@ def sample_standard_stable(alpha: float, rng: np.random.Generator, size):
 
 def poisson_weights_matrix(alpha: float, rng: np.random.Generator,
                            out: np.ndarray) -> np.ndarray:
-    """Rows of independent weight vectors xi_1 >= ... >= xi_K, one per row
-    of ``out``, which is filled in place and returned.
+    """Rows of independent weight vectors, one per row of ``out``, which is
+    filled in place and returned: each row holds the K largest points
+    xi_k = Gamma_k ** (-2/alpha) of the weight process, in random order,
+    where Gamma_k are the arrivals of a unit-rate Poisson process, so that
+    #{k : xi_k >= u} is Poisson with mean u^(-alpha/2).
 
-    xi_k = Gamma_k ** (-2/alpha) with Gamma_k = E_1 + ... + E_k the partial
-    sums of i.i.d. unit exponentials E_i, the K largest points of the
-    weight process: #{k : xi_k >= u} is Poisson with mean u^(-alpha/2).
-    ``out`` takes the exponentials, then the sums by a recurrence over
-    columns, Gamma_k = Gamma_(k-1) + E_k, one vector add per k across all
-    rows: the same additions in the same order as ``np.cumsum(axis=-1)``,
-    so bit for bit its result, without its scalar loop along each row.
+    Given the (K+1)-th arrival G = Gamma_(K+1), the first K arrivals are G
+    times the order statistics of K i.i.d. uniforms.  A row is therefore
+    drawn as one Gamma(K + 1) variate G and K uniforms u, without the K
+    exponentials and their running sum: ``out`` takes the uniforms, turned
+    in place into (G (1 - u)) ** (-2/alpha); 1 - u lies in (0, 1], so no
+    weight is infinite.
     """
     _check_alpha(alpha)
-    e = rng.standard_exponential(out=out)
-    for k in range(1, e.shape[-1]):
-        np.add(e[..., k - 1], e[..., k], out=e[..., k])
-    return np.power(e, -2.0 / alpha, out=e)
+    g = rng.standard_gamma(out.shape[-1] + 1, size=out.shape[:-1])
+    u = rng.random(out=out)
+    np.subtract(1.0, u, out=u)
+    np.multiply(u, g[..., None], out=u)
+    return np.power(u, -2.0 / alpha, out=u)

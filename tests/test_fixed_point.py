@@ -531,7 +531,8 @@ def test_population_dynamics_rejects_empty_sizes(field):
 def _serial_pool(z, alpha, pool_size, sweeps, K, rng):
     """The one-thread loop over the sub-pools that the threaded run must
     reproduce bit for bit: each sub-pool's sweeps on its own stream, the
-    weights by np.cumsum and S by np.einsum, none of it the package's
+    weights as (Gamma_(K+1) (1 - u))^(-2/alpha) from one gamma draw per
+    row and K uniforms, and S by np.einsum, none of it the package's
     code; and the plain pool mean of (Im R)^(alpha/2) per sweep."""
     pool = np.empty(pool_size, dtype=complex)
     history = np.zeros(sweeps)
@@ -540,8 +541,8 @@ def _serial_pool(z, alpha, pool_size, sweeps, K, rng):
         members = np.full(n, -1.0 / (z + 1j))
         for sweep in range(sweeps):
             idx = sub_rng.integers(0, n, size=(n, K))
-            xi = np.power(np.cumsum(sub_rng.standard_exponential((n, K)), axis=-1),
-                          -2.0 / alpha)
+            g = sub_rng.standard_gamma(K + 1, size=n)
+            xi = np.power(g[:, None] * (1.0 - sub_rng.random((n, K))), -2.0 / alpha)
             members = -1.0 / (z + np.einsum("rk,rk->r", xi, members[idx]))
             history[sweep] += np.sum(members.imag ** (alpha / 2)) / pool_size
         pool[sl] = members

@@ -25,7 +25,12 @@ profile form to be at least as close to a finer rule as they were.
 The pool cases are re-recorded under their names plus ``SUB_POOLS``:
 the pool became independent sub-pools with their own streams and a new
 start, which changed its draws.  The plain names keep the members of
-the single pool before that.  The eval_G cases that moved when F gave up
+the single pool before that.  They are re-recorded once more under
+their names plus ``SUB_POOLS`` and ``GAMMA_UNIFORMS``: each row of
+weights became one Gamma(K + 1) draw times K uniforms in place of K
+exponentials and their running sum, which drew new members from the
+same law.  The keys with ``SUB_POOLS`` alone keep the members from
+before that.  The eval_G cases that moved when F gave up
 its own s-rule, one truncation for all angles and no contour rotation,
 for ``radial_integral_rotated`` (``RADIAL_REPINNED``) are re-recorded
 under their names plus ``ONE_RADIAL``; off the imaginary axis each angle
@@ -117,6 +122,9 @@ REPINNED = {
 #: suffix of the keys of the pool cases re-recorded when the pool became
 #: independent sub-pools
 SUB_POOLS = ", eight sub-pools"
+#: suffix added to those when each row's weights became Gamma_(K+1) times
+#: K uniforms
+GAMMA_UNIFORMS = ", gamma times uniforms"
 #: suffix of the keys of the cases re-recorded when F took its radial
 #: integral from ``radial_integral_rotated``
 ONE_RADIAL = ", one radial integral"
@@ -248,7 +256,7 @@ REFINED_SLACK = 1e-11
 def key(name: str) -> str:
     """The case's entry in the file."""
     if name.startswith("population_dynamics"):
-        return name + SUB_POOLS
+        return name + SUB_POOLS + GAMMA_UNIFORMS
     if name in RADIAL_REPINNED:
         return name + ONE_RADIAL
     if name in THETA_REPINNED:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
+from scipy.special import gammaincc
 
 from levylab.stable_random import (
     poisson_weights_matrix,
@@ -53,10 +54,13 @@ def test_characteristic_function(alpha):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 1.8])
 @pytest.mark.parametrize("shape", [(200,), (1, 200), (300, 1), (300, 200)])
 def test_arrival_weights_are_the_power_of_cumsum_in_place(alpha, shape):
-    # the weights of the Poisson arrivals Gamma_k, drawn into ``out``, are
-    # bit for bit those of np.cumsum over the same stream's exponentials
-    exponentials = substream(48).standard_exponential(shape)
-    expected = np.power(np.cumsum(exponentials, axis=-1), -2.0 / alpha)
+    # the weights drawn into ``out`` are bit for bit (G (1 - u))^(-2/alpha),
+    # G = Gamma_(K+1) one Gamma(K + 1) draw per row and then the same
+    # stream's uniforms u; the arrivals G (1 - u) stand for the partial sums
+    # of exponentials that the name still says
+    rng = substream(48)
+    g = rng.standard_gamma(shape[-1] + 1, size=shape[:-1])
+    expected = np.power(g[..., None] * (1.0 - rng.random(shape)), -2.0 / alpha)
     out = np.empty(shape)
     got = poisson_weights_matrix(alpha, substream(48), out)
     assert got is out
@@ -67,7 +71,7 @@ def test_poisson_weights_contract():
     rng = substream(47)
     xi = poisson_weights_matrix(0.8, rng, np.empty((20, 50)))
     assert xi.shape == (20, 50)
-    assert np.all(np.diff(xi, axis=1) <= 0) and np.all(xi > 0)
+    assert np.all(xi > 0) and np.all(np.isfinite(xi))
     with pytest.raises(ValueError):
         poisson_weights_matrix(2.0, rng, np.empty((20, 50)))
 
@@ -76,12 +80,34 @@ def test_largest_weight_distribution():
     # P(xi_1 <= x) = P(E_1 >= x^(-a/2)) = exp(-x^(-a/2))
     alpha = 1.2
     rng = substream(48)
-    xi1 = poisson_weights_matrix(alpha, rng, np.empty((200_000, 1)))[:, 0]
+    xi1 = poisson_weights_matrix(alpha, rng, np.empty((200_000, 1))).max(axis=1)
     for x in (0.5, 1.0, 2.0):
         target = np.exp(-x ** (-0.5 * alpha))
         emp = np.mean(xi1 <= x)
         se = np.sqrt(target * (1 - target) / xi1.size)
         assert abs(emp - target) < 3 * se + 1e-4
+
+
+ORDER_K = 100
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
+@pytest.mark.parametrize("k", [1, 2, ORDER_K])
+def test_kth_largest_weight_is_the_kth_point_of_the_process(alpha, k):
+    # xi_(k) <= x iff fewer than k points lie above x, and the number above
+    # x is Poisson with mean x^(-a/2): P(xi_(k) <= x) = Q(k, x^(-a/2)), the
+    # regularized upper incomplete gamma; indicators, as xi_(k) has
+    # infinite variance for small k
+    rows = 40_000
+    xi = poisson_weights_matrix(alpha, substream(52, int(10 * alpha), k),
+                                np.empty((rows, ORDER_K)))
+    kth = -np.partition(-xi, k - 1, axis=1)[:, k - 1]
+    for mean_above in (k - 0.5 * np.sqrt(k), k, k + np.sqrt(k)):
+        x = mean_above ** (-2.0 / alpha)
+        target = gammaincc(k, mean_above)
+        emp = np.mean(kth <= x)
+        se = np.sqrt(target * (1 - target) / rows)
+        assert abs(emp - target) < 3 * se
 
 
 @pytest.mark.parametrize("alpha,w", [(0.5, 1.0), (1.0, 1.0), (1.0, 2.0 + 1.0j)])
